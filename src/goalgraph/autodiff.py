@@ -2,8 +2,9 @@
 
 Each Tensor records its parents and a backward closure; `backward()` runs a
 reverse topological sweep. `no_grad()` disables recording for cheap
-forward-only evaluation (finite differences, inference); every op takes a
-short path there that skips closure construction entirely.
+forward-only evaluation (finite differences, inference): every op computes
+the same value either way, and only links it into the tape with grad on.
+Work that only the backward needs is done inside the backward closure.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ def no_grad():
 class Tensor:
     """A node in the computation tape."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "name")
+    __slots__ = ("value", "grad", "_parents", "_backward", "name", "__weakref__")
 
-    def __init__(self, value, parents=(), backward=None, name=None):
+    def __init__(self, value, name=None):
+        """A leaf: a parameter or a constant. Op outputs come from `_node`."""
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._parents = parents if _grad_enabled else ()
-        self._backward = backward if _grad_enabled else None
+        self._parents = ()
+        self._backward = None
         self.name = name
 
     @property
@@ -87,39 +89,62 @@ class Tensor:
         return matmul(self, other)
 
 
-def _leaf(value) -> Tensor:
-    """Wrap a freshly computed float64 array without tape bookkeeping."""
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class Segments:
+    """Stable CSR layout of a row -> segment id array, for O(rows) segment
+    reductions with `ufunc.reduceat`.
+
+    `order` sorts the rows by segment (stably), `starts` is where each
+    non-empty segment begins in that order, `present` holds those segments'
+    ids and `rank` each row's position in `present`. Graph edge sets build
+    theirs once; the ops accept a raw id array as well and lay it out per call.
+    """
+
+    __slots__ = ("ids", "order", "starts", "present", "rank")
+
+    def __init__(self, ids):
+        self.ids = np.asarray(ids, dtype=int)
+        self.order = np.argsort(self.ids, kind="stable")
+        s = self.ids[self.order]
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = s[1:] != s[:-1]
+        self.starts = np.flatnonzero(first)
+        self.present = s[self.starts]
+        self.rank = np.empty(len(s), dtype=int)
+        self.rank[self.order] = np.cumsum(first) - 1
+
+
+def segments(ids) -> Segments:
+    return ids if isinstance(ids, Segments) else Segments(ids)
+
+
+def _reduce(ufunc, x: np.ndarray, seg: Segments) -> np.ndarray:
+    """ufunc-reduce the rows of x within each present segment."""
+    return ufunc.reduceat(x[seg.order], seg.starts, axis=0)
+
+
+def _scatter_add(x: np.ndarray, seg: Segments, n_rows: int) -> np.ndarray:
+    """Sum the rows of x into n_rows buckets by segment id."""
+    out = np.zeros((n_rows,) + x.shape[1:])
+    out[seg.present] = _reduce(np.add, x, seg)
+    return out
+
+
+def _node(value, parents, backward) -> Tensor:
+    """An op's output: linked into the tape, or a bare leaf under no_grad().
+    Skips Tensor.__init__, whose dtype conversion fresh float64 arrays do not need."""
     t = Tensor.__new__(Tensor)
     t.value = value if type(value) is np.ndarray else np.asarray(value, dtype=np.float64)
     t.grad = None
-    t._parents = ()
-    t._backward = None
     t.name = None
+    if _grad_enabled:
+        t._parents, t._backward = parents, backward
+    else:
+        t._parents, t._backward = (), None
     return t
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-_scatter_cache: dict = {}
-
-
-def _scatter_matrix(ids: np.ndarray, n_rows: int) -> np.ndarray:
-    """One-hot (n_rows, len(ids)) scatter matrix, cached per id array.
-
-    Holding a reference to the key array keeps its id() stable for the
-    cache lifetime; grouped sums become a single matmul."""
-    key = (id(ids), n_rows)
-    hit = _scatter_cache.get(key)
-    if hit is not None and hit[0] is ids:
-        return hit[1]
-    m = np.zeros((n_rows, len(ids)))
-    m[np.asarray(ids, dtype=int), np.arange(len(ids))] = 1.0
-    if len(_scatter_cache) > 512:
-        _scatter_cache.clear()
-    _scatter_cache[key] = (ids, m)
-    return m
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -136,15 +161,12 @@ def add(a, b) -> Tensor:
     if av.shape != bv.shape and not (av.ndim == 2 and bv.ndim == 1
                                      and av.shape[1] == bv.shape[0]):
         raise ShapeError(f"add: incompatible shapes {av.shape} and {bv.shape}")
-    out_val = av + bv
-    if not _grad_enabled:
-        return _leaf(out_val)
 
     def bw(g):
         _accum(a, g)
         _accum(b, g.sum(axis=0) if bv.ndim < g.ndim else g)
 
-    return Tensor(out_val, (a, b), bw)
+    return _node(av + bv, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -152,14 +174,12 @@ def sub(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"sub: incompatible shapes {av.shape} and {bv.shape}")
-    if not _grad_enabled:
-        return _leaf(av - bv)
 
     def bw(g):
         _accum(a, g)
         _accum(b, -g)
 
-    return Tensor(av - bv, (a, b), bw)
+    return _node(av - bv, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -167,25 +187,21 @@ def mul(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"mul: incompatible shapes {av.shape} and {bv.shape}")
-    if not _grad_enabled:
-        return _leaf(av * bv)
 
     def bw(g):
         _accum(a, g * bv)
         _accum(b, g * av)
 
-    return Tensor(av * bv, (a, b), bw)
+    return _node(av * bv, (a, b), bw)
 
 
 def scalar_mul(a, c: float) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(a.value * c)
 
     def bw(g):
         _accum(a, g * c)
 
-    return Tensor(a.value * c, (a,), bw)
+    return _node(a.value * c, (a,), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -193,14 +209,12 @@ def matmul(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-    if not _grad_enabled:
-        return _leaf(av @ bv)
 
     def bw(g):
         _accum(a, g @ bv.T)
         _accum(b, av.T @ g)
 
-    return Tensor(av @ bv, (a, b), bw)
+    return _node(av @ bv, (a, b), bw)
 
 
 def affine(x, w, b) -> Tensor:
@@ -209,71 +223,69 @@ def affine(x, w, b) -> Tensor:
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
         raise ShapeError(f"affine: incompatible shapes {xv.shape}, {wv.shape}, {bv.shape}")
-    out_val = xv @ wv + bv
-    if not _grad_enabled:
-        return _leaf(out_val)
+    out_val = xv @ wv
+    out_val += bv
 
     def bw(g):
         _accum(x, g @ wv.T)
         _accum(w, xv.T @ g)
         _accum(b, g.sum(axis=0))
 
-    return Tensor(out_val, (x, w, b), bw)
+    return _node(out_val, (x, w, b), bw)
 
 
 def concat(tensors, axis=1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out_val = np.concatenate([t.value for t in tensors], axis=axis)
-    if not _grad_enabled:
-        return _leaf(out_val)
-    sizes = [t.value.shape[axis] for t in tensors]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        lo = 0
+        for t in tensors:
+            hi = lo + t.value.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accum(t, g[tuple(sl)])
+            lo = hi
 
-    return Tensor(out_val, tuple(tensors), bw)
+    return _node(np.concatenate([t.value for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(a.value.reshape(shape))
 
     def bw(g):
         _accum(a, g.reshape(a.value.shape))
 
-    return Tensor(a.value.reshape(shape), (a,), bw)
+    return _node(a.value.reshape(shape), (a,), bw)
+
+
+def _slice(a, key) -> Tensor:
+    a = _as_tensor(a)
+
+    def bw(g):
+        ga = np.zeros_like(a.value)
+        ga[key] = g
+        _accum(a, ga)
+
+    return _node(a.value[key], (a,), bw)
 
 
 def slice_cols(a, lo, hi) -> Tensor:
-    a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(a.value[:, lo:hi])
+    return _slice(a, (slice(None), slice(lo, hi)))
 
-    def bw(g):
-        ga = np.zeros_like(a.value)
-        ga[:, lo:hi] = g
-        _accum(a, ga)
 
-    return Tensor(a.value[:, lo:hi], (a,), bw)
+def slice_rows(a, lo, hi) -> Tensor:
+    return _slice(a, slice(lo, hi))
 
 
 def gather_rows(a, idx) -> Tensor:
+    """Rows a[idx]; idx is an index array or a Segments layout of one."""
     a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=int)
-    if not _grad_enabled:
-        return _leaf(a.value[idx])
+    ids = idx.ids if isinstance(idx, Segments) else np.asarray(idx, dtype=int)
 
     def bw(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, _scatter_add(g, segments(idx), a.value.shape[0]))
 
-    return Tensor(a.value[idx], (a,), bw)
+    return _node(a.value[ids], (a,), bw)
 
 
 # embedding lookup is a row gather from a learnable table
@@ -281,18 +293,15 @@ embedding_lookup = gather_rows
 
 
 def segment_sum(a, seg_ids, num_segments) -> Tensor:
-    """Sum rows of a into num_segments buckets given per-row bucket ids."""
+    """Sum rows of a into num_segments buckets given per-row bucket ids
+    (an id array in any order, or its Segments layout)."""
     a = _as_tensor(a)
-    seg_ids = np.asarray(seg_ids, dtype=int)
-    out = np.zeros((num_segments,) + a.value.shape[1:])
-    np.add.at(out, seg_ids, a.value)
-    if not _grad_enabled:
-        return _leaf(out)
+    seg = segments(seg_ids)
 
     def bw(g):
-        _accum(a, g[seg_ids])
+        _accum(a, g[seg.ids])
 
-    return Tensor(out, (a,), bw)
+    return _node(_scatter_add(a.value, seg, num_segments), (a,), bw)
 
 
 def scale_last(a, w) -> Tensor:
@@ -301,36 +310,30 @@ def scale_last(a, w) -> Tensor:
     av, wv = a.value, w.value
     if av.shape[:-1] != wv.shape:
         raise ShapeError(f"scale_last: {av.shape} vs weights {wv.shape}")
-    if not _grad_enabled:
-        return _leaf(av * wv[..., None])
 
     def bw(g):
         _accum(a, g * wv[..., None])
         _accum(w, (g * av).sum(axis=-1))
 
-    return Tensor(av * wv[..., None], (a, w), bw)
+    return _node(av * wv[..., None], (a, w), bw)
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(a.value.sum())
 
     def bw(g):
         _accum(a, np.full_like(a.value, float(g)))
 
-    return Tensor(a.value.sum(), (a,), bw)
+    return _node(a.value.sum(), (a,), bw)
 
 
 def sum_axis(a, axis) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(a.value.sum(axis=axis))
 
     def bw(g):
         _accum(a, np.expand_dims(g, axis) * np.ones_like(a.value))
 
-    return Tensor(a.value.sum(axis=axis), (a,), bw)
+    return _node(a.value.sum(axis=axis), (a,), bw)
 
 
 def sum_rows(a) -> Tensor:
@@ -345,64 +348,58 @@ def mean_all(a) -> Tensor:
 
 def cumsum_axis(a, axis) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(np.cumsum(a.value, axis=axis))
 
     def bw(g):
         _accum(a, np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis))
 
-    return Tensor(np.cumsum(a.value, axis=axis), (a,), bw)
+    return _node(np.cumsum(a.value, axis=axis), (a,), bw)
 
 
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
+    """max(x, slope * x), for 0 <= slope <= 1."""
     a = _as_tensor(a)
     av = a.value
+    # max() into one buffer avoids a branchy per-element select
+    out = av * slope
+    np.maximum(av, out, out=out)
     if kink_monitor is not None:
         kink_monitor.append(av >= 0.0)
-    mask = np.where(av >= 0.0, 1.0, slope)
-    if not _grad_enabled:
-        return _leaf(av * mask)
 
     def bw(g):
+        mask = (av >= 0.0).astype(np.float64)
+        np.maximum(mask, slope, out=mask)
         _accum(a, g * mask)
 
-    return Tensor(av * mask, (a,), bw)
+    return _node(out, (a,), bw)
 
 
 def abs_(a) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(np.abs(a.value))
-    sign = np.sign(a.value)
 
     def bw(g):
-        _accum(a, g * sign)
+        _accum(a, g * np.sign(a.value))
 
-    return Tensor(np.abs(a.value), (a,), bw)
+    return _node(np.abs(a.value), (a,), bw)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(np.log(a.value))
 
     def bw(g):
         _accum(a, g / a.value)
 
-    return Tensor(np.log(a.value), (a,), bw)
+    return _node(np.log(a.value), (a,), bw)
 
 
 def pow_const(a, p: float) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(np.power(a.value, p))
 
     def bw(g):
         if p == 0.0:
             return
         _accum(a, g * p * np.power(a.value, p - 1.0))
 
-    return Tensor(np.power(a.value, p), (a,), bw)
+    return _node(np.power(a.value, p), (a,), bw)
 
 
 def div(a, b) -> Tensor:
@@ -410,26 +407,21 @@ def div(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"div: incompatible shapes {av.shape} and {bv.shape}")
-    if not _grad_enabled:
-        return _leaf(av / bv)
 
     def bw(g):
         _accum(a, g / bv)
         _accum(b, -g * av / (bv * bv))
 
-    return Tensor(av / bv, (a, b), bw)
+    return _node(av / bv, (a, b), bw)
 
 
 def clamp_min(a, c: float) -> Tensor:
     a = _as_tensor(a)
-    if not _grad_enabled:
-        return _leaf(np.maximum(a.value, c))
-    mask = (a.value >= c).astype(float)
 
     def bw(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.value >= c).astype(float))
 
-    return Tensor(np.maximum(a.value, c), (a,), bw)
+    return _node(np.maximum(a.value, c), (a,), bw)
 
 
 def huber_elts(a, delta: float) -> Tensor:
@@ -438,28 +430,20 @@ def huber_elts(a, delta: float) -> Tensor:
     av = a.value
     absa = np.abs(av)
     quad = absa <= delta
-    val = np.where(quad, 0.5 * av ** 2, delta * (absa - 0.5 * delta))
-    if not _grad_enabled:
-        return _leaf(val)
-    grad = np.where(quad, av, delta * np.sign(av))
 
     def bw(g):
-        _accum(a, g * grad)
+        _accum(a, g * np.where(quad, av, delta * np.sign(av)))
 
-    return Tensor(val, (a,), bw)
+    return _node(np.where(quad, 0.5 * av ** 2, delta * (absa - 0.5 * delta)), (a,), bw)
 
 
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
-    val = np.logaddexp(0.0, a.value)
-    if not _grad_enabled:
-        return _leaf(val)
-    sig = 1.0 / (1.0 + np.exp(-a.value))
 
     def bw(g):
-        _accum(a, g * sig)
+        _accum(a, g * (1.0 / (1.0 + np.exp(-a.value))))
 
-    return Tensor(val, (a,), bw)
+    return _node(np.logaddexp(0.0, a.value), (a,), bw)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -473,9 +457,6 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (diff * diff).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = diff * inv
-    out_val = xhat * gain.value + bias.value
-    if not _grad_enabled:
-        return _leaf(out_val)
 
     def bw(g):
         _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
@@ -484,7 +465,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         _accum(a, inv * (gx - gx.mean(axis=-1, keepdims=True)
                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
 
-    return Tensor(out_val, (a, gain, bias), bw)
+    return _node(xhat * gain.value + bias.value, (a, gain, bias), bw)
 
 
 def dropout(a, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -492,50 +473,37 @@ def dropout(a, p: float, train: bool, rng: np.random.Generator | None = None) ->
         return _as_tensor(a)
     a = _as_tensor(a)
     keep = (rng.random(a.value.shape) >= p) / (1.0 - p)
-    if not _grad_enabled:
-        return _leaf(a.value * keep)
 
     def bw(g):
         _accum(a, g * keep)
 
-    return Tensor(a.value * keep, (a,), bw)
+    return _node(a.value * keep, (a,), bw)
 
 
 def softmax_grouped(logits, group_ids, num_groups=None) -> Tensor:
     """Softmax normalized independently within each group of rows.
 
-    logits: (E,) or (E, H); group_ids: (E,) ints. With 2D logits the grouping
-    applies per column.
+    logits: (E,) or (E, H); group_ids: (E,) ints in any order, or their
+    Segments layout. With 2D logits the grouping applies per column. Each
+    group's max is subtracted before exp, so no group underflows to 0/0.
     """
     logits = _as_tensor(logits)
-    group_ids = np.asarray(group_ids, dtype=int)
-    if len(group_ids) != logits.value.shape[0]:
-        raise ShapeError(f"softmax_grouped: {len(group_ids)} group ids for {logits.value.shape[0]} logits")
+    seg = segments(group_ids)
+    if len(seg.ids) != logits.value.shape[0]:
+        raise ShapeError(f"softmax_grouped: {len(seg.ids)} group ids for {logits.value.shape[0]} logits")
     if num_groups is None:
-        num_groups = int(group_ids.max()) + 1 if len(group_ids) else 0
-    if len(group_ids) and (group_ids.min() < 0 or group_ids.max() >= num_groups):
+        num_groups = int(seg.present[-1]) + 1 if len(seg.present) else 0
+    if len(seg.present) and (seg.present[0] < 0 or seg.present[-1] >= num_groups):
         raise IndexError("softmax_grouped: group id out of range")
     x = logits.value
     squeeze = x.ndim == 1
     x2 = x[:, None] if squeeze else x
-    if not _grad_enabled and len(group_ids):
-        ex = np.exp(x2 - x2.max(axis=0))
-        p = ex / (_scatter_matrix(group_ids, num_groups) @ ex)[group_ids]
-        return _leaf(p[:, 0] if squeeze else p)
-    gmax = np.full((num_groups, x2.shape[1]), -np.inf)
-    np.maximum.at(gmax, group_ids, x2)
-    ex = np.exp(x2 - gmax[group_ids])
-    den = np.zeros((num_groups, x2.shape[1]))
-    np.add.at(den, group_ids, ex)
-    p = ex / den[group_ids]
-    if not _grad_enabled:
-        return _leaf(p[:, 0] if squeeze else p)
+    ex = np.exp(x2 - _reduce(np.maximum, x2, seg)[seg.rank])
+    p = ex / _reduce(np.add, ex, seg)[seg.rank]
 
     def bw(g):
         g2 = g[:, None] if squeeze else g
-        dot = np.zeros((num_groups, x2.shape[1]))
-        np.add.at(dot, group_ids, p * g2)
-        gx = p * (g2 - dot[group_ids])
+        gx = p * (g2 - _reduce(np.add, p * g2, seg)[seg.rank])
         _accum(logits, gx[:, 0] if squeeze else gx)
 
-    return Tensor(p[:, 0] if squeeze else p, (logits,), bw)
+    return _node(p[:, 0] if squeeze else p, (logits,), bw)

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, GoalGraphError, NumericError
 from .model import ModelConfig
 from .scene import load_dataset, load_scene
 from .svg import render_scene_svg
-from .training import TrainConfig, load_model, save_model, train, write_loss_log
+from .training import TrainConfig, load_model, train
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -94,12 +94,9 @@ def cmd_train(args) -> int:
     mdict["variant"] = args.variant
     mcfg = ModelConfig.from_dict(mdict)
     tcfg.seed = _seed_override(tcfg.seed)
-    os.makedirs(args.out, exist_ok=True)
-    model, rows = train(dataset, tcfg, mcfg, out_dir=args.out,
-                        augment=not args.no_augment, log_every=args.log_every)
+    train(dataset, tcfg, mcfg, out_dir=args.out,
+          augment=not args.no_augment, log_every=args.log_every)
     ckpt = os.path.join(args.out, "model.ckpt")
-    save_model(model, ckpt)
-    write_loss_log(rows, os.path.join(args.out, "loss_log.csv"))
     write_manifest(args.out, "train",
                    {"train": tcfg.to_dict(), "model": mcfg.to_dict(),
                     "data": args.data, "variant": args.variant},
@@ -179,15 +176,13 @@ def cmd_compare(args) -> int:
             md["variant"] = variant
             mcfg = ModelConfig.from_dict(md)
             run_dir = os.path.join(args.out, f"{variant}_seed{seed}")
-            os.makedirs(run_dir, exist_ok=True)
             try:
-                model, log = train(data_a, tcfg, mcfg, out_dir=run_dir,
-                                   augment=not args.no_augment, log_every=args.log_every)
+                model, _ = train(data_a, tcfg, mcfg, out_dir=run_dir,
+                                 augment=not args.no_augment, log_every=args.log_every)
             except GoalGraphError as e:
                 _write_compare_csv(rows, os.path.join(args.out, "compare.csv"))
                 raise NumericError(f"sub-run {variant}/seed{seed} failed "
                                    f"(partial results written): {e}") from e
-            save_model(model, os.path.join(run_dir, "model.ckpt"))
             reps = {}
             for name, data in (("A", data_a), ("B", data_b)):
                 reps[name] = metrics_mod.evaluate(model, data, ks=(1, 6))

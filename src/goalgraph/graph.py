@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Segments
 from .errors import ConfigError, InvalidInputError, StructuralError
 from .geometry import Pose2, point_to_polyline_distance, points_in_polygon
 from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene
@@ -70,6 +71,12 @@ class EdgeSet:
     dst: np.ndarray
     feat: np.ndarray
     rel: np.ndarray | None = None
+    # segment layouts of src and dst, for the grouped softmax and sums over edges
+    by_src: Segments = field(init=False, repr=False, compare=False)
+    by_dst: Segments = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_src, self.by_dst = Segments(self.src), Segments(self.dst)
 
     @property
     def count(self) -> int:

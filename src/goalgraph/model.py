@@ -226,7 +226,7 @@ class Model:
 
     def _gal(self, prefix, src, dst, edges: EdgeSet, etype, train, rng, rel=None):
         emb = self._edge_emb(etype, edges, rel)
-        return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.src, edges.dst,
+        return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.by_src, edges.by_dst,
                                         emb, heads=self.cfg.heads,
                                         p_drop=self.cfg.dropout, train=train, rng=rng)
 
@@ -255,50 +255,40 @@ class Model:
 
     def score_decide_edges(self, stage: str, etype: str, q_feats: Tensor,
                            cand_feats: Tensor, edges: EdgeSet, n_groups: int):
-        """Per-edge logit = affine(MLP(concat[f_i, f_j, f_ij]) + f_ij); grouped softmax."""
+        """Per-edge logit = affine(MLP(concat[f_i, f_j, f_ij]) + f_ij); grouped softmax.
+
+        The MLP's first layer is linear in the concatenation, so its weight is
+        applied in row blocks: the f_i and f_j blocks multiply each distinct
+        query and candidate once and are then gathered per edge.
+        """
         if edges.count == 0:
             raise StructuralError(f"empty candidate set for stage {stage}")
         fe = self._edge_emb(etype, edges)
-        if not ad._grad_enabled:
-            p = self.ps.params
-            pre = f"score.{stage}"
-            fev = fe.value
-            x = np.concatenate([q_feats.value[edges.src],
-                                cand_feats.value[edges.dst], fev], axis=1)
-            h = x @ p[pre + ".mlp.l0.W"].value + p[pre + ".mlp.l0.b"].value
-            if ad.kink_monitor is not None:
-                ad.kink_monitor.append(h >= 0.0)
-            h = h * np.where(h >= 0.0, 1.0, 0.01)
-            h = h @ p[pre + ".mlp.l1.W"].value + p[pre + ".mlp.l1.b"].value + fev
-            logits = (h @ p[pre + ".out.W"].value + p[pre + ".out.b"].value).reshape(edges.count)
-            ex = np.exp(logits - logits.max())
-            den = ad._scatter_matrix(edges.src, n_groups) @ ex
-            return ad._leaf(ex / den[edges.src]), fe
-        fi = ad.gather_rows(q_feats, edges.src)
-        fj = ad.gather_rows(cand_feats, edges.dst)
-        hidden = ad.add(nn.mlp(self.ps, f"score.{stage}.mlp",
-                               ad.concat([fi, fj, fe], axis=1), 2), fe)
-        logits = ad.reshape(nn.affine(self.ps, f"score.{stage}.out", hidden), (edges.count,))
-        return ad.softmax_grouped(logits, edges.src, n_groups), fe
+        ps, pre = self.ps, f"score.{stage}.mlp"
+        d = fe.shape[1]
+        w = ps[pre + ".l0.W"]
+        by_src, by_dst = edges.by_src, edges.by_dst
+        hi = ad.matmul(ad.gather_rows(q_feats, by_src.present), ad.slice_rows(w, 0, d))
+        hj = ad.matmul(ad.gather_rows(cand_feats, by_dst.present), ad.slice_rows(w, d, 2 * d))
+        h = ad.add(ad.add(ad.gather_rows(hi, by_src.rank), ad.gather_rows(hj, by_dst.rank)),
+                   ad.affine(fe, ad.slice_rows(w, 2 * d, 3 * d), ps[pre + ".l0.b"]))
+        hidden = ad.add(nn.affine(ps, pre + ".l1", ad.leaky_relu(h)), fe)
+        logits = ad.reshape(nn.affine(ps, f"score.{stage}.out", hidden), (edges.count,))
+        return ad.softmax_grouped(logits, by_src, n_groups), fe
 
     @staticmethod
     def argmax_per_group(scores: np.ndarray, groups: np.ndarray) -> dict:
         """First (lowest edge position) maximum per group; deterministic."""
-        best = {}
-        for pos in range(len(scores)):
-            gid = groups[pos]
-            if gid not in best or scores[pos] > scores[best[gid]]:
-                best[gid] = pos
-        return best
+        groups = np.asarray(groups)
+        order = np.lexsort((-np.asarray(scores), groups))  # stable: ties keep position order
+        g = groups[order]
+        first = np.ones(len(g), dtype=bool)
+        first[1:] = g[1:] != g[:-1]
+        return dict(zip(g[first].tolist(), order[first].tolist()))
 
     def regress_offset(self, grp: str, q_feats, cand_feats, fe: Tensor,
                        edges: EdgeSet, positions: np.ndarray) -> Tensor:
         """Offset head on the selected decide edges; returns (N, 2) in goal frames."""
-        if not ad._grad_enabled:
-            x = np.concatenate([q_feats.value[edges.src[positions]],
-                                cand_feats.value[edges.dst[positions]],
-                                fe.value[positions]], axis=1)
-            return nn.mlp(self.ps, f"off.{grp}", ad._leaf(x), 2)
         fi = ad.gather_rows(q_feats, edges.src[positions])
         fj = ad.gather_rows(cand_feats, edges.dst[positions])
         fij = ad.gather_rows(fe, positions)
@@ -308,13 +298,6 @@ class Model:
         """Group-specific head: cumulative-sum means and softplus scales."""
         T_f = self.cfg.T_f
         n = q_rows.shape[0]
-        if not ad._grad_enabled:
-            x = np.concatenate([q_rows.value, goal_local.value], axis=1)
-            raw = nn.mlp(self.ps, f"traj.{grp}", ad._leaf(x), 2).value
-            mu = np.cumsum(raw[:, :2 * T_f].reshape(n, T_f, 2), axis=1)
-            b = np.logaddexp(0.0, raw[:, 2 * T_f:4 * T_f].reshape(n, T_f, 2)) \
-                + np.full((n, T_f, 2), B_FLOOR)
-            return ad._leaf(mu), ad._leaf(b)
         raw = nn.mlp(self.ps, f"traj.{grp}", ad.concat([q_rows, goal_local], axis=1), 2)
         dmu = ad.reshape(ad.slice_cols(raw, 0, 2 * T_f), (n, T_f, 2))
         mu = ad.cumsum_axis(dmu, axis=1)
@@ -335,11 +318,6 @@ class Model:
             np.sin(-agent_pose[:, 2]) * (goal_pose[:, 0] - agent_pose[:, 0])
             + np.cos(-agent_pose[:, 2]) * (goal_pose[:, 1] - agent_pose[:, 1]),
         ], axis=1)
-        if not ad._grad_enabled:
-            c, s = np.cos(rel_ang)[:, None], np.sin(rel_ang)[:, None]
-            x, y = offset.value[:, 0:1], offset.value[:, 1:2]
-            rot = np.concatenate([x * c - y * s, x * s + y * c], axis=1)
-            return ad._leaf(rot + const)
         return ad.add(_rot_rows(offset, rel_ang), Tensor(const))
 
     # ------------------------------------------------------------------

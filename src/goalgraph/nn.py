@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 CKPT_HEADER = "goalgraph-ckpt v1"
 
@@ -76,9 +76,6 @@ def create_affine(ps: ParamStore, prefix: str, d_in: int, d_out: int):
 
 
 def affine(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    if not ad._grad_enabled:
-        p = ps.params
-        return ad._leaf(x.value @ p[prefix + ".W"].value + p[prefix + ".b"].value)
     return ad.affine(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
 
 
@@ -90,16 +87,6 @@ def create_mlp(ps: ParamStore, prefix: str, dims):
 
 def mlp(ps: ParamStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
     """Affine -> LeakyReLU -> ... -> affine (no activation after the last)."""
-    if not ad._grad_enabled:
-        p = ps.params
-        xv = x.value
-        for i in range(n_layers):
-            xv = xv @ p[f"{prefix}.l{i}.W"].value + p[f"{prefix}.l{i}.b"].value
-            if i < n_layers - 1:
-                if ad.kink_monitor is not None:
-                    ad.kink_monitor.append(xv >= 0.0)
-                xv = xv * np.where(xv >= 0.0, 1.0, 0.01)
-        return ad._leaf(xv)
     for i in range(n_layers):
         x = affine(ps, f"{prefix}.l{i}", x)
         if i < n_layers - 1:
@@ -113,18 +100,7 @@ def create_layer_norm(ps: ParamStore, prefix: str, d: int):
 
 
 def layer_norm(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    if not ad._grad_enabled:
-        p = ps.params
-        return ad._leaf(_ln_raw(x.value, p[prefix + ".g"].value, p[prefix + ".b"].value))
     return ad.layer_norm(x, ps[f"{prefix}.g"], ps[f"{prefix}.b"])
-
-
-def _ln_raw(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    d = v.shape[-1]
-    diff = v - v.sum(axis=-1, keepdims=True) / d
-    var = (diff * diff).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    return diff * inv * gain + bias
 
 
 def create_graph_attention_layer(ps: ParamStore, prefix: str, d_h: int, ffn_hidden: int):
@@ -145,22 +121,20 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     Per head: query from dst, key and value from src with the projected edge
     embedding added to both; attention softmax runs over each destination
     node's in-edges. Destinations without in-edges pass through the
-    skip + FFN path unchanged by attention.
+    skip + FFN path unchanged by attention. edge_src and edge_dst are id
+    arrays or their `ad.Segments` layouts.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
         raise ShapeError(f"width {d_h} not divisible by {heads} heads")
     d_head = d_h // heads
     n_dst = dst_feats.shape[0]
-
-    if not ad._grad_enabled and not (train and p_drop > 0.0):
-        return _gal_raw(ps, prefix, src_feats.value, dst_feats.value,
-                        edge_src, edge_dst, edge_emb.value, heads, d_head, n_dst)
+    edge_src, edge_dst = ad.segments(edge_src), ad.segments(edge_dst)
 
     s = layer_norm(ps, f"{prefix}.ln_src", src_feats)
     d0 = layer_norm(ps, f"{prefix}.ln_dst", dst_feats)
 
-    n_e = len(edge_src)
+    n_e = len(edge_dst.ids)
     if n_e:
         q = ad.gather_rows(affine(ps, f"{prefix}.q", d0), edge_dst)
         e = affine(ps, f"{prefix}.edge", edge_emb)
@@ -185,44 +159,6 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     return ad.add(x1, h)
 
 
-def _gal_raw(ps, prefix, sv, dv, edge_src, edge_dst, ev, heads, d_head, n_dst):
-    """Plain-numpy evaluation of graph_attention_layer, arithmetic-identical."""
-    p = ps.params
-
-    def aff(nm, x):
-        return x @ p[f"{prefix}.{nm}.W"].value + p[f"{prefix}.{nm}.b"].value
-
-    d_h = dv.shape[1]
-    s = _ln_raw(sv, p[prefix + ".ln_src.g"].value, p[prefix + ".ln_src.b"].value)
-    d0 = _ln_raw(dv, p[prefix + ".ln_dst.g"].value, p[prefix + ".ln_dst.b"].value)
-    n_e = len(edge_src)
-    if n_e:
-        e = aff("edge", ev)
-        q = aff("q", d0)[edge_dst]
-        k = aff("k", s)[edge_src] + e
-        v = aff("v", s)[edge_src] + e
-        qh = q.reshape(n_e, heads, d_head)
-        kh = k.reshape(n_e, heads, d_head)
-        vh = v.reshape(n_e, heads, d_head)
-        logits = (qh * kh).sum(axis=2) * (1.0 / math.sqrt(d_head))
-        # np.add.at is slow; scatter-sum via a dense one-hot matmul instead
-        ex = np.exp(logits - logits.max(axis=0))
-        scatter = ad._scatter_matrix(edge_dst, n_dst)
-        den = scatter @ ex
-        alpha = ex / den[edge_dst]
-        weighted = vh * alpha[..., None]
-        msg = scatter @ weighted.reshape(n_e, d_h)
-        attn = aff("skip", d0) + msg
-    else:
-        attn = aff("skip", d0)
-    x1 = dv + attn
-    h = aff("ffn.l0", _ln_raw(x1, p[prefix + ".ln_ffn.g"].value, p[prefix + ".ln_ffn.b"].value))
-    if ad.kink_monitor is not None:
-        ad.kink_monitor.append(h >= 0.0)
-    h = aff("ffn.l1", h * np.where(h >= 0.0, 1.0, 0.01))
-    return ad._leaf(x1 + h)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint I/O: header line, JSON manifest line, little-endian float64 blobs.
 
@@ -245,20 +181,27 @@ def save_checkpoint(ps: ParamStore, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ParamStore:
-    with open(path, "rb") as f:
-        header = f.readline().decode().rstrip("\n")
-        if header != CKPT_HEADER:
-            raise ConfigError(f"bad checkpoint header {header!r}")
-        manifest = json.loads(f.readline().decode())
-        blob = f.read()
-    ps = ParamStore(seed=manifest["seed"])
-    for rec in manifest["params"]:
-        size = int(np.prod(rec["shape"])) if rec["shape"] else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size,
-                            offset=rec["offset"]).reshape(rec["shape"]).copy()
-        t = Tensor(arr, name=rec["name"])
-        ps.params[rec["name"]] = t
-        ps.decay[rec["name"]] = rec["decay"]
+    """Raises DataError for a file that cannot be read or is not a whole
+    checkpoint (bad header, unparsable manifest, truncated blobs)."""
+    try:
+        with open(path, "rb") as f:
+            header = f.readline().decode().rstrip("\n")
+            if header != CKPT_HEADER:
+                raise DataError(f"{path}: bad checkpoint header {header[:40]!r}")
+            manifest = json.loads(f.readline().decode())
+            blob = f.read()
+        ps = ParamStore(seed=manifest["seed"])
+        for rec in manifest["params"]:
+            size = int(np.prod(rec["shape"])) if rec["shape"] else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=size,
+                                offset=rec["offset"]).reshape(rec["shape"]).copy()
+            t = Tensor(arr, name=rec["name"])
+            ps.params[rec["name"]] = t
+            ps.decay[rec["name"]] = rec["decay"]
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e.strerror}") from e
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: truncated or malformed checkpoint: {e}") from e
     return ps
 
 

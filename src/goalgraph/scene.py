@@ -276,7 +276,11 @@ def load_scene(path: str) -> Scene:
 
 
 def load_dataset(directory: str) -> list:
-    files = sorted(f for f in os.listdir(directory)
+    try:
+        names = os.listdir(directory)
+    except OSError as e:
+        raise DataError(f"cannot read data directory {directory}: {e.strerror}") from e
+    files = sorted(f for f in names
                    if f.endswith(".json") and not f.endswith("manifest.json"))
     if not files:
         raise DataError(f"no scenario files in {directory}")

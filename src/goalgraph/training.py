@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .geometry import point_to_polyline_distance
 from .graph import build_decide_point_edges
 from .model import ForwardResult, Model, ModelConfig, scene_to_local
@@ -444,27 +444,25 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
             batch = order[b0:b0 + tcfg.batch_size]
             model.ps.zero_grad()
             n_contrib = 0
-            pending = []
             for si in batch:
                 scene = dataset[si]
                 if augment:
                     scene = augment_scene(scene, aug_rng, tcfg.aug_scale_min,
                                           tcfg.aug_scale_max, tcfg.aug_drop_frac)
-                fr = model.forward(scene, train=tcfg.dropout > 0, rng=drop_rng,
-                                   cache_graph=not augment)
-                loss, terms, _ = compute_scene_loss(model, fr, scene, tcfg)
+                loss, terms = _scene_backward(model, scene, tcfg, drop_rng, not augment)
                 if loss is None:
                     continue
-                if not np.isfinite(loss.value):
+                if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss in scene {scene.id} (epoch {epoch}, step {step}): {terms}")
-                pending.append((loss, terms))
                 n_contrib += 1
-            for loss, terms in pending:
-                ad.scalar_mul(loss, 1.0 / max(n_contrib, 1)).backward()
-                ep_terms["loss"].append(float(loss.value))
+                ep_terms["loss"].append(loss)
                 for k in ("l_lane", "l_point", "l_goal", "l_traj"):
                     ep_terms[k].append(terms.get(k, 0.0))
+            # the batch loss is the mean over contributing scenes
+            for t in model.ps.params.values():
+                if t.grad is not None:
+                    t.grad *= 1.0 / max(n_contrib, 1)
             step += 1
             lr = lr_schedule(step, total_steps, warmup_steps, tcfg.lr_peak)
             opt.step(lr)
@@ -477,13 +475,26 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
         if log_every and epoch % log_every == 0:
             print(f"epoch {epoch}: loss={row['loss']:.4f} lr={lr:.2e}", flush=True)
         if out_dir:
-            nn.save_checkpoint(model.ps, os.path.join(out_dir, "ckpt_latest.ckpt"))
+            save_model(model, os.path.join(out_dir, "ckpt_latest.ckpt"))
         if callback and callback(epoch, model):
             break
     if out_dir:
-        nn.save_checkpoint(model.ps, os.path.join(out_dir, "model.ckpt"))
+        save_model(model, os.path.join(out_dir, "model.ckpt"))
         write_loss_log(log_rows, os.path.join(out_dir, "loss_log.csv"))
     return model, log_rows
+
+
+def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, cache_graph: bool):
+    """Forward, loss and backward of one scene, accumulating into the
+    parameter grads. Returns (loss value, terms), or (None, {}) without a
+    supervised agent. The scene's tape is released on return, so a batch
+    holds one tape at a time."""
+    fr = model.forward(scene, train=tcfg.dropout > 0, rng=rng, cache_graph=cache_graph)
+    loss, terms, _ = compute_scene_loss(model, fr, scene, tcfg)
+    if loss is None:
+        return None, {}
+    loss.backward()
+    return float(loss.value), terms
 
 
 def write_loss_log(rows: list, path: str) -> None:
@@ -503,7 +514,15 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Raises DataError when the checkpoint or its .config.json sidecar is
+    missing, unreadable or malformed."""
     ps = nn.load_checkpoint(path)
-    with open(path + ".config.json", encoding="utf-8") as f:
-        cfg = ModelConfig.from_dict(json.load(f))
+    cfg_path = path + ".config.json"
+    try:
+        with open(cfg_path, encoding="utf-8") as f:
+            cfg = ModelConfig.from_dict(json.load(f))
+    except OSError as e:
+        raise DataError(f"cannot read model config {cfg_path}: {e.strerror}") from e
+    except (ValueError, TypeError, ConfigError) as e:
+        raise DataError(f"{cfg_path}: malformed model config: {e}") from e
     return Model(cfg, ps=ps)

@@ -80,9 +80,18 @@ def test_concat_slice_reshape():
 def test_gather_segment():
     idx = np.array([0, 2, 2, 1])
     check_op(lambda a: ad.sum_all(ad.mul(ad.gather_rows(a, idx), ad.gather_rows(a, idx))), (3, 4))
-    seg = np.array([0, 0, 1, 1, 1])
-    check_op(lambda a: ad.sum_all(ad.mul(ad.segment_sum(a, seg, 2),
-                                         ad.segment_sum(a, seg, 2))), (5, 3))
+    check_op(lambda a: ad.sum_all(ad.mul(ad.gather_rows(a, ad.Segments(idx)),
+                                         ad.gather_rows(a, idx))), (3, 4))
+    # sorted ids; unsorted ids with empty segments 1 and 3; the layout of those
+    unsorted = np.array([2, 0, 2, 0, 2])
+    for seg, n in ((np.array([0, 0, 1, 1, 1]), 2), (unsorted, 4), (ad.Segments(unsorted), 4)):
+        check_op(lambda a: ad.sum_all(ad.mul(ad.segment_sum(a, seg, n),
+                                             ad.segment_sum(a, seg, n))), (5, 3))
+        out = ad.segment_sum(tensor((5, 3), seed=4), seg, n).value
+        ids = seg.ids if isinstance(seg, ad.Segments) else seg
+        ref = np.zeros((n, 3))
+        np.add.at(ref, ids, tensor((5, 3), seed=4).value)
+        assert np.allclose(out, ref, atol=1e-12)
 
 
 def test_scale_last():
@@ -164,22 +173,32 @@ def test_softmax_grouped_sums_and_positive():
     assert np.allclose(sums[np.unique(groups)], 1.0, atol=1e-9)
 
 
-def test_softmax_grouped_grad():
-    groups = np.array([0, 0, 0, 1, 1])
-    w = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+# sorted groups; unsorted groups with group 1 of 3 empty; the layout of those
+SOFTMAX_GROUPINGS = [(np.array([0, 0, 0, 1, 1]), None),
+                     (np.array([2, 0, 2, 0, 2]), 3),
+                     (ad.Segments(np.array([2, 0, 2, 0, 2])), 3)]
 
-    def build(a):
-        return ad.sum_all(ad.mul(ad.softmax_grouped(a, groups), Tensor(w)))
-    check_op(build, (5,))
+
+def test_softmax_grouped_grad():
+    w = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+    for groups, n in SOFTMAX_GROUPINGS:
+        def build(a):
+            return ad.sum_all(ad.mul(ad.softmax_grouped(a, groups, n), Tensor(w)))
+        check_op(build, (5,))
 
 
 def test_softmax_grouped_multihead_grad():
-    groups = np.array([0, 0, 1])
-    w = np.random.default_rng(2).standard_normal((3, 4))
+    for groups, n in [(np.array([0, 0, 1]), None)] + SOFTMAX_GROUPINGS:
+        ids = groups.ids if isinstance(groups, ad.Segments) else groups
+        w = np.random.default_rng(2).standard_normal((len(ids), 4))
 
-    def build(a):
-        return ad.sum_all(ad.mul(ad.softmax_grouped(a, groups), Tensor(w)))
-    check_op(build, (3, 4))
+        def build(a):
+            return ad.sum_all(ad.mul(ad.softmax_grouped(a, groups, n), Tensor(w)))
+        check_op(build, (len(ids), 4))
+        # rows of each group sum to 1 per head
+        p = ad.softmax_grouped(tensor((len(ids), 4), scale=30.0, seed=6), groups, n).value
+        for gid in np.unique(ids):
+            assert np.allclose(p[ids == gid].sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_backward_linearity():

@@ -115,6 +115,43 @@ def test_evaluate(workdir, tmp_path):
     assert os.path.exists(str(tmp_path / "report.json"))
 
 
+def test_evaluate_latest_checkpoint(workdir, tmp_path):
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "ckpt_latest.ckpt"),
+                "--data", str(workdir / "data"), "--out", str(tmp_path / "report.csv"))
+    assert r.returncode == 0, r.stderr
+
+
+def test_evaluate_truncated_checkpoint(workdir, tmp_path):
+    blob = (workdir / "run" / "model.ckpt").read_bytes()
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes(blob[:len(blob) // 2])
+    (tmp_path / "cut.ckpt.config.json").write_bytes(
+        (workdir / "run" / "model.ckpt.config.json").read_bytes())
+    r = run_cli("evaluate", "--model", str(bad), "--data", str(workdir / "data"),
+                "--out", str(tmp_path / "report.csv"))
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("sidecar", [None, '{"d_h": 32, "no_such_field": 1}'],
+                         ids=["missing", "unknown-field"])
+def test_evaluate_checkpoint_without_config(workdir, tmp_path, sidecar):
+    bare = tmp_path / "bare.ckpt"
+    bare.write_bytes((workdir / "run" / "model.ckpt").read_bytes())
+    if sidecar is not None:
+        (tmp_path / "bare.ckpt.config.json").write_text(sidecar)
+    r = run_cli("evaluate", "--model", str(bare), "--data", str(workdir / "data"),
+                "--out", str(tmp_path / "report.csv"))
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_train_missing_data_dir(tmp_path):
+    r = run_cli("train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_predict_jsonl_and_svg(workdir, tmp_path):
     scene = str(workdir / "data" / "scene_00000.json")
     out = str(tmp_path / "preds.jsonl")

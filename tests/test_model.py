@@ -190,14 +190,43 @@ def test_agent_permutation_equivariance():
         assert abs(p1[k].score - p2[k].score) < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["goal", "baseline"])
+def test_predict_equals_taped_forward(synth_scene, variant):
+    """predict (no tape) and a grad-enabled forward run the same arithmetic."""
+    m = small_model(variant=variant, K=3)
+    for sc in (synth_scene, make_line_scene(n_vehicles=2, n_peds=1)):
+        fast = m.predict(sc)
+        taped = m.forward(sc, train=False).preds
+        assert len(fast) == len(taped) > 0
+        for a, b in zip(fast, taped):
+            assert a.score == b.score
+            assert np.array_equal(a.traj_scene, b.traj_scene)
+            assert np.array_equal(a.traj_b, b.traj_b)
+            assert a.selected_lane_idx == b.selected_lane_idx
+            assert a.selected_point_idx == b.selected_point_idx
+            if variant == "goal":
+                assert np.array_equal(a.goal_scene, b.goal_scene)
+
+
 def test_argmax_tie_break_first_position():
     scores = np.array([0.25, 0.25, 0.25, 0.25, 0.4, 0.6])
     groups = np.array([0, 0, 0, 0, 1, 1])
     sel = Model.argmax_per_group(scores, groups)
     # group 0 ties everywhere -> first edge position wins (edges are built in
     # ascending candidate order, so this is the lowest candidate id)
-    assert sel[0] == 0
-    assert sel[1] == 5
+    assert sel == {0: 0, 1: 5}
+
+
+def test_argmax_per_group_matches_loop():
+    r = np.random.default_rng(4)
+    for _ in range(50):
+        groups = r.integers(0, 6, size=int(r.integers(1, 40)))
+        scores = r.integers(0, 4, size=len(groups)) / 4.0  # many ties
+        ref = {}
+        for pos, gid in enumerate(groups.tolist()):
+            if gid not in ref or scores[pos] > scores[ref[gid]]:
+                ref[gid] = pos
+        assert Model.argmax_per_group(scores, groups) == ref
 
 
 def test_completion_cumsum_semantics():

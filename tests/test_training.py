@@ -1,10 +1,13 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goalgraph.autodiff as ad
 import goalgraph.nn as nn
+import goalgraph.training as training
 from goalgraph.errors import ConfigError
 from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.synthgen import STYLE_A, gen_scene
@@ -309,14 +312,63 @@ def test_baseline_training_runs(small_mcfg):
     assert all(np.isfinite(r["loss"]) for r in log)
 
 
+def test_batch_frees_each_scene_tape(monkeypatch, small_mcfg):
+    """A scene's tape (its loss and decoder output) is freed after its
+    backward, before the next scene's forward: a batch holds one tape."""
+    scenes = [gen_scene(STYLE_A, (8, i), f"s{i}") for i in range(3)]
+    refs, alive = [], []
+    forward, scene_loss = Model.forward, training.compute_scene_loss
+
+    def tracked_forward(self, *args, **kwargs):
+        alive.extend(r() is not None for r in refs)
+        return forward(self, *args, **kwargs)
+
+    def tracked_loss(model, fr, scene, tcfg):
+        out = scene_loss(model, fr, scene, tcfg)
+        if out[0] is not None:
+            refs.extend([weakref.ref(out[0]), weakref.ref(fr.query_feats)])
+        return out
+
+    monkeypatch.setattr(Model, "forward", tracked_forward)
+    monkeypatch.setattr(training, "compute_scene_loss", tracked_loss)
+    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=3)
+    train(scenes, tcfg, small_mcfg, augment=False)
+    assert len(refs) >= 4 and alive
+    assert not any(alive)
+
+
+def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg):
+    scenes = [gen_scene(STYLE_A, (9, i), f"s{i}") for i in range(3)]
+    tcfg = TrainConfig(seed=4, total_epochs=2, warmup_epochs=1, batch_size=3, dropout=0.0)
+    grads = {}
+
+    def first_epoch(epoch, model):
+        grads.update({n: t.grad.copy() for n, t in model.ps.params.items()
+                      if t.grad is not None})
+        return True
+
+    train(scenes, tcfg, small_mcfg, augment=False, callback=first_epoch)
+    ref = Model(small_mcfg, seed=tcfg.seed)
+    losses = [compute_scene_loss(ref, ref.forward(s), s, tcfg)[0] for s in scenes]
+    losses = [l for l in losses if l is not None]
+    assert len(losses) >= 2
+    ad.scalar_mul(sum(losses[1:], losses[0]), 1.0 / len(losses)).backward()
+    assert grads.keys() == {n for n, t in ref.ps.params.items() if t.grad is not None}
+    # summation order differs; some grads (key biases) are exactly 0 up to noise
+    scale = max(np.abs(g).max() for g in grads.values())
+    for n, g in grads.items():
+        assert np.allclose(g, ref.ps[n].grad, rtol=1e-9, atol=1e-12 * scale), n
+
+
 def test_loss_log_format(tmp_path, small_mcfg):
     scenes = [gen_scene(STYLE_A, (7, 0), "s0")]
     tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1)
     train(scenes, tcfg, small_mcfg, out_dir=str(tmp_path), augment=False)
     header = (tmp_path / "loss_log.csv").read_text().splitlines()[0]
     assert header == "epoch,loss,l_lane,l_point,l_goal,l_traj,lr"
-    assert (tmp_path / "model.ckpt").exists()
-    assert (tmp_path / "ckpt_latest.ckpt").exists()
+    for ckpt in ("model.ckpt", "ckpt_latest.ckpt"):
+        assert (tmp_path / ckpt).exists()
+        assert load_model(str(tmp_path / ckpt)).cfg == small_mcfg
 
 
 def test_save_load_model_roundtrip(tmp_path, small_mcfg, synth_scene):
