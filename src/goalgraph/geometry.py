@@ -77,15 +77,22 @@ def point_at_arclength(pts: np.ndarray, s: float) -> tuple[float, float, float]:
 
 def point_to_polyline_distance(xy, pts: np.ndarray) -> float:
     """Minimum distance from a point to a polyline (N, 2)."""
-    pts = np.asarray(pts, dtype=float)
+    return float(polyline_distances(xy, [pts])[0])
+
+
+def polyline_distances(xy, polylines: list) -> np.ndarray:
+    """Minimum distance from a point to each polyline (N_i, 2), in one pass
+    over all their segments."""
+    pts = [np.asarray(p, dtype=float) for p in polylines]
+    a = np.concatenate([q[:-1] for q in pts])
+    ab = np.concatenate([q[1:] for q in pts]) - a
+    starts = np.cumsum([0] + [len(q) - 1 for q in pts[:-1]])
     p = np.asarray(xy, dtype=float)
-    a, b = pts[:-1], pts[1:]
-    ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     denom = np.where(denom < 1e-18, 1.0, denom)
     t = np.minimum(np.maximum(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0), 1.0)
     d = a + t[:, None] * ab - p
-    return float(math.sqrt(np.einsum("ij,ij->i", d, d).min()))
+    return np.sqrt(np.minimum.reduceat(np.einsum("ij,ij->i", d, d), starts))
 
 
 def points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:

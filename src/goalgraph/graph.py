@@ -102,6 +102,7 @@ class HeteroGraph:
     agent_pose: np.ndarray = None          # (Na, 3)
     agent_vel_local: np.ndarray = None     # (Na, 2)
     agent_class_id: np.ndarray = None
+    node_lookup: dict = field(default_factory=dict)  # (agent idx, t) -> agent node id
 
     # lane nodes
     lane_pose: np.ndarray = None           # (L, 3)
@@ -115,6 +116,7 @@ class HeteroGraph:
     point_type_id: np.ndarray = None
     point_lane_idx: np.ndarray = None
     point_seg_index: np.ndarray = None
+    lane_center_points: list = field(default_factory=list)  # per lane: center point ids by segment
 
     # agent-query nodes (one per predicted agent per mode, agent-major order)
     query_agent: np.ndarray = None
@@ -141,7 +143,7 @@ class HeteroGraph:
         return len(self.query_agent)
 
     def agent_node_id(self, agent_idx: int, t: int) -> int:
-        return self._node_lookup.get((agent_idx, t), -1)
+        return self.node_lookup.get((agent_idx, t), -1)
 
 
 def assign_poses(scene: Scene):
@@ -243,7 +245,7 @@ def build_graph(scene: Scene, K: int, cfg: GraphConfig = GraphConfig()) -> Heter
 def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
     scene = g.scene
     aidx, ts, poses, vels, cls = [], [], [], [], []
-    lookup = {}
+    lookup = g.node_lookup
     for i, a in enumerate(scene.agents):
         heads = agent_poses[i, :, 2]
         for t in range(scene.t_history):
@@ -262,7 +264,6 @@ def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
     g.agent_pose = np.array(poses).reshape(-1, 3)
     g.agent_vel_local = np.array(vels).reshape(-1, 2)
     g.agent_class_id = np.array(cls, dtype=int)
-    g._node_lookup = lookup
 
     g.lane_pose = lane_poses
     g.lane_length = np.array([l.length for l in scene.lanes])
@@ -274,6 +275,10 @@ def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
     g.point_type_id = np.array([LANE_TYPES.index(p.point_type) for p in scene.points], dtype=int)
     g.point_lane_idx = np.array([scene.lane_index[p.lane_id] for p in scene.points], dtype=int)
     g.point_seg_index = np.array([p.seg_index for p in scene.points], dtype=int)
+    center = g.point_side_id == SIDES.index("center")
+    for lane_idx in range(len(scene.lanes)):
+        idx = np.nonzero(center & (g.point_lane_idx == lane_idx))[0]
+        g.lane_center_points.append(idx[np.argsort(g.point_seg_index[idx], kind="stable")])
 
     g.predicted = scene.predicted_agents()
 
@@ -483,40 +488,16 @@ def _build_goal_candidates(g: HeteroGraph):
         g.query_pose[src], g.nrb_pose[dst], None) if len(src) else np.zeros((0, 6)))
 
 
-def center_points_of_lane(g: HeteroGraph, lane_idx: int) -> np.ndarray:
-    """Point-node indices of a lane's centerline segments, in segment order."""
-    cache = getattr(g, "_center_pts", None)
-    if cache is None:
-        cache = g._center_pts = {}
-    pts = cache.get(lane_idx)
-    if pts is None:
-        mask = (g.point_lane_idx == lane_idx) & (g.point_side_id == SIDES.index("center"))
-        idx = np.nonzero(mask)[0]
-        pts = cache[lane_idx] = idx[np.argsort(g.point_seg_index[idx], kind="stable")]
-    return pts
-
-
 def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
     """(agent-query, decide, point) edges to the center segments of each
     query's selected (or teacher-forced) lane; lane_per_query maps query id
-    to lane index. Memoized per graph: the edge set is a pure function of
-    static geometry and the query->lane mapping."""
-    cache = getattr(g, "_dpe_cache", None)
-    if cache is None:
-        cache = g._dpe_cache = {}
-    key = tuple(sorted(lane_per_query.items()))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    ss, dd = [], []
-    for q in sorted(lane_per_query):
-        pts = center_points_of_lane(g, lane_per_query[q])
-        if len(pts) == 0:
+    to lane index."""
+    qs = sorted(lane_per_query)
+    pts = [g.lane_center_points[lane_per_query[q]] for q in qs]
+    for q, p in zip(qs, pts):
+        if len(p) == 0:
             raise StructuralError(f"lane {lane_per_query[q]} has no center point segments")
-        ss.extend([q] * len(pts))
-        dd.extend(pts.tolist())
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    es = EdgeSet(src, dst, _rel_feat_arrays(
+    src = np.repeat(np.array(qs, dtype=int), [len(p) for p in pts])
+    dst = np.concatenate(pts) if pts else np.zeros(0, dtype=int)
+    return EdgeSet(src, dst, _rel_feat_arrays(
         g.query_pose[src], g.point_pose[dst], None) if len(src) else np.zeros((0, 6)))
-    cache[key] = es
-    return es

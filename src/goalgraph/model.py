@@ -18,7 +18,6 @@ from .graph import (
     HeteroGraph,
     build_decide_point_edges,
     build_graph,
-    center_points_of_lane,
 )
 from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene
 
@@ -92,17 +91,10 @@ class ForwardResult:
     preds: list
     lane_edges: EdgeSet | None = None
     lane_scores: Tensor | None = None
-    point_edges: EdgeSet | None = None
-    point_scores: Tensor | None = None
     nrb_edges: EdgeSet | None = None
     nrb_scores: Tensor | None = None
     sel_lane: dict = field(default_factory=dict)     # query -> lane idx
-    sel_edge_lane: dict = field(default_factory=dict)  # query -> edge pos in lane_edges
-    sel_edge_point: dict = field(default_factory=dict)
-    sel_edge_nrb: dict = field(default_factory=dict)
     nrb_fe: Tensor | None = None
-    agent_pose_q: np.ndarray | None = None
-    base_logits: Tensor | None = None
     base_scores: Tensor | None = None
     base_mu: Tensor | None = None
     base_b: Tensor | None = None
@@ -124,8 +116,6 @@ class Model:
         self.ps = ps if ps is not None else nn.ParamStore(seed)
         if ps is None:
             self._create_params()
-        self._graph_cache = {}
-        self._eemb_cache = {}
 
     # ------------------------------------------------------------------
     def _create_params(self):
@@ -178,11 +168,11 @@ class Model:
     # ------------------------------------------------------------------
     # embeddings
 
-    def embed_edge(self, etype: str, feat: np.ndarray, rel: np.ndarray | None = None) -> Tensor:
+    def embed_edge(self, etype: str, edges: EdgeSet) -> Tensor:
         ps = self.ps
-        x = nn.mlp(ps, f"emb.edge.{etype}.cont", Tensor(feat), 2)
-        if rel is not None:
-            x = ad.add(x, ad.embedding_lookup(ps[f"emb.edge.{etype}.rel_table"], rel))
+        x = nn.mlp(ps, f"emb.edge.{etype}.cont", Tensor(edges.feat), 2)
+        if edges.rel is not None:
+            x = ad.add(x, ad.embedding_lookup(ps[f"emb.edge.{etype}.rel_table"], edges.rel))
         return nn.mlp(ps, f"emb.edge.{etype}.out", x, 2)
 
     def embed_nodes(self, g: HeteroGraph) -> dict:
@@ -215,39 +205,34 @@ class Model:
     # ------------------------------------------------------------------
     # encoder / decoder
 
-    def _edge_emb(self, etype: str, edges: EdgeSet, rel=None) -> Tensor:
-        """Edge-type embedding, computed once per forward pass and shared by
-        every block that consumes the same edge set."""
-        key = (etype, id(edges))
-        hit = self._eemb_cache.get(key)
-        if hit is None:
-            hit = self._eemb_cache[key] = self.embed_edge(etype, edges.feat, rel)
-        return hit
+    def embed_edges(self, g: HeteroGraph) -> dict:
+        """Embeddings of the encoder and decoder edge sets, by edge type; each
+        is shared by every block that consumes its edge set."""
+        return {et: self.embed_edge(et, g.edges[et]) for et in EDGE_TYPES}
 
-    def _gal(self, prefix, src, dst, edges: EdgeSet, etype, train, rng, rel=None):
-        emb = self._edge_emb(etype, edges, rel)
+    def _gal(self, prefix, src, dst, g: HeteroGraph, eemb: dict, etype, train, rng):
+        edges = g.edges[etype]
         return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.by_src, edges.by_dst,
-                                        emb, heads=self.cfg.heads,
+                                        eemb[etype], heads=self.cfg.heads,
                                         p_drop=self.cfg.dropout, train=train, rng=rng)
 
-    def encode(self, g: HeteroGraph, feats: dict, train=False, rng=None) -> dict:
-        e = g.edges
-        lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], e["p2l"], "p2l", train, rng)
-        lane = self._gal("enc.map.l2l", lane, lane, e["l2l"], "l2l", train, rng, rel=e["l2l"].rel)
+    def encode(self, g: HeteroGraph, feats: dict, eemb: dict, train=False, rng=None) -> dict:
+        lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], g, eemb, "p2l", train, rng)
+        lane = self._gal("enc.map.l2l", lane, lane, g, eemb, "l2l", train, rng)
         agent = feats["agent"]
         for r in range(2):
-            agent = self._gal(f"enc.agent{r}.suc", agent, agent, e["a_suc"], "a_suc", train, rng)
-            agent = self._gal(f"enc.agent{r}.soc", agent, agent, e["a_soc"], "a_soc", train, rng)
-            agent = self._gal(f"enc.agent{r}.ti", lane, agent, e["l2a"], "l2a", train, rng)
+            agent = self._gal(f"enc.agent{r}.suc", agent, agent, g, eemb, "a_suc", train, rng)
+            agent = self._gal(f"enc.agent{r}.soc", agent, agent, g, eemb, "a_soc", train, rng)
+            agent = self._gal(f"enc.agent{r}.ti", lane, agent, g, eemb, "l2a", train, rng)
         return {"agent": agent, "lane": lane, "point": feats["point"], "nrb": feats["nrb"]}
 
-    def decode_queries(self, g: HeteroGraph, enc: dict, q: Tensor, train=False, rng=None) -> Tensor:
-        e = g.edges
+    def decode_queries(self, g: HeteroGraph, enc: dict, q: Tensor, eemb: dict,
+                       train=False, rng=None) -> Tensor:
         for r in range(2):
-            q = self._gal(f"dec.q{r}.self", enc["agent"], q, e["a_self_q"], "a_self_q", train, rng)
-            q = self._gal(f"dec.q{r}.soc", enc["agent"], q, e["a_soc_q"], "a_soc_q", train, rng)
-            q = self._gal(f"dec.q{r}.ti", enc["lane"], q, e["l2q"], "l2q", train, rng)
-            q = self._gal(f"dec.q{r}.mode", q, q, e["q2q"], "q2q", train, rng)
+            q = self._gal(f"dec.q{r}.self", enc["agent"], q, g, eemb, "a_self_q", train, rng)
+            q = self._gal(f"dec.q{r}.soc", enc["agent"], q, g, eemb, "a_soc_q", train, rng)
+            q = self._gal(f"dec.q{r}.ti", enc["lane"], q, g, eemb, "l2q", train, rng)
+            q = self._gal(f"dec.q{r}.mode", q, q, g, eemb, "q2q", train, rng)
         return q
 
     # ------------------------------------------------------------------
@@ -263,7 +248,7 @@ class Model:
         """
         if edges.count == 0:
             raise StructuralError(f"empty candidate set for stage {stage}")
-        fe = self._edge_emb(etype, edges)
+        fe = self.embed_edge(etype, edges)
         ps, pre = self.ps, f"score.{stage}.mlp"
         d = fe.shape[1]
         w = ps[pre + ".l0.W"]
@@ -323,22 +308,17 @@ class Model:
     # ------------------------------------------------------------------
     # full forward passes
 
-    def get_graph(self, scene: Scene, cache: bool = False) -> HeteroGraph:
-        if cache and scene.id in self._graph_cache:
-            return self._graph_cache[scene.id]
-        g = build_graph(scene, self.cfg.K, self.cfg.graph)
-        if cache:
-            self._graph_cache[scene.id] = g
-        return g
-
     def forward(self, scene: Scene, train: bool = False, rng=None,
-                graph: HeteroGraph | None = None, cache_graph: bool = False) -> ForwardResult:
+                graph: HeteroGraph | None = None) -> ForwardResult:
+        """`graph`, when given, must be build_graph(scene, cfg.K, cfg.graph)."""
         self.ps.fresh()
-        self._eemb_cache = {}
-        g = graph if graph is not None else self.get_graph(scene, cache=cache_graph)
+        g = graph if graph is not None else build_graph(scene, self.cfg.K, self.cfg.graph)
+        if g.K != self.cfg.K:
+            raise ConfigError(f"graph built for K={g.K}, model has K={self.cfg.K}")
         feats = self.embed_nodes(g)
-        enc = self.encode(g, feats, train, rng)
-        q = self.decode_queries(g, enc, feats["query"], train, rng)
+        eemb = self.embed_edges(g)
+        enc = self.encode(g, feats, eemb, train, rng)
+        q = self.decode_queries(g, enc, feats["query"], eemb, train, rng)
         fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
         if g.n_queries == 0:
             return fr
@@ -352,20 +332,8 @@ class Model:
         g, q = fr.graph, fr.query_feats
         cfg = self.cfg
         K = cfg.K
-        t_last = g.scene.t_history - 1
-        statics = getattr(g, "_query_statics", None)
-        if statics is None:
-            agent_pose_q = np.stack([
-                g.agent_pose[g.agent_node_id(g.query_agent[i], t_last)]
-                for i in range(g.n_queries)
-            ]) if g.n_queries else np.zeros((0, 3))
-            rb_queries = np.array([i for i in range(g.n_queries)
-                                   if g.goal_rb[g.query_agent[i]]], dtype=int)
-            nrb_queries = np.array([i for i in range(g.n_queries)
-                                    if not g.goal_rb[g.query_agent[i]]], dtype=int)
-            statics = g._query_statics = (agent_pose_q, rb_queries, nrb_queries)
-        agent_pose_q, rb_queries, nrb_queries = statics
-        fr.agent_pose_q = agent_pose_q
+        rb = np.array([g.goal_rb[a] for a in g.query_agent.tolist()], dtype=bool)
+        rb_queries, nrb_queries = np.nonzero(rb)[0], np.nonzero(~rb)[0]
 
         results = {}  # query -> dict of numeric per-mode outputs
         # --- road-bound pipeline: lane stage, then point stage on the argmax lane
@@ -375,21 +343,18 @@ class Model:
                                                      lane_edges, g.n_queries)
             fr.lane_edges, fr.lane_scores = lane_edges, lane_scores
             best = self.argmax_per_group(lane_scores.value, lane_edges.src)
-            fr.sel_edge_lane = best
             fr.sel_lane = {qi: int(lane_edges.dst[pos]) for qi, pos in best.items()}
 
             point_edges = build_decide_point_edges(g, fr.sel_lane)
             point_scores, fe_pt = self.score_decide_edges("point", "dec_point", q,
                                                           fr.enc["point"], point_edges,
                                                           g.n_queries)
-            fr.point_edges, fr.point_scores = point_edges, point_scores
             best_pt = self.argmax_per_group(point_scores.value, point_edges.src)
-            fr.sel_edge_point = best_pt
 
             positions = np.array([best_pt[qi] for qi in rb_queries], dtype=int)
             goal_pose = g.point_pose[point_edges.dst[positions]]
             offset = self.regress_offset("rb", q, fr.enc["point"], fe_pt, point_edges, positions)
-            goal_local = self.goal_local_tensor(offset, goal_pose, agent_pose_q[rb_queries])
+            goal_local = self.goal_local_tensor(offset, goal_pose, g.query_pose[rb_queries])
             mu, b = self.complete_trajectory("rb", ad.gather_rows(q, rb_queries), goal_local)
             for row, qi in enumerate(rb_queries):
                 lane_pos = best[qi]
@@ -411,11 +376,10 @@ class Model:
                                                          nrb_edges, g.n_queries)
             fr.nrb_edges, fr.nrb_scores, fr.nrb_fe = nrb_edges, nrb_scores, fe_nrb
             best_nrb = self.argmax_per_group(nrb_scores.value, nrb_edges.src)
-            fr.sel_edge_nrb = best_nrb
             positions = np.array([best_nrb[qi] for qi in nrb_queries], dtype=int)
             goal_pose = g.nrb_pose[nrb_edges.dst[positions]]
             offset = self.regress_offset("nrb", q, fr.enc["nrb"], fe_nrb, nrb_edges, positions)
-            goal_local = self.goal_local_tensor(offset, goal_pose, agent_pose_q[nrb_queries])
+            goal_local = self.goal_local_tensor(offset, goal_pose, g.query_pose[nrb_queries])
             mu, b = self.complete_trajectory("nrb", ad.gather_rows(q, nrb_queries), goal_local)
             for row, qi in enumerate(nrb_queries):
                 pos = best_nrb[qi]
@@ -436,7 +400,7 @@ class Model:
             raw = np.array([results[base + k]["score_raw"] for k in range(K)])
             norm = raw / raw.sum()
             a_idx = int(g.query_agent[base])
-            pose0 = agent_pose_q[base]
+            pose0 = g.query_pose[base]
             # one rigid transform covers every mode's trajectory and goal
             pts = np.concatenate(
                 [results[base + k]["mu"] for k in range(K)]
@@ -469,20 +433,14 @@ class Model:
                    Tensor(np.full((n, T_f, 2), B_FLOOR)))
         logits = ad.reshape(nn.mlp(self.ps, "base.score", q, 2), (n,))
         scores = ad.softmax_grouped(logits, np.arange(n) // K, n // K)
-        fr.base_logits, fr.base_scores, fr.base_mu, fr.base_b = logits, scores, mu, b
-        t_last = g.scene.t_history - 1
-        fr.agent_pose_q = np.stack([
-            g.agent_pose[g.agent_node_id(int(g.query_agent[qi]), t_last)]
-            for qi in range(n)
-        ])
+        fr.base_scores, fr.base_mu, fr.base_b = scores, mu, b
         for qi in range(n):
             a_idx = int(g.query_agent[qi])
-            pose0 = g.agent_pose[g.agent_node_id(a_idx, t_last)]
             fr.preds.append(ModePrediction(
                 agent_id=g.scene.agents[a_idx].id, agent_idx=a_idx,
                 mode=int(g.query_mode[qi]), score=float(scores.value[qi]),
                 traj_mu_local=mu.value[qi], traj_b=b.value[qi],
-                traj_scene=_local_to_scene(mu.value[qi], pose0)))
+                traj_scene=_local_to_scene(mu.value[qi], g.query_pose[qi])))
 
     def predict(self, scene: Scene) -> list:
         """Inference: K ModePredictions per predicted agent."""

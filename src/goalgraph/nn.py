@@ -247,9 +247,11 @@ def grad_check(f, ps: ParamStore, h: float = 1e-5, tol: float = 1e-4,
             for delta in (h, -h):
                 flat[j] = orig + delta
                 ad.kink_monitor = monitor = []
-                with ad.no_grad():
-                    vals.append(float(f().value))
-                ad.kink_monitor = None
+                try:
+                    with ad.no_grad():
+                        vals.append(float(f().value))
+                finally:
+                    ad.kink_monitor = None
                 signs.append(monitor)
             flat[j] = orig
             crossed = any((a != b).any() for a, b in zip(*signs))

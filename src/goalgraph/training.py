@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericError
-from .geometry import point_to_polyline_distance
+from .geometry import polyline_distances
 from .graph import build_decide_point_edges
 from .model import ForwardResult, Model, ModelConfig, scene_to_local
 from .scene import AgentTrack, Scene
@@ -193,14 +193,20 @@ def _supervised_agents(scene: Scene, graph) -> list:
     return out
 
 
-def nearest_lane_to_point(scene: Scene, xy, candidates=None) -> int:
-    idxs = range(len(scene.lanes)) if candidates is None else candidates
-    best, best_d = None, math.inf
-    for i in idxs:
-        d = point_to_polyline_distance(xy, scene.lanes[i].centerline)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+def nearest_lanes(scene: Scene, xy, candidates) -> tuple[int, int]:
+    """The lane nearest to xy among `candidates`, and among all lanes; a tie
+    goes to the lane listed first."""
+    d = polyline_distances(xy, [lane.centerline for lane in scene.lanes])
+    candidates = np.asarray(candidates, dtype=int)
+    return int(candidates[np.argmin(d[candidates])]), int(np.argmin(d))
+
+
+def _nearest_candidate(edges, cand_pose: np.ndarray, qi: int, xy) -> int:
+    """Edge position of query qi's decide edge whose candidate lies nearest
+    to xy; a tie goes to the first edge."""
+    pos = np.nonzero(edges.src == qi)[0]
+    cand_xy = cand_pose[edges.dst[pos], 0:2]
+    return pos[int(np.argmin(np.hypot(cand_xy[:, 0] - xy[0], cand_xy[:, 1] - xy[1])))]
 
 
 def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
@@ -234,31 +240,16 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
         assign.winners[ai] = winner
         assign.stages[ai] = stage
         qi = base + winner
-        # target selections are pure functions of static scene/graph geometry,
-        # so they are memoized on the graph across repeated loss evaluations
-        statics = getattr(g, "_loss_statics", None)
-        if statics is None:
-            statics = g._loss_statics = {}
         if rb:
-            hit = statics.get(("lane", qi))
-            if hit is None:
-                pos = np.nonzero(fr.lane_edges.src == qi)[0]
-                cand = fr.lane_edges.dst[pos]
-                target_lane = nearest_lane_to_point(scene, endpoint, cand.tolist())
-                tpos = np.array([pos[np.nonzero(cand == target_lane)[0][0]]])
-                hit = statics[("lane", qi)] = (tpos, int(nearest_lane_to_point(scene, endpoint)))
-            tpos, tf_lane = hit
+            pos = np.nonzero(fr.lane_edges.src == qi)[0]
+            cand = fr.lane_edges.dst[pos]
+            target_lane, tf_lane_per_query[qi] = nearest_lanes(scene, endpoint, cand)
+            tpos = pos[cand == target_lane]  # reachable lanes are distinct
             lane_pts.append(ad.gather_rows(fr.lane_scores, tpos))
-            tf_lane_per_query[qi] = tf_lane
             rb_qs.append(qi)
             rb_endpoints.append(endpoint)
         else:
-            tpos = statics.get(("nrb", qi))
-            if tpos is None:
-                pos = np.nonzero(fr.nrb_edges.src == qi)[0]
-                cand_xy = g.nrb_pose[fr.nrb_edges.dst[pos], 0:2]
-                d = np.hypot(cand_xy[:, 0] - endpoint[0], cand_xy[:, 1] - endpoint[1])
-                tpos = statics[("nrb", qi)] = pos[int(np.argmin(d))]
+            tpos = _nearest_candidate(fr.nrb_edges, g.nrb_pose, qi, endpoint)
             point_pts.append(ad.gather_rows(fr.nrb_scores, np.array([tpos])))
             nrb_positions.append(tpos)
             nrb_qs.append(qi)
@@ -277,16 +268,9 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
         tf_edges = build_decide_point_edges(g, tf_lane_per_query)
         tf_scores, tf_fe = model.score_decide_edges("point", "dec_point", fr.query_feats,
                                                     fr.enc["point"], tf_edges, g.n_queries)
-        statics = g._loss_statics
-        tf_key = tuple(sorted(tf_lane_per_query.items()))
         sel_positions = []
         for qi, endpoint in zip(rb_qs, rb_endpoints):
-            tpos = statics.get(("tf", tf_key, qi))
-            if tpos is None:
-                pos = np.nonzero(tf_edges.src == qi)[0]
-                cand_xy = g.point_pose[tf_edges.dst[pos], 0:2]
-                d = np.hypot(cand_xy[:, 0] - endpoint[0], cand_xy[:, 1] - endpoint[1])
-                tpos = statics[("tf", tf_key, qi)] = pos[int(np.argmin(d))]
+            tpos = _nearest_candidate(tf_edges, g.point_pose, qi, endpoint)
             point_pts.append(ad.gather_rows(tf_scores, np.array([tpos])))
             sel_positions.append(tpos)
         sel_positions = np.array(sel_positions, dtype=int)
@@ -327,18 +311,14 @@ def _goal_losses(model, fr, grp, offset, goal_pose, qs, endpoints, scene, tcfg, 
     t_off = np.stack([c * ex - s * ey, s * ex + c * ey], axis=1)
     add_term(f"l_goal_{grp}", huber_loss_tensor(ad.sub(offset, Tensor(t_off)), tcfg.huber_delta))
 
-    pose_q = fr.agent_pose_q[qs]
+    pose_q = g.query_pose[qs]
     goal_local = model.goal_local_tensor(offset, goal_pose, pose_q)
     mu, b = model.complete_trajectory(grp, ad.gather_rows(fr.query_feats, qs), goal_local)
-    statics = g._loss_statics
-    gt = statics.get(("gt", grp, tuple(qs)))
-    if gt is None:
-        gt = np.stack([
-            scene_to_local(scene.agents[int(g.query_agent[qi])].states[scene.t_history:, 0:2],
-                           pose_q[j])
-            for j, qi in enumerate(qs)
-        ])
-        statics[("gt", grp, tuple(qs))] = gt
+    gt = np.stack([
+        scene_to_local(scene.agents[int(g.query_agent[qi])].states[scene.t_history:, 0:2],
+                       pose_q[j])
+        for j, qi in enumerate(qs)
+    ])
     add_term(f"l_traj_{grp}", laplace_nll_tensor(mu, b, gt), tcfg.traj_loss_weight)
 
 
@@ -369,7 +349,7 @@ def _baseline_scene_loss(model, fr, scene, tcfg):
         pts.append(ad.gather_rows(fr.base_scores, np.array([qi])))
         mus.append(qi)
         gts.append(scene_to_local(scene.agents[ai].states[scene.t_history:, 0:2],
-                                  fr.agent_pose_q[qi]))
+                                  g.query_pose[qi]))
     qs = np.array(mus, dtype=int)
     l_score = focal_loss_tensor(ad.concat(pts, axis=0), tcfg.focal_alpha, tcfg.focal_gamma)
     l_traj = laplace_nll_tensor(ad.gather_rows(fr.base_mu, qs), ad.gather_rows(fr.base_b, qs),
@@ -434,6 +414,7 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
     total_steps = tcfg.total_epochs * batches_per_epoch
     warmup_steps = tcfg.warmup_epochs * batches_per_epoch
 
+    graphs = {}  # dataset index -> graph, reused by every epoch when not augmenting
     log_rows = []
     step = 0
     for epoch in range(tcfg.total_epochs):
@@ -449,7 +430,9 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
                 if augment:
                     scene = augment_scene(scene, aug_rng, tcfg.aug_scale_min,
                                           tcfg.aug_scale_max, tcfg.aug_drop_frac)
-                loss, terms = _scene_backward(model, scene, tcfg, drop_rng, not augment)
+                loss, terms, graph = _scene_backward(model, scene, tcfg, drop_rng, graphs.get(si))
+                if not augment:
+                    graphs[si] = graph
                 if loss is None:
                     continue
                 if not np.isfinite(loss):
@@ -484,17 +467,17 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
     return model, log_rows
 
 
-def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, cache_graph: bool):
-    """Forward, loss and backward of one scene, accumulating into the
-    parameter grads. Returns (loss value, terms), or (None, {}) without a
-    supervised agent. The scene's tape is released on return, so a batch
-    holds one tape at a time."""
-    fr = model.forward(scene, train=tcfg.dropout > 0, rng=rng, cache_graph=cache_graph)
+def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, graph):
+    """Forward (on `graph` when given), loss and backward of one scene,
+    accumulating into the parameter grads. Returns (loss value, terms, graph),
+    with (None, {}) first without a supervised agent. The scene's tape is
+    released on return, so a batch holds one tape at a time."""
+    fr = model.forward(scene, train=tcfg.dropout > 0, rng=rng, graph=graph)
     loss, terms, _ = compute_scene_loss(model, fr, scene, tcfg)
     if loss is None:
-        return None, {}
+        return None, {}, fr.graph
     loss.backward()
-    return float(loss.value), terms
+    return float(loss.value), terms, fr.graph
 
 
 def write_loss_log(rows: list, path: str) -> None:

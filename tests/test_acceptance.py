@@ -109,7 +109,8 @@ def test_a1_se2_invariance():
 # avoids recomputing activations a perturbation provably cannot change.
 # Parameters are grouped by the earliest layer that consumes them; each
 # group's closure replays the pipeline from that layer down, reusing
-# checkpointed upstream activations and the pristine edge-embedding cache.
+# checkpointed upstream activations and the pristine edge embeddings (an
+# explicit dict, as Model.forward passes it to encode and decode_queries).
 # A bitwise parity assertion against the plain full forward guards the
 # staging itself.
 
@@ -123,37 +124,32 @@ DEC_LAYERS = [(f"dec.q{r}.{kind}", et)
 
 
 def _a2_staged_groups(m, scene, g, tcfg):
-    e = g.edges
     with ad.no_grad():
-        m._eemb_cache = {}
+        pristine = m.embed_edges(g)
+        eemb = dict(pristine)
         feats0 = m.embed_nodes(g)
         lane_ck = [feats0["lane"]]
         lane_ck.append(m._gal("enc.map.p2l", feats0["point"], lane_ck[-1],
-                              e["p2l"], "p2l", False, None))
+                              g, eemb, "p2l", False, None))
         lane_ck.append(m._gal("enc.map.l2l", lane_ck[-1], lane_ck[-1],
-                              e["l2l"], "l2l", False, None, rel=e["l2l"].rel))
+                              g, eemb, "l2l", False, None))
         a_ck = [feats0["agent"]]
         for name, et in ENC_LAYERS[2:]:
             src = lane_ck[2] if et == "l2a" else a_ck[-1]
-            a_ck.append(m._gal(name, src, a_ck[-1], e[et], et, False, None))
+            a_ck.append(m._gal(name, src, a_ck[-1], g, eemb, et, False, None))
         enc0 = {"agent": a_ck[6], "lane": lane_ck[2],
                 "point": feats0["point"], "nrb": feats0["nrb"]}
         q_ck = [feats0["query"]]
         for name, et in DEC_LAYERS:
             src = enc0["lane"] if et == "l2q" else (q_ck[-1] if et == "q2q"
                                                     else enc0["agent"])
-            q_ck.append(m._gal(name, src, q_ck[-1], e[et], et, False, None))
-        fr0 = ForwardResult(graph=g, query_feats=q_ck[8], enc=enc0, preds=[])
-        m._forward_goal(fr0, False)  # primes decide-stage edge embeddings
-        pristine = dict(m._eemb_cache)
+            q_ck.append(m._gal(name, src, q_ck[-1], g, eemb, et, False, None))
 
     def restore():
-        m._eemb_cache.clear()
-        m._eemb_cache.update(pristine)
+        eemb.update(pristine)
 
     def inval(et):
-        for key in [k for k in m._eemb_cache if k[0] == et]:
-            del m._eemb_cache[key]
+        eemb[et] = m.embed_edge(et, g.edges[et])
 
     def tail(q, enc):
         fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
@@ -169,7 +165,7 @@ def _a2_staged_groups(m, scene, g, tcfg):
             if pos <= step:
                 src = enc["lane"] if et2 == "l2q" else (q if et2 == "q2q"
                                                         else enc["agent"])
-                q = m._gal(name, src, q, e[et2], et2, False, None)
+                q = m._gal(name, src, q, g, eemb, et2, False, None)
         return tail(q, enc)
 
     def encode_from(pos, feats=None, et=None):
@@ -178,17 +174,15 @@ def _a2_staged_groups(m, scene, g, tcfg):
         f = feats0 if feats is None else feats
         m.ps.fresh()
         lane = lane_ck[min(pos, 2)] if feats is None else f["lane"]
-        for step, (name, _) in enumerate(ENC_LAYERS[:2]):
+        for step, (name, et2) in enumerate(ENC_LAYERS[:2]):
             if pos <= step:
                 src = f["point"] if step == 0 else lane
-                rel = e["l2l"].rel if step == 1 else None
-                lane = m._gal(name, src, lane, e[ENC_LAYERS[step][1]],
-                              ENC_LAYERS[step][1], False, None, rel=rel)
+                lane = m._gal(name, src, lane, g, eemb, et2, False, None)
         agent = a_ck[min(max(pos - 2, 0), 6)] if feats is None else f["agent"]
         for step, (name, et2) in enumerate(ENC_LAYERS[2:], start=2):
             if pos <= step:
                 src = lane if et2 == "l2a" else agent
-                agent = m._gal(name, src, agent, e[et2], et2, False, None)
+                agent = m._gal(name, src, agent, g, eemb, et2, False, None)
         enc = {"agent": agent, "lane": lane, "point": f["point"], "nrb": f["nrb"]}
         return decode_from(0, enc=enc, qf=f["query"])
 
@@ -214,8 +208,8 @@ def _a2_staged_groups(m, scene, g, tcfg):
                 key, f = f"eemb.{et}", (lambda et=et: encode_from(enc_pos[et], et=et))
             elif et in dec_pos:
                 key, f = f"eemb.{et}", (lambda et=et: decode_from(dec_pos[et], et=et))
-            else:
-                key, f = f"eemb.{et}", (lambda et=et: (inval(et), tail(q_ck[8], enc0))[1])
+            else:  # decide edges: score_decide_edges embeds them on every call
+                key, f = f"eemb.{et}", (lambda: tail(q_ck[8], enc0))
         elif name.startswith("emb.query."):
             key, f = "emb.query", from_query_embed
         elif name.startswith("emb."):
@@ -243,7 +237,7 @@ def test_a2_gradient_correctness():
                        dropout=0.0)
     tcfg = TrainConfig(dropout=0.0, seed=0)
     m = Model(mcfg, seed=0)
-    g = m.get_graph(scene, cache=True)
+    g = build_graph(scene, mcfg.K, mcfg.graph)
     groups, restore = _a2_staged_groups(m, scene, g, tcfg)
 
     covered = sorted(n for _, names in groups.values() for n in names)

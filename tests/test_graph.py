@@ -11,7 +11,6 @@ from goalgraph.graph import (
     GraphConfig,
     assign_poses,
     build_graph,
-    center_points_of_lane,
     nrb_goal_candidates,
     reachable_lanes,
     relative_edge_feature,

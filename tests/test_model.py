@@ -6,6 +6,7 @@ import pytest
 import goalgraph.autodiff as ad
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
+from goalgraph.graph import build_graph
 from goalgraph.model import Model, ModelConfig, _local_to_scene, scene_to_local
 
 from conftest import const_vel_track, make_line_scene, straight_lane
@@ -107,7 +108,7 @@ def test_deterministic_forward(synth_scene):
 def test_embedding_purity(line_scene):
     """Two identical raw point features embed identically."""
     m = small_model()
-    g = m.get_graph(line_scene)
+    g = build_graph(line_scene, m.cfg.K, m.cfg.graph)
     emb = m.embed_nodes(g)["point"].value
     # find two center points with the same seg length and type
     pts = line_scene.points
@@ -121,13 +122,25 @@ def test_embedding_purity(line_scene):
 
 def test_side_category_changes_embedding(line_scene):
     m = small_model()
-    g = m.get_graph(line_scene)
+    g = build_graph(line_scene, m.cfg.K, m.cfg.graph)
     emb = m.embed_nodes(g)["point"].value
     pts = line_scene.points
     left = next(i for i, p in enumerate(pts) if p.side == "left")
     right = next(i for i, p in enumerate(pts) if p.side == "right"
                  and abs(pts[i].seg_length - pts[left].seg_length) < 1e-9)
     assert not np.allclose(emb[left], emb[right])
+
+
+@pytest.mark.parametrize("graph_K", [2, 4])
+def test_forward_rejects_graph_built_for_other_K(line_scene, graph_K):
+    """A graph built for another K is a config error in both directions: a
+    larger K would index past the mode embeddings, a smaller one mis-assemble
+    the modes."""
+    m = small_model(K=3)
+    g = build_graph(line_scene, graph_K, m.cfg.graph)
+    with pytest.raises(ConfigError, match="K=3"):
+        m.forward(line_scene, graph=g)
+    assert len(m.forward(line_scene, graph=build_graph(line_scene, 3, m.cfg.graph)).preds) == 3
 
 
 def test_mode_queries_differ(line_scene):

@@ -229,6 +229,22 @@ def test_grad_check_excludes_kinks():
     assert rep["passed"] == rep["checked"]
 
 
+def test_grad_check_restores_kink_monitor_when_f_raises():
+    ps = ParamStore(seed=3)
+    ps.create("w", (1, 2))
+    calls = []
+
+    def f():
+        calls.append(1)
+        if len(calls) > 1:  # the first perturbed pass fails
+            raise FloatingPointError("diverged")
+        return ad.sum_all(ad.leaky_relu(ps["w"]))
+
+    with pytest.raises(FloatingPointError):
+        nn.grad_check(f, ps)
+    assert ad.kink_monitor is None
+
+
 def test_grad_check_scoring_head():
     """Small scoring-style head: concat + MLP + grouped softmax + focal-ish loss."""
     d = 6

@@ -1,3 +1,4 @@
+import copy
 import math
 import weakref
 
@@ -9,8 +10,11 @@ import goalgraph.autodiff as ad
 import goalgraph.nn as nn
 import goalgraph.training as training
 from goalgraph.errors import ConfigError
+from goalgraph.geometry import point_to_polyline_distance, polyline_distances
+from goalgraph.graph import reachable_lanes
 from goalgraph.model import Model, ModelConfig, ModePrediction
-from goalgraph.synthgen import STYLE_A, gen_scene
+from goalgraph.scene import AgentTrack, LaneDef, Scene
+from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 from goalgraph.training import (
     AdamW,
     TrainConfig,
@@ -21,7 +25,7 @@ from goalgraph.training import (
     laplace_nll,
     load_model,
     lr_schedule,
-    nearest_lane_to_point,
+    nearest_lanes,
     save_model,
     select_winner_baseline,
     select_winner_mode,
@@ -211,8 +215,67 @@ def test_winner_baseline_endpoint():
 
 
 def test_nearest_lane(line_scene):
-    assert nearest_lane_to_point(line_scene, (65.0, 1.0)) == 1
-    assert nearest_lane_to_point(line_scene, (65.0, 1.0), candidates=[0, 2]) == 0
+    assert nearest_lanes(line_scene, (65.0, 1.0), [0, 2]) == (0, 1)
+
+
+def _nearest_lane_loop(scene, xy, candidates):
+    """The per-lane loop the loss used before nearest_lanes: the oracle."""
+    best, best_d = None, math.inf
+    for i in candidates:
+        d = point_to_polyline_distance(xy, scene.lanes[i].centerline)
+        if d < best_d:
+            best, best_d = i, d
+    return best
+
+
+def _dense_overlay(style, seed, tiles=6, spacing=40.0):
+    """synthgen maps overlaid on a 3 x 2 grid with ids renamed per tile, as
+    the benchmark builds its dense scenes."""
+    parts = [gen_scene(style, (seed, m), "tile") for m in range(tiles)]
+    agents, lanes = [], []
+    for m, s in enumerate(parts):
+        off, pre = np.array([spacing * (m % 3), spacing * (m // 3)]), f"t{m}."
+
+        def ref(i):
+            return None if i is None else pre + i
+
+        for a in s.agents:
+            st = a.states.copy()
+            st[:, 0:2] += off
+            agents.append(AgentTrack(pre + a.id, a.agent_class, st))
+        lanes += [LaneDef(pre + l.id, l.lane_type, l.centerline + off, l.left_boundary + off,
+                          l.right_boundary + off, [ref(x) for x in l.successors],
+                          [ref(x) for x in l.predecessors], ref(l.left_neighbor),
+                          ref(l.right_neighbor)) for l in s.lanes]
+    p = parts[0]
+    return Scene("dense", p.dt, p.t_history, p.t_future, agents, lanes)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "dense"])
+def test_nearest_lanes_matches_loop(kind):
+    if kind == "dense":
+        scenes = [_dense_overlay(STYLE_A, 31)]
+    else:
+        style = STYLE_A if kind == "A" else STYLE_B
+        scenes = [gen_scene(style, (32, i), f"s{i}") for i in range(4)]
+    n = 0
+    for s in scenes:
+        every = list(range(len(s.lanes)))
+        for i, a in enumerate(s.agents):
+            cand = (reachable_lanes(s, i) if a.road_bound else None) or every
+            for xy in np.vstack([a.states[::4, 0:2], a.states[-1:, 0:2]]):
+                expected = (_nearest_lane_loop(s, xy, cand), _nearest_lane_loop(s, xy, every))
+                assert nearest_lanes(s, xy, cand) == expected
+                n += 1
+    assert n >= 40
+
+
+def test_nearest_lanes_exact_tie_goes_first(line_scene):
+    xy = (60.0, 1.0)  # as far from the end of L0 as from the start of L1
+    d = polyline_distances(xy, [l.centerline for l in line_scene.lanes])
+    assert d[0] == d[1]
+    assert _nearest_lane_loop(line_scene, xy, [1, 0]) == 1
+    assert nearest_lanes(line_scene, xy, [1, 0]) == (1, 0)
 
 
 # --- augmentation -------------------------------------------------------------
@@ -335,6 +398,39 @@ def test_batch_frees_each_scene_tape(monkeypatch, small_mcfg):
     train(scenes, tcfg, small_mcfg, augment=False)
     assert len(refs) >= 4 and alive
     assert not any(alive)
+
+
+def test_unaugmented_training_keys_graphs_by_dataset_index(monkeypatch, small_mcfg):
+    """Two different scenes with one id each train on their own graph, in
+    every epoch: each step's loss and gradient equal a fresh forward's."""
+    scenes = [gen_scene(STYLE_A, (12, i), "same-id") for i in range(2)]
+    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1, dropout=0.0)
+    last, checked = [], []
+    scene_loss, step = training.compute_scene_loss, AdamW.step
+
+    def tracked_loss(model, fr, scene, tcfg):
+        out = scene_loss(model, fr, scene, tcfg)
+        last[:] = [model, scene, out[0] is not None and float(out[0].value)]
+        return out
+
+    def checked_step(opt, lr):
+        model, scene, loss = last
+        ref = Model(model.cfg, ps=copy.deepcopy(model.ps))
+        ref.ps.zero_grad()
+        ref_loss = scene_loss(ref, ref.forward(scene), scene, tcfg)[0]
+        assert float(ref_loss.value) == loss
+        ref_loss.backward()
+        for n, t in model.ps.params.items():
+            ref_grad = ref.ps[n].grad
+            assert (t.grad is None) == (ref_grad is None), n
+            assert t.grad is None or np.array_equal(t.grad, ref_grad), n
+        checked.append(scene)
+        return step(opt, lr)
+
+    monkeypatch.setattr(training, "compute_scene_loss", tracked_loss)
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    train(scenes, tcfg, small_mcfg, augment=False)
+    assert len(checked) == 4 and {id(s) for s in checked} == {id(s) for s in scenes}
 
 
 def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg):
