@@ -336,11 +336,6 @@ def sum_axis(a, axis) -> Tensor:
     return _node(a.value.sum(axis=axis), (a,), bw)
 
 
-def sum_rows(a) -> Tensor:
-    """Sum over rows: (N, d) -> (d,)."""
-    return sum_axis(a, 0)
-
-
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     return scalar_mul(sum_all(a), 1.0 / a.value.size)

@@ -68,6 +68,13 @@ def _load_json(path: str) -> dict:
         raise DataError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
 
 
+def _model_config(mdict: dict, dataset: list, variant: str) -> ModelConfig:
+    """The --model-config settings for `variant`; the time horizons default
+    to the dataset's."""
+    return ModelConfig.from_dict({"T_h": dataset[0].t_history, "T_f": dataset[0].t_future,
+                                  **mdict, "variant": variant})
+
+
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
@@ -89,16 +96,13 @@ def cmd_train(args) -> int:
     tdict = _load_json(args.train_config) if args.train_config else {}
     mdict = _load_json(args.model_config) if args.model_config else {}
     tcfg = TrainConfig.from_dict(tdict)
-    mdict.setdefault("T_h", dataset[0].t_history)
-    mdict.setdefault("T_f", dataset[0].t_future)
-    mdict["variant"] = args.variant
-    mcfg = ModelConfig.from_dict(mdict)
+    mcfg = _model_config(mdict, dataset, args.variant)
     tcfg.seed = _seed_override(tcfg.seed)
-    train(dataset, tcfg, mcfg, out_dir=args.out,
-          augment=not args.no_augment, log_every=args.log_every)
+    model, _ = train(dataset, tcfg, mcfg, out_dir=args.out,
+                     augment=not args.no_augment, log_every=args.log_every)
     ckpt = os.path.join(args.out, "model.ckpt")
     write_manifest(args.out, "train",
-                   {"train": tcfg.to_dict(), "model": mcfg.to_dict(),
+                   {"train": tcfg.to_dict(), "model": model.cfg.to_dict(),
                     "data": args.data, "variant": args.variant},
                    tcfg.seed, [ckpt, os.path.join(args.out, "loss_log.csv")], t0)
     return EXIT_OK
@@ -170,11 +174,7 @@ def cmd_compare(args) -> int:
         for seed in args.seeds:
             tcfg = TrainConfig.from_dict(tdict)
             tcfg.seed = seed
-            md = dict(mdict)
-            md.setdefault("T_h", data_a[0].t_history)
-            md.setdefault("T_f", data_a[0].t_future)
-            md["variant"] = variant
-            mcfg = ModelConfig.from_dict(md)
+            mcfg = _model_config(mdict, data_a, variant)
             run_dir = os.path.join(args.out, f"{variant}_seed{seed}")
             try:
                 model, _ = train(data_a, tcfg, mcfg, out_dir=run_dir,

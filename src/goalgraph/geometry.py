@@ -77,22 +77,22 @@ def point_at_arclength(pts: np.ndarray, s: float) -> tuple[float, float, float]:
 
 def point_to_polyline_distance(xy, pts: np.ndarray) -> float:
     """Minimum distance from a point to a polyline (N, 2)."""
-    return float(polyline_distances(xy, [pts])[0])
+    return float(polyline_distances([xy], [pts])[0, 0])
 
 
-def polyline_distances(xy, polylines: list) -> np.ndarray:
-    """Minimum distance from a point to each polyline (N_i, 2), in one pass
-    over all their segments."""
+def polyline_distances(points, polylines: list) -> np.ndarray:
+    """Minimum distance from each of the (P, 2) points to each polyline
+    (N_i, 2), as a (P, n_polylines) array, in one pass over all their segments."""
     pts = [np.asarray(p, dtype=float) for p in polylines]
     a = np.concatenate([q[:-1] for q in pts])
     ab = np.concatenate([q[1:] for q in pts]) - a
     starts = np.cumsum([0] + [len(q) - 1 for q in pts[:-1]])
-    p = np.asarray(xy, dtype=float)
+    p = np.asarray(points, dtype=float)[:, None, :]
     denom = np.einsum("ij,ij->i", ab, ab)
     denom = np.where(denom < 1e-18, 1.0, denom)
-    t = np.minimum(np.maximum(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0), 1.0)
-    d = a + t[:, None] * ab - p
-    return np.sqrt(np.minimum.reduceat(np.einsum("ij,ij->i", d, d), starts))
+    t = np.minimum(np.maximum(np.einsum("pij,ij->pi", p - a, ab) / denom, 0.0), 1.0)
+    d = a + t[..., None] * ab - p
+    return np.sqrt(np.minimum.reduceat(np.einsum("pij,pij->pi", d, d), starts, axis=1))
 
 
 def points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -56,6 +56,11 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        bad = sorted(set(d) - set(cls.__dataclass_fields__))
+        bad += [f"graph.{k}" for k in sorted(set(d.get("graph", {}))
+                                             - set(GraphConfig.__dataclass_fields__))]
+        if bad:
+            raise ConfigError(f"unknown model config keys: {bad}")
         if "graph" in d:
             d["graph"] = GraphConfig(**d["graph"])
         return cls(**d)
@@ -93,11 +98,20 @@ class ForwardResult:
     lane_scores: Tensor | None = None
     nrb_edges: EdgeSet | None = None
     nrb_scores: Tensor | None = None
-    sel_lane: dict = field(default_factory=dict)     # query -> lane idx
     nrb_fe: Tensor | None = None
     base_scores: Tensor | None = None
     base_mu: Tensor | None = None
     base_b: Tensor | None = None
+
+
+def _mean_and_scale(raw: Tensor, T_f: int):
+    """A trajectory head's (n, 4 T_f) output as cumulative-sum means and
+    softplus scales floored at B_FLOOR, each (n, T_f, 2)."""
+    n = raw.shape[0]
+    mu = ad.cumsum_axis(ad.reshape(ad.slice_cols(raw, 0, 2 * T_f), (n, T_f, 2)), axis=1)
+    b = ad.add(ad.softplus(ad.reshape(ad.slice_cols(raw, 2 * T_f, 4 * T_f), (n, T_f, 2))),
+               Tensor(np.full((n, T_f, 2), B_FLOOR)))
+    return mu, b
 
 
 def _rot_rows(xy: Tensor, ang: np.ndarray) -> Tensor:
@@ -281,14 +295,8 @@ class Model:
 
     def complete_trajectory(self, grp: str, q_rows: Tensor, goal_local: Tensor):
         """Group-specific head: cumulative-sum means and softplus scales."""
-        T_f = self.cfg.T_f
-        n = q_rows.shape[0]
         raw = nn.mlp(self.ps, f"traj.{grp}", ad.concat([q_rows, goal_local], axis=1), 2)
-        dmu = ad.reshape(ad.slice_cols(raw, 0, 2 * T_f), (n, T_f, 2))
-        mu = ad.cumsum_axis(dmu, axis=1)
-        b = ad.add(ad.softplus(ad.reshape(ad.slice_cols(raw, 2 * T_f, 4 * T_f), (n, T_f, 2))),
-                   Tensor(np.full((n, T_f, 2), B_FLOOR)))
-        return mu, b
+        return _mean_and_scale(raw, self.cfg.T_f)
 
     def goal_local_tensor(self, offset: Tensor, goal_pose: np.ndarray,
                           agent_pose: np.ndarray) -> Tensor:
@@ -304,6 +312,21 @@ class Model:
             + np.cos(-agent_pose[:, 2]) * (goal_pose[:, 1] - agent_pose[:, 1]),
         ], axis=1)
         return ad.add(_rot_rows(offset, rel_ang), Tensor(const))
+
+    def goal_head(self, grp: str, fr: ForwardResult, fe: Tensor, edges: EdgeSet,
+                  positions: np.ndarray, queries: np.ndarray):
+        """The goal-conditioned step both pipelines share: each query's goal
+        candidate sits on its decide edge at `positions`; regress the offset
+        from it, place the goal in the agent's frame and complete the
+        trajectory. Returns (goal pose, offset, goal_local, mu, b)."""
+        g = fr.graph
+        cand_pose, cand_feats = ((g.point_pose, fr.enc["point"]) if grp == "rb"
+                                 else (g.nrb_pose, fr.enc["nrb"]))
+        goal_pose = cand_pose[edges.dst[positions]]
+        offset = self.regress_offset(grp, fr.query_feats, cand_feats, fe, edges, positions)
+        goal_local = self.goal_local_tensor(offset, goal_pose, g.query_pose[queries])
+        mu, b = self.complete_trajectory(grp, ad.gather_rows(fr.query_feats, queries), goal_local)
+        return goal_pose, offset, goal_local, mu, b
 
     # ------------------------------------------------------------------
     # full forward passes
@@ -330,107 +353,67 @@ class Model:
 
     def _forward_goal(self, fr: ForwardResult, train: bool):
         g, q = fr.graph, fr.query_feats
-        cfg = self.cfg
-        K = cfg.K
+        K, T_f, n = self.cfg.K, self.cfg.T_f, g.n_queries
         rb = np.array([g.goal_rb[a] for a in g.query_agent.tolist()], dtype=bool)
-        rb_queries, nrb_queries = np.nonzero(rb)[0], np.nonzero(~rb)[0]
-
-        results = {}  # query -> dict of numeric per-mode outputs
-        # --- road-bound pipeline: lane stage, then point stage on the argmax lane
-        if len(rb_queries):
-            lane_edges = g.edges["dec_lane"]
-            lane_scores, _ = self.score_decide_edges("lane", "dec_lane", q, fr.enc["lane"],
-                                                     lane_edges, g.n_queries)
-            fr.lane_edges, fr.lane_scores = lane_edges, lane_scores
-            best = self.argmax_per_group(lane_scores.value, lane_edges.src)
-            fr.sel_lane = {qi: int(lane_edges.dst[pos]) for qi, pos in best.items()}
-
-            point_edges = build_decide_point_edges(g, fr.sel_lane)
-            point_scores, fe_pt = self.score_decide_edges("point", "dec_point", q,
-                                                          fr.enc["point"], point_edges,
-                                                          g.n_queries)
-            best_pt = self.argmax_per_group(point_scores.value, point_edges.src)
-
-            positions = np.array([best_pt[qi] for qi in rb_queries], dtype=int)
-            goal_pose = g.point_pose[point_edges.dst[positions]]
-            offset = self.regress_offset("rb", q, fr.enc["point"], fe_pt, point_edges, positions)
-            goal_local = self.goal_local_tensor(offset, goal_pose, g.query_pose[rb_queries])
-            mu, b = self.complete_trajectory("rb", ad.gather_rows(q, rb_queries), goal_local)
-            for row, qi in enumerate(rb_queries):
-                lane_pos = best[qi]
-                pt_pos = best_pt[qi]
-                s = float(lane_scores.value[lane_pos] * point_scores.value[pt_pos])
-                results[qi] = {
-                    "score_raw": s,
-                    "lane_idx": int(lane_edges.dst[lane_pos]),
-                    "point_idx": int(point_edges.dst[pt_pos]),
-                    "point_pose": goal_pose[row],
-                    "offset": offset.value[row],
-                    "goal_local": goal_local.value[row],
-                    "mu": mu.value[row], "b": b.value[row],
-                }
-        # --- non-road-bound pipeline
-        if len(nrb_queries):
-            nrb_edges = g.edges["dec_nrb"]
-            nrb_scores, fe_nrb = self.score_decide_edges("nrb", "dec_nrb", q, fr.enc["nrb"],
-                                                         nrb_edges, g.n_queries)
-            fr.nrb_edges, fr.nrb_scores, fr.nrb_fe = nrb_edges, nrb_scores, fe_nrb
-            best_nrb = self.argmax_per_group(nrb_scores.value, nrb_edges.src)
-            positions = np.array([best_nrb[qi] for qi in nrb_queries], dtype=int)
-            goal_pose = g.nrb_pose[nrb_edges.dst[positions]]
-            offset = self.regress_offset("nrb", q, fr.enc["nrb"], fe_nrb, nrb_edges, positions)
-            goal_local = self.goal_local_tensor(offset, goal_pose, g.query_pose[nrb_queries])
-            mu, b = self.complete_trajectory("nrb", ad.gather_rows(q, nrb_queries), goal_local)
-            for row, qi in enumerate(nrb_queries):
-                pos = best_nrb[qi]
-                results[qi] = {
-                    "score_raw": float(nrb_scores.value[pos]),
-                    "lane_idx": None,
-                    "point_idx": int(nrb_edges.dst[pos]),
-                    "point_pose": goal_pose[row],
-                    "offset": offset.value[row],
-                    "goal_local": goal_local.value[row],
-                    "mu": mu.value[row], "b": b.value[row],
-                }
+        # per-query outputs; a score is the product of its stage probabilities,
+        # and lane_idx stays -1 for nrb queries
+        score, lane_idx, point_idx = np.ones(n), np.full(n, -1), np.zeros(n, dtype=int)
+        point_pose, offset, goal_local = np.zeros((n, 3)), np.zeros((n, 2)), np.zeros((n, 2))
+        mu, b = np.zeros((n, T_f, 2)), np.zeros((n, T_f, 2))
+        for grp, queries in (("rb", np.nonzero(rb)[0]), ("nrb", np.nonzero(~rb)[0])):
+            if not len(queries):
+                continue
+            if grp == "rb":  # lane stage, then the point stage on the argmax lane
+                fr.lane_edges = g.edges["dec_lane"]
+                fr.lane_scores, _ = self.score_decide_edges("lane", "dec_lane", q, fr.enc["lane"],
+                                                            fr.lane_edges, n)
+                best = self.argmax_per_group(fr.lane_scores.value, fr.lane_edges.src)
+                lane_pos = np.array([best[qi] for qi in queries], dtype=int)
+                lane_idx[queries] = fr.lane_edges.dst[lane_pos]
+                score[queries] = fr.lane_scores.value[lane_pos]
+                edges = build_decide_point_edges(g, dict(zip(queries.tolist(),
+                                                             lane_idx[queries].tolist())))
+                scores, fe = self.score_decide_edges("point", "dec_point", q, fr.enc["point"],
+                                                     edges, n)
+            else:
+                edges = fr.nrb_edges = g.edges["dec_nrb"]
+                scores, fe = self.score_decide_edges("nrb", "dec_nrb", q, fr.enc["nrb"], edges, n)
+                fr.nrb_scores, fr.nrb_fe = scores, fe
+            best = self.argmax_per_group(scores.value, edges.src)
+            positions = np.array([best[qi] for qi in queries], dtype=int)
+            score[queries] *= scores.value[positions]
+            point_idx[queries] = edges.dst[positions]
+            pose, off, gl, m, s = self.goal_head(grp, fr, fe, edges, positions, queries)
+            point_pose[queries], offset[queries], goal_local[queries] = pose, off.value, gl.value
+            mu[queries], b[queries] = m.value, s.value
 
         # assemble predictions, renormalizing scores over the K modes per agent
         scene = g.scene
-        T_f = cfg.T_f
-        for base in range(0, g.n_queries, K):
-            raw = np.array([results[base + k]["score_raw"] for k in range(K)])
-            norm = raw / raw.sum()
+        for base in range(0, n, K):
+            modes = slice(base, base + K)
+            norm = score[modes] / score[modes].sum()
             a_idx = int(g.query_agent[base])
-            pose0 = g.query_pose[base]
             # one rigid transform covers every mode's trajectory and goal
-            pts = np.concatenate(
-                [results[base + k]["mu"] for k in range(K)]
-                + [np.stack([results[base + k]["goal_local"] for k in range(K)])], axis=0)
-            pts_scene = _local_to_scene(pts, pose0)
+            pts_scene = _local_to_scene(np.concatenate([mu[modes].reshape(-1, 2),
+                                                        goal_local[modes]]), g.query_pose[base])
             for k in range(K):
-                r = results[base + k]
-                traj_scene = pts_scene[k * T_f:(k + 1) * T_f]
-                goal_scene = pts_scene[K * T_f + k]
-                lane_idx = r["lane_idx"]
+                qi = base + k
+                li = None if lane_idx[qi] < 0 else int(lane_idx[qi])
                 fr.preds.append(ModePrediction(
                     agent_id=scene.agents[a_idx].id, agent_idx=a_idx, mode=k,
-                    score=float(norm[k]), traj_mu_local=r["mu"], traj_b=r["b"],
-                    traj_scene=traj_scene,
-                    selected_lane_id=None if lane_idx is None else scene.lanes[lane_idx].id,
-                    selected_lane_idx=lane_idx,
-                    selected_point_idx=r["point_idx"],
-                    selected_point_pose=r["point_pose"],
-                    goal_offset=r["offset"], goal_scene=goal_scene,
-                    goal_local=r["goal_local"]))
+                    score=float(norm[k]), traj_mu_local=mu[qi], traj_b=b[qi],
+                    traj_scene=pts_scene[k * T_f:(k + 1) * T_f],
+                    selected_lane_id=None if li is None else scene.lanes[li].id,
+                    selected_lane_idx=li, selected_point_idx=int(point_idx[qi]),
+                    selected_point_pose=point_pose[qi], goal_offset=offset[qi],
+                    goal_scene=pts_scene[K * T_f + k], goal_local=goal_local[qi]))
 
     def _forward_baseline(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
         cfg = self.cfg
         T_f, K = cfg.T_f, cfg.K
         n = g.n_queries
-        raw = nn.mlp(self.ps, "base.traj", q, 2)
-        mu = ad.cumsum_axis(ad.reshape(ad.slice_cols(raw, 0, 2 * T_f), (n, T_f, 2)), axis=1)
-        b = ad.add(ad.softplus(ad.reshape(ad.slice_cols(raw, 2 * T_f, 4 * T_f), (n, T_f, 2))),
-                   Tensor(np.full((n, T_f, 2), B_FLOOR)))
+        mu, b = _mean_and_scale(nn.mlp(self.ps, "base.traj", q, 2), T_f)
         logits = ad.reshape(nn.mlp(self.ps, "base.score", q, 2), (n,))
         scores = ad.softmax_grouped(logits, np.arange(n) // K, n // K)
         fr.base_scores, fr.base_mu, fr.base_b = scores, mu, b

@@ -57,9 +57,6 @@ class ParamStore:
     def names(self):
         return sorted(self.params)
 
-    def n_coords(self) -> int:
-        return sum(t.value.size for t in self.params.values())
-
     # Every forward pass builds a fresh tape; detach parameters between passes.
     # No-op while gradients are disabled: ops never attach tape links then.
     def fresh(self):

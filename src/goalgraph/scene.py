@@ -97,11 +97,7 @@ class LaneDef:
         self.length = polyline_arclength(self.centerline)
 
     def midpoint_pose(self) -> Pose2:
-        pose = getattr(self, "_midpoint", None)
-        if pose is None:
-            x, y, h = point_at_arclength(self.centerline, 0.5 * self.length)
-            pose = self._midpoint = Pose2(x, y, h)
-        return pose
+        return Pose2(*point_at_arclength(self.centerline, 0.5 * self.length))
 
     def polygon(self) -> np.ndarray:
         """Lane polygon: left boundary followed by reversed right boundary."""

@@ -3,10 +3,11 @@ and the training loop."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,10 +144,12 @@ class AdamW:
 # ---------------------------------------------------------------------------
 # winner-takes-all
 
-def select_winner_mode(preds_k: list, gt_endpoint: np.ndarray, scene: Scene,
+def select_winner_mode(preds_k: list, gt_endpoint: np.ndarray, lane_xy: np.ndarray,
                        rb: bool) -> tuple[int, int]:
-    """Hierarchical winner: lane distance (rb only), then selected point,
-    then regressed goal; residual ties go to the lowest mode index."""
+    """Hierarchical winner: distance to the selected lane's midpoint (rb only;
+    row i of lane_xy starts with lane i's midpoint, as in HeteroGraph.lane_pose),
+    then to the selected point, then to the regressed goal; residual ties go
+    to the lowest mode index."""
     gt = np.asarray(gt_endpoint, dtype=float)
     alive = list(range(len(preds_k)))
     stage_reached = 1
@@ -158,11 +161,8 @@ def select_winner_mode(preds_k: list, gt_endpoint: np.ndarray, scene: Scene,
         stage_reached = stage
 
     if rb:
-        lane_d = {}
-        for k in alive:
-            p = scene.lanes[preds_k[k].selected_lane_idx].midpoint_pose()
-            lane_d[k] = math.hypot(p.x - gt[0], p.y - gt[1])
-        keep_min(lane_d, 1)
+        mid = {k: lane_xy[preds_k[k].selected_lane_idx] for k in alive}
+        keep_min({k: math.hypot(p[0] - gt[0], p[1] - gt[1]) for k, p in mid.items()}, 1)
     if len(alive) > 1:
         pt_d = {k: math.hypot(preds_k[k].selected_point_pose[0] - gt[0],
                               preds_k[k].selected_point_pose[1] - gt[1]) for k in alive}
@@ -193,12 +193,13 @@ def _supervised_agents(scene: Scene, graph) -> list:
     return out
 
 
-def nearest_lanes(scene: Scene, xy, candidates) -> tuple[int, int]:
-    """The lane nearest to xy among `candidates`, and among all lanes; a tie
-    goes to the lane listed first."""
-    d = polyline_distances(xy, [lane.centerline for lane in scene.lanes])
-    candidates = np.asarray(candidates, dtype=int)
-    return int(candidates[np.argmin(d[candidates])]), int(np.argmin(d))
+def nearest_lanes(scene: Scene, points, candidates: list) -> tuple[list, list]:
+    """For each of the (P, 2) points, the nearest lane among its own lane
+    indices in `candidates`, and the nearest among all lanes; a tie goes to
+    the lane listed first."""
+    d = polyline_distances(points, [lane.centerline for lane in scene.lanes])
+    near = [int(c[np.argmin(row[c])]) for row, c in zip(d, map(np.asarray, candidates))]
+    return near, np.argmin(d, axis=1).tolist()
 
 
 def _nearest_candidate(edges, cand_pose: np.ndarray, qi: int, xy) -> int:
@@ -222,112 +223,66 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
     if not sup:
         return None, {}, assign
 
-    agent_base = {a: base for base, a in
-                  ((b, int(g.query_agent[b])) for b in range(0, g.n_queries, K))}
-    a, gm = tcfg.focal_alpha, tcfg.focal_gamma
-
-    lane_pts, point_pts = [], []      # target p_t tensors (1-row gathers)
-    tf_lane_per_query = {}            # winner query -> teacher lane idx
-    rb_qs, rb_endpoints = [], []
-    nrb_positions, nrb_qs, nrb_endpoints = [], [], []
-
+    agent_base = {int(g.query_agent[b]): b for b in range(0, g.n_queries, K)}
+    winners = {"rb": [], "nrb": []}  # winning query per supervised agent, by pipeline
     for ai in sup:
         base = agent_base[ai]
-        preds_k = fr.preds[base:base + K]
-        endpoint = scene.agents[ai].states[-1, 0:2]
-        rb = g.goal_rb[ai]
-        winner, stage = select_winner_mode(preds_k, endpoint, scene, rb)
+        winner, assign.stages[ai] = select_winner_mode(
+            fr.preds[base:base + K], scene.agents[ai].states[-1, 0:2], g.lane_pose, g.goal_rb[ai])
         assign.winners[ai] = winner
-        assign.stages[ai] = stage
-        qi = base + winner
-        if rb:
-            pos = np.nonzero(fr.lane_edges.src == qi)[0]
-            cand = fr.lane_edges.dst[pos]
-            target_lane, tf_lane_per_query[qi] = nearest_lanes(scene, endpoint, cand)
-            tpos = pos[cand == target_lane]  # reachable lanes are distinct
-            lane_pts.append(ad.gather_rows(fr.lane_scores, tpos))
-            rb_qs.append(qi)
-            rb_endpoints.append(endpoint)
+        winners["rb" if g.goal_rb[ai] else "nrb"].append(base + winner)
+
+    losses, lane_p, point_p, goal_terms = [], [], {}, {"l_goal": [], "l_traj": []}
+    for grp, qs in winners.items():
+        if not qs:
+            continue
+        qs = np.array(qs, dtype=int)
+        tracks = [scene.agents[a].states for a in g.query_agent[qs].tolist()]
+        endpoints = np.array([st[-1, 0:2] for st in tracks])
+        if grp == "rb":
+            # lane target among each winner's reachable lanes; the point stage
+            # is teacher-forced on the lane nearest of all
+            pos = [np.nonzero(fr.lane_edges.src == qi)[0] for qi in qs]
+            cands = [fr.lane_edges.dst[p] for p in pos]
+            targets, teacher = nearest_lanes(scene, endpoints, cands)
+            # reachable lanes are distinct: one target edge per winner
+            lane_pos = np.concatenate([p[c == t] for p, c, t in zip(pos, cands, targets)])
+            lane_p.append(ad.gather_rows(fr.lane_scores, lane_pos))
+            edges = build_decide_point_edges(g, dict(zip(qs.tolist(), teacher)))
+            scores, fe = model.score_decide_edges("point", "dec_point", fr.query_feats,
+                                                  fr.enc["point"], edges, g.n_queries)
+            cand_pose = g.point_pose
         else:
-            tpos = _nearest_candidate(fr.nrb_edges, g.nrb_pose, qi, endpoint)
-            point_pts.append(ad.gather_rows(fr.nrb_scores, np.array([tpos])))
-            nrb_positions.append(tpos)
-            nrb_qs.append(qi)
-            nrb_endpoints.append(endpoint)
+            edges, scores, fe, cand_pose = fr.nrb_edges, fr.nrb_scores, fr.nrb_fe, g.nrb_pose
+        positions = np.array([_nearest_candidate(edges, cand_pose, qi, xy)
+                              for qi, xy in zip(qs, endpoints)], dtype=int)
+        point_p[grp] = ad.gather_rows(scores, positions)
+        goal_pose, offset, _, mu, b = model.goal_head(grp, fr, fe, edges, positions, qs)
 
-    terms = {}
-    losses = []
+        # Huber loss on the offset in the goal node's frame, Laplace NLL on the trajectory
+        c, s = np.cos(-goal_pose[:, 2]), np.sin(-goal_pose[:, 2])
+        ex, ey = endpoints[:, 0] - goal_pose[:, 0], endpoints[:, 1] - goal_pose[:, 1]
+        t_off = np.stack([c * ex - s * ey, s * ex + c * ey], axis=1)
+        l_goal = huber_loss_tensor(ad.sub(offset, Tensor(t_off)), tcfg.huber_delta)
+        gt = np.stack([scene_to_local(st[scene.t_history:, 0:2], pose)
+                       for st, pose in zip(tracks, g.query_pose[qs])])
+        l_traj = laplace_nll_tensor(mu, b, gt)
+        losses += [l_goal, ad.scalar_mul(l_traj, tcfg.traj_loss_weight)]
+        goal_terms["l_goal"].append(float(l_goal.value))
+        goal_terms["l_traj"].append(float(l_traj.value))
 
-    def add_term(name, t, weight=1.0):
-        terms[name] = float(t.value)
-        losses.append(ad.scalar_mul(t, weight) if weight != 1.0 else t)
-
-    # teacher-forced point stage, offsets and trajectories for rb winners
-    off_rows, goal_poses, q_rows_idx, endpoints = [], [], [], []
-    if rb_qs:
-        tf_edges = build_decide_point_edges(g, tf_lane_per_query)
-        tf_scores, tf_fe = model.score_decide_edges("point", "dec_point", fr.query_feats,
-                                                    fr.enc["point"], tf_edges, g.n_queries)
-        sel_positions = []
-        for qi, endpoint in zip(rb_qs, rb_endpoints):
-            tpos = _nearest_candidate(tf_edges, g.point_pose, qi, endpoint)
-            point_pts.append(ad.gather_rows(tf_scores, np.array([tpos])))
-            sel_positions.append(tpos)
-        sel_positions = np.array(sel_positions, dtype=int)
-        off_rb = model.regress_offset("rb", fr.query_feats, fr.enc["point"], tf_fe,
-                                      tf_edges, sel_positions)
-        goal_pose_rb = g.point_pose[tf_edges.dst[sel_positions]]
-        _goal_losses(model, fr, "rb", off_rb, goal_pose_rb, rb_qs, rb_endpoints,
-                     scene, tcfg, add_term)
-    if nrb_qs:
-        sel_positions = np.array(nrb_positions, dtype=int)
-        off_nrb = model.regress_offset("nrb", fr.query_feats, fr.enc["nrb"], fr.nrb_fe,
-                                       fr.nrb_edges, sel_positions)
-        goal_pose_nrb = g.nrb_pose[fr.nrb_edges.dst[sel_positions]]
-        _goal_losses(model, fr, "nrb", off_nrb, goal_pose_nrb, nrb_qs, nrb_endpoints,
-                     scene, tcfg, add_term)
-
-    if lane_pts:
-        add_term("l_lane", focal_loss_tensor(ad.concat(lane_pts, axis=0), a, gm))
-    if point_pts:
-        add_term("l_point", focal_loss_tensor(ad.concat(point_pts, axis=0), a, gm))
-
-    total = losses[0]
-    for t in losses[1:]:
-        total = ad.add(total, t)
-    # merge duplicated rb/nrb goal/traj terms for the log
-    terms = _merge_terms(terms)
-    return total, terms, assign
-
-
-def _goal_losses(model, fr, grp, offset, goal_pose, qs, endpoints, scene, tcfg, add_term):
-    """Huber goal loss (in goal frames) + weighted Laplace trajectory NLL."""
-    g = fr.graph
-    qs = np.array(qs, dtype=int)
-    endpoints = np.array(endpoints, dtype=float)
-    # target offset in the goal node's frame
-    c, s = np.cos(-goal_pose[:, 2]), np.sin(-goal_pose[:, 2])
-    ex, ey = endpoints[:, 0] - goal_pose[:, 0], endpoints[:, 1] - goal_pose[:, 1]
-    t_off = np.stack([c * ex - s * ey, s * ex + c * ey], axis=1)
-    add_term(f"l_goal_{grp}", huber_loss_tensor(ad.sub(offset, Tensor(t_off)), tcfg.huber_delta))
-
-    pose_q = g.query_pose[qs]
-    goal_local = model.goal_local_tensor(offset, goal_pose, pose_q)
-    mu, b = model.complete_trajectory(grp, ad.gather_rows(fr.query_feats, qs), goal_local)
-    gt = np.stack([
-        scene_to_local(scene.agents[int(g.query_agent[qi])].states[scene.t_history:, 0:2],
-                       pose_q[j])
-        for j, qi in enumerate(qs)
-    ])
-    add_term(f"l_traj_{grp}", laplace_nll_tensor(mu, b, gt), tcfg.traj_loss_weight)
-
-
-def _merge_terms(terms: dict) -> dict:
-    out = {"l_lane": terms.get("l_lane", 0.0), "l_point": terms.get("l_point", 0.0)}
-    for key in ("l_goal", "l_traj"):
-        vals = [v for k, v in terms.items() if k.startswith(key)]
-        out[key] = float(np.mean(vals)) if vals else 0.0
-    return out
+    # the point stage's targets, nrb ring candidates before rb points: this
+    # order of the focal mean's float sum keeps trained weights bit-identical
+    stage_p = {"l_lane": lane_p,
+               "l_point": [point_p[grp] for grp in ("nrb", "rb") if grp in point_p]}
+    terms = {"l_lane": 0.0, "l_point": 0.0}
+    for name, p in stage_p.items():
+        if p:
+            losses.append(focal_loss_tensor(ad.concat(p, axis=0),
+                                            tcfg.focal_alpha, tcfg.focal_gamma))
+            terms[name] = float(losses[-1].value)
+    terms.update({k: float(np.mean(v)) for k, v in goal_terms.items()})
+    return functools.reduce(ad.add, losses), terms, assign
 
 
 def _baseline_scene_loss(model, fr, scene, tcfg):
@@ -403,8 +358,7 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
         raise ConfigError("empty dataset")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    mcfg.dropout = tcfg.dropout
-    model = Model(mcfg, seed=tcfg.seed)
+    model = Model(replace(mcfg, dropout=tcfg.dropout), seed=tcfg.seed)
     opt = AdamW(model.ps, tcfg)
     ss = np.random.SeedSequence(tcfg.seed)
     shuffle_rng, aug_rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(3))

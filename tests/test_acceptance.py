@@ -373,6 +373,7 @@ def _oracle_winner(preds, gt, scene, rb):
 def test_a4_oracle_equivalence():
     rng = np.random.default_rng(4)
     scene = make_line_scene(n_lanes=4, lane_len=30.0)
+    lane_mid = np.array([[m.x, m.y] for m in (lane.midpoint_pose() for lane in scene.lanes)])
     T_f = 12
     worst = 0.0
     count_mismatch = 0
@@ -409,7 +410,7 @@ def test_a4_oracle_equivalence():
             count_mismatch += is_miss_top2(preds, gt, K) != o_miss
             count_mismatch += (min_fde_k(preds, gt, K) > 2.0) != o_mr
         rb = bool(rng.integers(2))
-        w = select_winner_mode(preds, gt[-1], scene, rb)
+        w = select_winner_mode(preds, gt[-1], lane_mid, rb)
         count_mismatch += w != _oracle_winner(preds, gt[-1], scene, rb)
         d = [math.hypot(*(p.traj_scene[-1] - gt[-1])) for p in preds]
         count_mismatch += select_winner_baseline(preds, gt[-1]) != d.index(min(d))

@@ -234,6 +234,14 @@ def test_no_grad_builds_no_tape():
 
 @settings(max_examples=30)
 @given(st.integers(2, 6), st.integers(1, 5))
-def test_sum_rows_matches_numpy(n, d):
+def test_sum_axis_matches_numpy(n, d):
+    """Axis 0 of a matrix, and axis 2 of a 3-D input as attention sums each
+    head's q.k products; values and gradients."""
     x = np.random.default_rng(n * 7 + d).standard_normal((n, d))
-    assert np.allclose(ad.sum_rows(Tensor(x)).value, x.sum(axis=0))
+    assert np.allclose(ad.sum_axis(Tensor(x), 0).value, x.sum(axis=0))
+    x3 = np.random.default_rng(n * 7 + d + 1).standard_normal((n, 3, d))
+    assert np.allclose(ad.sum_axis(Tensor(x3), 2).value, x3.sum(axis=2))
+    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_axis(a, 0), ad.sum_axis(a, 0))), (n, d),
+             seed=n * 7 + d)
+    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_axis(a, 2), ad.sum_axis(a, 2))), (n, 3, d),
+             seed=n * 7 + d)

@@ -80,6 +80,20 @@ def test_train_missing_config_file(workdir, tmp_path):
     assert "nope.json" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("mcfg,bad", [({"d_hh": 64}, "d_hh"),
+                                      ({"graph": {"radius": 3}}, "graph.radius")],
+                         ids=["top-level", "graph"])
+def test_unknown_model_config_key(workdir, tmp_path, command, mcfg, bad):
+    path = tmp_path / "mcfg.json"
+    path.write_text(json.dumps(mcfg))
+    data = str(workdir / "data")
+    where = ["--data", data] if command == "train" else ["--data-a", data, "--data-b", data]
+    r = run_cli(command, *where, "--model-config", str(path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2, r.stderr
+    assert bad in r.stderr and "Traceback" not in r.stderr
+
+
 def test_train_empty_data_dir(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -225,3 +239,26 @@ def test_run_manifest_contents(workdir):
     man = json.loads((workdir / "run" / "run_manifest.json").read_text())
     assert man["command"] == "train"
     assert "seed" in man and "outputs" in man and "duration_s" in man
+
+
+def test_compare(workdir, tmp_path):
+    data_b = str(tmp_path / "data_b")
+    assert run_cli("generate", "--style", "B", "--n", "4", "--seed", "8",
+                   "--out", data_b).returncode == 0
+    out = tmp_path / "cmp"
+    r = run_cli("compare", "--data-a", str(workdir / "data"), "--data-b", data_b,
+                "--seeds", "3", "--model-config", str(workdir / "mcfg.json"),
+                "--train-config", str(workdir / "tcfg.json"), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    header, *lines = (out / "compare.csv").read_text().splitlines()
+    cols = header.split(",")
+    rows = {(v, e): dict(zip(cols[3:], map(float, rest)))
+            for v, _, e, *rest in (line.split(",") for line in lines)}
+    assert len(lines) == 6
+    assert set(rows) == {(v, e) for v in ("goal", "baseline")
+                         for e in ("A", "B", "degradation")}
+    for v in ("goal", "baseline"):
+        for col, deg in rows[(v, "degradation")].items():
+            a, b = rows[(v, "A")][col], rows[(v, "B")][col]
+            assert deg == (pytest.approx((b - a) / a, rel=1e-8) if a
+                           else (0.0 if b == 0 else float("inf"))), (v, col)

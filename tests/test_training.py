@@ -1,6 +1,7 @@
 import copy
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import goalgraph.nn as nn
 import goalgraph.training as training
 from goalgraph.errors import ConfigError
 from goalgraph.geometry import point_to_polyline_distance, polyline_distances
-from goalgraph.graph import reachable_lanes
+from goalgraph.graph import HeteroGraph, reachable_lanes
 from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
@@ -146,6 +147,11 @@ def _mk_pred(mode, lane_idx, point_xy, goal_xy, endpoint=None):
         goal_scene=np.asarray(goal_xy, dtype=float))
 
 
+def _lane_mid(scene):
+    """Each lane's midpoint, the rows select_winner_mode reads."""
+    return np.array([[m.x, m.y] for m in (lane.midpoint_pose() for lane in scene.lanes)])
+
+
 def _winner_oracle(preds, gt, scene, rb):
     """Brute-force lexicographic (lane dist, point dist, goal dist, index)."""
     keys = []
@@ -166,13 +172,14 @@ def test_winner_distinct_lanes_stage1(line_scene):
     preds = [_mk_pred(0, 1, (80, 0), (80, 0)),
              _mk_pred(1, 0, (50, 0), (50, 0)),
              _mk_pred(2, 2, (140, 0), (140, 0))]
-    mode, stage = select_winner_mode(preds, gt, line_scene, rb=True)
+    mode, stage = select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True)
     assert (mode, stage) == (1, 1)
 
 
 def test_winner_identical_modes_tie(line_scene):
     preds = [_mk_pred(k, 0, (50, 0), (50, 0)) for k in range(3)]
-    mode, stage = select_winner_mode(preds, np.array([55.0, 0.0]), line_scene, rb=True)
+    mode, stage = select_winner_mode(preds, np.array([55.0, 0.0]), _lane_mid(line_scene),
+                                     rb=True)
     assert mode == 0
 
 
@@ -180,10 +187,10 @@ def test_winner_stage_progression(line_scene):
     gt = np.array([55.0, 0.0])
     # same lane, different points -> stage 2
     preds = [_mk_pred(0, 0, (40, 0), (40, 0)), _mk_pred(1, 0, (54, 0), (54, 0))]
-    assert select_winner_mode(preds, gt, line_scene, rb=True) == (1, 2)
+    assert select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True) == (1, 2)
     # same lane + same point, different goals -> stage 3
     preds = [_mk_pred(0, 0, (50, 0), (48, 0)), _mk_pred(1, 0, (50, 0), (54.5, 0))]
-    assert select_winner_mode(preds, gt, line_scene, rb=True) == (1, 3)
+    assert select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True) == (1, 3)
 
 
 def test_winner_matches_oracle_random(line_scene):
@@ -203,7 +210,7 @@ def test_winner_matches_oracle_random(line_scene):
                                 preds[0].goal_scene)
         gt = rng.uniform(0, 180, 2) * [1, 0.05]
         rb = bool(rng.random() < 0.8)
-        got, _ = select_winner_mode(preds, gt, line_scene, rb=rb)
+        got, _ = select_winner_mode(preds, gt, _lane_mid(line_scene), rb=rb)
         assert got == _winner_oracle(preds, gt, line_scene, rb)
 
 
@@ -215,7 +222,7 @@ def test_winner_baseline_endpoint():
 
 
 def test_nearest_lane(line_scene):
-    assert nearest_lanes(line_scene, (65.0, 1.0), [0, 2]) == (0, 1)
+    assert nearest_lanes(line_scene, [(65.0, 1.0)], [[0, 2]]) == ([0], [1])
 
 
 def _nearest_lane_loop(scene, xy, candidates):
@@ -259,23 +266,27 @@ def test_nearest_lanes_matches_loop(kind):
         style = STYLE_A if kind == "A" else STYLE_B
         scenes = [gen_scene(style, (32, i), f"s{i}") for i in range(4)]
     n = 0
-    for s in scenes:
+    for s in scenes:  # one call per scene, with all its points
         every = list(range(len(s.lanes)))
+        points, cands = [], []
         for i, a in enumerate(s.agents):
             cand = (reachable_lanes(s, i) if a.road_bound else None) or every
             for xy in np.vstack([a.states[::4, 0:2], a.states[-1:, 0:2]]):
-                expected = (_nearest_lane_loop(s, xy, cand), _nearest_lane_loop(s, xy, every))
-                assert nearest_lanes(s, xy, cand) == expected
-                n += 1
+                points.append(xy)
+                cands.append(cand)
+        expected = ([_nearest_lane_loop(s, xy, c) for xy, c in zip(points, cands)],
+                    [_nearest_lane_loop(s, xy, every) for xy in points])
+        assert nearest_lanes(s, np.array(points), cands) == expected
+        n += len(points)
     assert n >= 40
 
 
 def test_nearest_lanes_exact_tie_goes_first(line_scene):
     xy = (60.0, 1.0)  # as far from the end of L0 as from the start of L1
-    d = polyline_distances(xy, [l.centerline for l in line_scene.lanes])
+    d = polyline_distances([xy], [l.centerline for l in line_scene.lanes])[0]
     assert d[0] == d[1]
     assert _nearest_lane_loop(line_scene, xy, [1, 0]) == 1
-    assert nearest_lanes(line_scene, xy, [1, 0]) == (1, 0)
+    assert nearest_lanes(line_scene, [xy, xy], [[1, 0], [0, 1]]) == ([1, 0], [0, 0])
 
 
 # --- augmentation -------------------------------------------------------------
@@ -336,6 +347,18 @@ def test_scene_loss_terms_finite(synth_scene, small_mcfg):
     assert assign.winners  # at least one supervised agent
 
 
+def test_forward_and_loss_add_no_attributes(synth_scene, small_mcfg):
+    """No memo is left on a lane or on the graph: forward and loss add no
+    attribute to any LaneDef and none outside HeteroGraph's fields."""
+    before = [set(vars(lane)) for lane in synth_scene.lanes]
+    m = Model(small_mcfg, seed=0)
+    fr = m.forward(synth_scene)
+    loss, _, assign = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
+    assert loss is not None and any(fr.graph.goal_rb[a] for a in assign.winners)
+    assert [set(vars(lane)) for lane in synth_scene.lanes] == before
+    assert set(vars(fr.graph)) <= set(HeteroGraph.__dataclass_fields__)
+
+
 def test_gradient_isolation_single_agent():
     """Non-winner trajectory-head gradients are exactly zero on a 1-agent scene."""
     sc = make_line_scene(n_vehicles=1)
@@ -358,6 +381,15 @@ def test_short_training_deterministic(tmp_path, small_mcfg):
     for n in m1.ps.names():
         assert np.array_equal(m1.ps[n].value, m2.ps[n].value)
     assert log1 == log2
+
+
+def test_train_leaves_caller_config_unchanged(small_mcfg):
+    scenes = [gen_scene(STYLE_A, (3, 0), "s0")]
+    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1, dropout=0.1)
+    before = replace(small_mcfg)
+    model, _ = train(scenes, tcfg, small_mcfg, augment=False)
+    assert small_mcfg == before and small_mcfg.dropout == 0.0
+    assert model.cfg.dropout == tcfg.dropout
 
 
 def test_training_reduces_loss(small_mcfg):
@@ -464,7 +496,7 @@ def test_loss_log_format(tmp_path, small_mcfg):
     assert header == "epoch,loss,l_lane,l_point,l_goal,l_traj,lr"
     for ckpt in ("model.ckpt", "ckpt_latest.ckpt"):
         assert (tmp_path / ckpt).exists()
-        assert load_model(str(tmp_path / ckpt)).cfg == small_mcfg
+        assert load_model(str(tmp_path / ckpt)).cfg == replace(small_mcfg, dropout=tcfg.dropout)
 
 
 def test_save_load_model_roundtrip(tmp_path, small_mcfg, synth_scene):
