@@ -61,11 +61,14 @@ def _seed_override(seed: int) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            d = json.load(f)
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(d).__name__}")
+    return d
 
 
 def _model_config(mdict: dict, dataset: list, variant: str) -> ModelConfig:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .autodiff import Segments
 from .errors import ConfigError, InvalidInputError, StructuralError
-from .geometry import Pose2, point_to_polyline_distance, points_in_polygon
+from .geometry import Pose2, points_in_polygon, polyline_distances
 from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene
 
 LANE_RELATIONS = ("none", "successor", "predecessor", "left-neighbor", "right-neighbor")
@@ -42,14 +42,8 @@ def relative_edge_feature(pose_m: Pose2, pose_n: Pose2, dt=None):
             raise InvalidInputError("non-finite pose in relative_edge_feature")
     if dt is not None and not math.isfinite(dt):
         raise InvalidInputError("non-finite dt in relative_edge_feature")
-    a = pose_n.heading - pose_m.heading
-    c, s = math.cos(-pose_m.heading), math.sin(-pose_m.heading)
-    ex, ey = pose_n.x - pose_m.x, pose_n.y - pose_m.y
-    dx, dy = c * ex - s * ey, s * ex + c * ey
-    d = math.hypot(dx, dy)
-    phi = 0.0 if d < 1e-9 else math.atan2(dy, dx)
-    return np.array([math.sin(a), math.cos(a), math.sin(phi), math.cos(phi),
-                     d, 0.0 if dt is None else dt])
+    pm, pn = (np.array([[p.x, p.y, p.heading]]) for p in (pose_m, pose_n))
+    return _rel_feat_arrays(pm, pn, None if dt is None else np.array([dt]))[0]
 
 
 def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> np.ndarray:
@@ -60,9 +54,13 @@ def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> n
     dx, dy = c * ex - s * ey, s * ex + c * ey
     d = np.hypot(dx, dy)
     phi = np.where(d < 1e-9, 0.0, np.arctan2(dy, np.where(d < 1e-9, 1.0, dx)))
-    out = np.stack([np.sin(a), np.cos(a), np.sin(phi), np.cos(phi), d,
-                    np.zeros_like(d) if dt is None else dt], axis=1)
-    return out
+    return np.stack([np.sin(a), np.cos(a), np.sin(phi), np.cos(phi), d,
+                     np.zeros_like(d) if dt is None else dt], axis=1)
+
+
+def _near(pa: np.ndarray, pb: np.ndarray, radius: float) -> np.ndarray:
+    """(len(pa), len(pb)) mask of the pose pairs at most radius apart."""
+    return np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1]) <= radius
 
 
 @dataclass
@@ -83,9 +81,11 @@ class EdgeSet:
         return len(self.src)
 
 
-def _empty_edges(with_rel=False) -> EdgeSet:
-    return EdgeSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                   np.zeros((0, 6)), np.zeros(0, dtype=int) if with_rel else None)
+def _edge_set(src_pose: np.ndarray, dst_pose: np.ndarray, pairs, dt=None, rel=None) -> EdgeSet:
+    """The edges of the (src, dst) index pairs, in their order, with relative
+    features of each dst pose seen from its src pose; dt and rel are per pair."""
+    src, dst = (np.asarray(ids, dtype=int) for ids in pairs)
+    return EdgeSet(src, dst, _rel_feat_arrays(src_pose[src], dst_pose[dst], dt), rel)
 
 
 @dataclass
@@ -96,13 +96,12 @@ class HeteroGraph:
     cfg: GraphConfig
     K: int
 
-    # agent nodes (history steps with valid state)
+    # agent nodes (history steps with valid state), agent-major, time-ascending
     agent_node_agent: np.ndarray = None
     agent_node_t: np.ndarray = None
     agent_pose: np.ndarray = None          # (Na, 3)
     agent_vel_local: np.ndarray = None     # (Na, 2)
     agent_class_id: np.ndarray = None
-    node_lookup: dict = field(default_factory=dict)  # (agent idx, t) -> agent node id
 
     # lane nodes
     lane_pose: np.ndarray = None           # (L, 3)
@@ -142,9 +141,6 @@ class HeteroGraph:
     def n_queries(self):
         return len(self.query_agent)
 
-    def agent_node_id(self, agent_idx: int, t: int) -> int:
-        return self.node_lookup.get((agent_idx, t), -1)
-
 
 def assign_poses(scene: Scene):
     """Scene-frame poses for every node type.
@@ -172,18 +168,30 @@ def reachable_lanes(scene: Scene, agent_idx: int, cfg: GraphConfig = GraphConfig
     150 m of accumulated centerline length. Returns None when no lane lies
     within the seed radius (the agent falls back to the nrb goal pipeline).
     """
-    agent = scene.agents[agent_idx]
-    xy = agent.states[scene.t_history - 1, 0:2]
-    seeds = [i for i, lane in enumerate(scene.lanes)
-             if points_in_polygon(xy[None, :], lane.polygon())[0]]
-    if not seeds:
-        dists = [(point_to_polyline_distance(xy, lane.centerline), i)
-                 for i, lane in enumerate(scene.lanes)]
-        dists = [(d, i) for d, i in dists if d <= cfg.seed_lane_radius]
-        if not dists:
-            return None
-        seeds = [min(dists)[1]]
+    xy = scene.agents[agent_idx].states[scene.t_history - 1, 0:2]
+    return _reach(scene, _seed_lanes(scene, xy[None, :], cfg)[0], cfg)
 
+
+def _seed_lanes(scene: Scene, xy: np.ndarray, cfg: GraphConfig) -> list:
+    """Seed lanes of each (n, 2) position: the lanes whose polygon holds it,
+    else the one with the nearest centerline within the seed radius, else none."""
+    inside = np.zeros((len(xy), len(scene.lanes)), dtype=bool)
+    for j, lane in enumerate(scene.lanes):
+        inside[:, j] = points_in_polygon(xy, lane.polygon())
+    seeds = [np.nonzero(row)[0].tolist() for row in inside]
+    lost = [k for k, s in enumerate(seeds) if not s]
+    if lost and scene.lanes:
+        d = polyline_distances(xy[lost], [lane.centerline for lane in scene.lanes])
+        for k, row in zip(lost, d):
+            nearest = int(np.argmin(row))  # the first lane on a tie
+            seeds[k] = [nearest] if row[nearest] <= cfg.seed_lane_radius else []
+    return seeds
+
+
+def _reach(scene: Scene, seeds: list, cfg: GraphConfig):
+    """Sorted lanes within the distance cap of the seeds; None with no seeds."""
+    if not seeds:
+        return None
     best = {i: 0.0 for i in seeds}
     frontier = list(seeds)
     while frontier:
@@ -215,16 +223,14 @@ def nrb_goal_candidates(scene: Scene, agent_idx: int, query_pose: np.ndarray):
     vbar = float(np.mean(np.hypot(v[:, 0], v[:, 1]))) if len(v) else 0.0
     vbar = max(vbar, NRB_MIN_SPEED)
     cx, cy, h0 = query_pose
-    poses, radii, circles = [], [], []
-    for i in range(1, NRB_CIRCLES + 1):
-        r = i * vbar * NRB_CIRCLE_PERIOD
-        n = NRB_POINTS_PER_CIRCLE * i
-        ang = h0 + 2.0 * math.pi * np.arange(n) / n
-        for theta in ang:
-            poses.append((cx + r * math.cos(theta), cy + r * math.sin(theta), theta))
-            radii.append(r)
-            circles.append(i)
-    return np.array(poses), np.array(radii), np.array(circles, dtype=int)
+    i = np.arange(1, NRB_CIRCLES + 1)
+    circles = np.repeat(i, NRB_POINTS_PER_CIRCLE * i)
+    n = NRB_POINTS_PER_CIRCLE * circles  # points on the candidate's circle
+    k = np.arange(NRB_TOTAL) - n * (circles - 1) // 2  # index on its circle
+    theta = h0 + 2.0 * math.pi * k / n
+    radii = circles * vbar * NRB_CIRCLE_PERIOD
+    return (np.stack([cx + radii * np.cos(theta), cy + radii * np.sin(theta), theta], axis=1),
+            radii, circles)
 
 
 def build_graph(scene: Scene, K: int, cfg: GraphConfig = GraphConfig()) -> HeteroGraph:
@@ -245,13 +251,11 @@ def build_graph(scene: Scene, K: int, cfg: GraphConfig = GraphConfig()) -> Heter
 def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
     scene = g.scene
     aidx, ts, poses, vels, cls = [], [], [], [], []
-    lookup = g.node_lookup
     for i, a in enumerate(scene.agents):
         heads = agent_poses[i, :, 2]
         for t in range(scene.t_history):
             if not a.valid[t]:
                 continue
-            lookup[(i, t)] = len(aidx)
             aidx.append(i)
             ts.append(t)
             poses.append(agent_poses[i, t])
@@ -283,158 +287,77 @@ def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
     g.predicted = scene.predicted_agents()
 
 
+# Each edge type below is a boolean mask over its (source x destination) node
+# pairs, read out source-major by np.nonzero, except where noted. Segment sums
+# and weight gradients add up in edge order, so the order is part of the output.
+
 def _build_map_edges(g: HeteroGraph):
     scene, cfg = g.scene, g.cfg
     # (point, belongs-to, lane)
-    src = np.arange(len(scene.points), dtype=int)
-    dst = g.point_lane_idx
-    feat = _rel_feat_arrays(g.point_pose, g.lane_pose[dst], None)
-    g.edges["p2l"] = EdgeSet(src, dst, feat)
+    g.edges["p2l"] = _edge_set(g.point_pose, g.lane_pose,
+                               (np.arange(len(scene.points)), g.point_lane_idx))
 
     # (lane, to, lane) with relation labels
     L = len(scene.lanes)
-    ss, dd, rel = [], [], []
-    for i in range(L):
-        li = scene.lanes[i]
-        for j in range(L):
-            if i == j:
-                continue
-            d = math.hypot(g.lane_pose[i, 0] - g.lane_pose[j, 0],
-                           g.lane_pose[i, 1] - g.lane_pose[j, 1])
-            if d > cfg.lane_to_lane_radius:
-                continue
-            lj = scene.lanes[j].id
-            if lj in li.successors:
-                r = "successor"
-            elif lj in li.predecessors:
-                r = "predecessor"
-            elif lj == li.left_neighbor:
-                r = "left-neighbor"
-            elif lj == li.right_neighbor:
-                r = "right-neighbor"
-            else:
-                r = "none"
-            ss.append(i)
-            dd.append(j)
-            rel.append(LANE_RELATIONS.index(r))
-    if ss:
-        src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-        g.edges["l2l"] = EdgeSet(src, dst, _rel_feat_arrays(g.lane_pose[src], g.lane_pose[dst], None),
-                                 np.array(rel, dtype=int))
-    else:
-        g.edges["l2l"] = _empty_edges(with_rel=True)
-
-
-def _radius_pairs(pos_a: np.ndarray, pos_b: np.ndarray, radius: float):
-    """Index pairs (i, j) with |pos_a[i] - pos_b[j]| <= radius."""
-    if len(pos_a) == 0 or len(pos_b) == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    d = np.hypot(pos_a[:, None, 0] - pos_b[None, :, 0],
-                 pos_a[:, None, 1] - pos_b[None, :, 1])
-    return np.nonzero(d <= radius)
+    rel = np.zeros((L, L), dtype=int)
+    for i, lane in enumerate(scene.lanes):
+        links = (lane.successors, lane.predecessors, [lane.left_neighbor], [lane.right_neighbor])
+        for r in range(len(links), 0, -1):  # LANE_RELATIONS order is precedence: first wins
+            rel[i, [scene.lane_index[j] for j in links[r - 1] if j is not None]] = r
+    src, dst = np.nonzero(_near(g.lane_pose, g.lane_pose, cfg.lane_to_lane_radius)
+                          & ~np.eye(L, dtype=bool))
+    g.edges["l2l"] = _edge_set(g.lane_pose, g.lane_pose, (src, dst), rel=rel[src, dst])
 
 
 def _build_agent_edges(g: HeteroGraph):
     scene, cfg = g.scene, g.cfg
+    ap, agent, t = g.agent_pose, g.agent_node_agent, g.agent_node_t
+    same_agent = agent[:, None] == agent[None, :]
     # (agent, suc, agent): within one agent, later nodes attend to earlier ones
-    ss, dd, dts = [], [], []
-    for i in range(len(scene.agents)):
-        nodes = np.nonzero(g.agent_node_agent == i)[0]
-        times = g.agent_node_t[nodes]
-        for a_pos in range(len(nodes)):
-            for b_pos in range(a_pos + 1, len(nodes)):
-                gap = times[b_pos] - times[a_pos]
-                if gap <= cfg.max_successor_gap:
-                    ss.append(nodes[a_pos])
-                    dd.append(nodes[b_pos])
-                    dts.append(gap * scene.dt)
-    if ss:
-        src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-        feat = _rel_feat_arrays(g.agent_pose[src], g.agent_pose[dst], np.array(dts))
-        g.edges["a_suc"] = EdgeSet(src, dst, feat)
-    else:
-        g.edges["a_suc"] = _empty_edges()
+    gap = t[None, :] - t[:, None]
+    src, dst = np.nonzero(same_agent & (gap > 0) & (gap <= cfg.max_successor_gap))
+    g.edges["a_suc"] = _edge_set(ap, ap, (src, dst), dt=gap[src, dst] * scene.dt)
 
-    # (agent, social, agent): same timestep, distinct agents, within radius
-    ss, dd = [], []
-    for t in sorted(set(g.agent_node_t.tolist())):
-        nodes = np.nonzero(g.agent_node_t == t)[0]
-        ii, jj = _radius_pairs(g.agent_pose[nodes], g.agent_pose[nodes], cfg.social_radius)
-        for a_pos, b_pos in zip(ii, jj):
-            if g.agent_node_agent[nodes[a_pos]] != g.agent_node_agent[nodes[b_pos]]:
-                ss.append(nodes[a_pos])
-                dd.append(nodes[b_pos])
-    if ss:
-        src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-        g.edges["a_soc"] = EdgeSet(src, dst, _rel_feat_arrays(g.agent_pose[src], g.agent_pose[dst], None))
-    else:
-        g.edges["a_soc"] = _empty_edges()
+    # (agent, social, agent): same timestep, distinct agents, within radius;
+    # timestep-major
+    src, dst = np.nonzero((t[:, None] == t[None, :]) & ~same_agent
+                          & _near(ap, ap, cfg.social_radius))
+    order = np.argsort(t[src], kind="stable")
+    g.edges["a_soc"] = _edge_set(ap, ap, (src[order], dst[order]))
 
     # (lane, gives-traffic-info, agent)
-    li, ai = _radius_pairs(g.lane_pose, g.agent_pose, cfg.lane_to_agent_radius)
-    src, dst = np.asarray(li, dtype=int), np.asarray(ai, dtype=int)
-    g.edges["l2a"] = EdgeSet(src, dst, _rel_feat_arrays(g.lane_pose[src], g.agent_pose[dst], None))
+    g.edges["l2a"] = _edge_set(g.lane_pose, ap,
+                               np.nonzero(_near(g.lane_pose, ap, cfg.lane_to_agent_radius)))
 
 
 def _build_query_nodes_and_edges(g: HeteroGraph):
     scene, cfg, K = g.scene, g.cfg, g.K
     t_last = scene.t_history - 1
-    qa, qm, qp = [], [], []
-    for i in g.predicted:
-        node = g.agent_node_id(i, t_last)
-        for k in range(K):
-            qa.append(i)
-            qm.append(k)
-            qp.append(g.agent_pose[node])
-    g.query_agent = np.array(qa, dtype=int)
-    g.query_mode = np.array(qm, dtype=int)
-    g.query_pose = np.array(qp).reshape(-1, 3)
+    ap, agent = g.agent_pose, g.agent_node_agent
+    last = np.nonzero(g.agent_node_t == t_last)[0]  # one node per predicted agent
+    g.query_agent = np.repeat(agent[last], K)
+    g.query_mode = np.tile(np.arange(K), len(last))
+    g.query_pose = np.repeat(ap[last], K, axis=0)
+    qp = g.query_pose
 
-    # (agent, self, agent-query): all of the agent's history nodes -> each query
-    ss, dd, dts = [], [], []
-    for q in range(g.n_queries):
-        i = g.query_agent[q]
-        nodes = np.nonzero(g.agent_node_agent == i)[0]
-        for n in nodes:
-            ss.append(n)
-            dd.append(q)
-            dts.append((t_last - g.agent_node_t[n]) * scene.dt)
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    g.edges["a_self_q"] = EdgeSet(src, dst, _rel_feat_arrays(
-        g.agent_pose[src], g.query_pose[dst], np.array(dts)))
+    # (agent, self, agent-query): all of the agent's history nodes -> each
+    # query; query-major
+    q, src = np.nonzero(g.query_agent[:, None] == agent[None, :])
+    g.edges["a_self_q"] = _edge_set(ap, qp, (src, q), dt=(t_last - g.agent_node_t[src]) * scene.dt)
 
-    # (agent, social, agent-query): other agents' last-step nodes within radius
-    last_nodes = np.nonzero(g.agent_node_t == t_last)[0]
-    ss, dd = [], []
-    for q in range(g.n_queries):
-        for n in last_nodes:
-            if g.agent_node_agent[n] == g.query_agent[q]:
-                continue
-            d = math.hypot(g.agent_pose[n, 0] - g.query_pose[q, 0],
-                           g.agent_pose[n, 1] - g.query_pose[q, 1])
-            if d <= cfg.query_social_radius:
-                ss.append(n)
-                dd.append(q)
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    g.edges["a_soc_q"] = EdgeSet(src, dst, _rel_feat_arrays(
-        g.agent_pose[src], g.query_pose[dst], None) if len(src) else np.zeros((0, 6)))
+    # (agent, social, agent-query): other agents' last-step nodes within
+    # radius; query-major
+    q, j = np.nonzero((g.query_agent[:, None] != agent[last][None, :])
+                      & _near(qp, ap[last], cfg.query_social_radius))
+    g.edges["a_soc_q"] = _edge_set(ap, qp, (last[j], q))
 
     # (lane, gives-traffic-info, agent-query)
-    li, qi = _radius_pairs(g.lane_pose, g.query_pose, cfg.query_lane_radius)
-    src, dst = np.asarray(li, dtype=int), np.asarray(qi, dtype=int)
-    g.edges["l2q"] = EdgeSet(src, dst, _rel_feat_arrays(g.lane_pose[src], g.query_pose[dst], None))
+    g.edges["l2q"] = _edge_set(g.lane_pose, qp,
+                               np.nonzero(_near(g.lane_pose, qp, cfg.query_lane_radius)))
 
     # (agent-query, self, agent-query): fully connect the K queries of one agent
-    ss, dd = [], []
-    for base in range(0, g.n_queries, K):
-        for k1 in range(K):
-            for k2 in range(K):
-                if k1 != k2:
-                    ss.append(base + k1)
-                    dd.append(base + k2)
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    g.edges["q2q"] = EdgeSet(src, dst, _rel_feat_arrays(
-        g.query_pose[src], g.query_pose[dst], None) if len(src) else np.zeros((0, 6)))
+    same_agent = g.query_agent[:, None] == g.query_agent[None, :]
+    g.edges["q2q"] = _edge_set(qp, qp, np.nonzero(same_agent & ~np.eye(len(qp), dtype=bool)))
 
 
 def _build_goal_candidates(g: HeteroGraph):
@@ -442,50 +365,31 @@ def _build_goal_candidates(g: HeteroGraph):
     reachable lanes, generate point-nrb nodes, and build the first-stage
     decide edges (decide-lane for rb, decide-nrb for nrb)."""
     scene = g.scene
-    t_last = scene.t_history - 1
-    nrb_poses, nrb_r, nrb_c, nrb_owner = [], [], [], []
-    for i in g.predicted:
-        agent = scene.agents[i]
-        reach = reachable_lanes(scene, i, g.cfg) if agent.road_bound else None
-        if agent.road_bound and reach:
-            g.goal_rb[i] = True
-            g.reachable[i] = reach
+    last = np.nonzero(g.agent_node_t == scene.t_history - 1)[0]  # one node per predicted agent
+    owners = g.agent_node_agent[last].tolist()
+    rb = [scene.agents[i].road_bound for i in owners]
+    seeds = iter(_seed_lanes(scene, g.agent_pose[last[rb], 0:2], g.cfg))
+    reach = np.zeros((len(last), len(scene.lanes)), dtype=bool)
+    nrb = []
+    for k, (n, i) in enumerate(zip(last, owners)):
+        lanes = _reach(scene, next(seeds), g.cfg) if rb[k] else None
+        g.goal_rb[i] = bool(lanes)  # False: nrb class or no lane nearby, nrb fallback
+        if lanes:
+            g.reachable[i] = lanes
+            reach[k, lanes] = True
         else:
-            g.goal_rb[i] = False  # nrb class or no lane nearby: nrb fallback
-            node = g.agent_node_id(i, t_last)
-            poses, radii, circles = nrb_goal_candidates(scene, i, g.agent_pose[node])
-            nrb_owner.extend([i] * len(poses))
-            nrb_poses.append(poses)
-            nrb_r.append(radii)
-            nrb_c.append(circles)
-    g.nrb_owner = np.array(nrb_owner, dtype=int)
-    g.nrb_pose = np.concatenate(nrb_poses, axis=0) if nrb_poses else np.zeros((0, 3))
-    g.nrb_radius = np.concatenate(nrb_r) if nrb_r else np.zeros(0)
-    g.nrb_circle = np.concatenate(nrb_c) if nrb_c else np.zeros(0, dtype=int)
+            nrb.append((i, nrb_goal_candidates(scene, i, g.agent_pose[n])))
+    g.nrb_owner = np.repeat(np.array([i for i, _ in nrb], dtype=int), NRB_TOTAL)
+    g.nrb_pose, g.nrb_radius, g.nrb_circle = (
+        np.concatenate([empty] + [c[j] for _, c in nrb])
+        for j, empty in enumerate((np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))))
 
     # (agent-query, decide, lane)
-    ss, dd = [], []
-    for q in range(g.n_queries):
-        i = g.query_agent[q]
-        if g.goal_rb[i]:
-            for lane_idx in g.reachable[i]:
-                ss.append(q)
-                dd.append(lane_idx)
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    g.edges["dec_lane"] = EdgeSet(src, dst, _rel_feat_arrays(
-        g.query_pose[src], g.lane_pose[dst], None) if len(src) else np.zeros((0, 6)))
-
+    g.edges["dec_lane"] = _edge_set(g.query_pose, g.lane_pose,
+                                    np.nonzero(np.repeat(reach, g.K, axis=0)))
     # (agent-query, decide, point-nrb)
-    ss, dd = [], []
-    for q in range(g.n_queries):
-        i = g.query_agent[q]
-        if not g.goal_rb[i]:
-            cand = np.nonzero(g.nrb_owner == i)[0]
-            ss.extend([q] * len(cand))
-            dd.extend(cand.tolist())
-    src, dst = np.array(ss, dtype=int), np.array(dd, dtype=int)
-    g.edges["dec_nrb"] = EdgeSet(src, dst, _rel_feat_arrays(
-        g.query_pose[src], g.nrb_pose[dst], None) if len(src) else np.zeros((0, 6)))
+    g.edges["dec_nrb"] = _edge_set(g.query_pose, g.nrb_pose,
+                                   np.nonzero(g.query_agent[:, None] == g.nrb_owner[None, :]))
 
 
 def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
@@ -498,6 +402,5 @@ def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
         if len(p) == 0:
             raise StructuralError(f"lane {lane_per_query[q]} has no center point segments")
     src = np.repeat(np.array(qs, dtype=int), [len(p) for p in pts])
-    dst = np.concatenate(pts) if pts else np.zeros(0, dtype=int)
-    return EdgeSet(src, dst, _rel_feat_arrays(
-        g.query_pose[src], g.point_pose[dst], None) if len(src) else np.zeros((0, 6)))
+    dst = np.concatenate([np.zeros(0, dtype=int)] + pts)
+    return _edge_set(g.query_pose, g.point_pose, (src, dst))

@@ -56,6 +56,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        if not isinstance(d.get("graph", {}), dict):
+            raise ConfigError("model config 'graph' must be a JSON object")
         bad = sorted(set(d) - set(cls.__dataclass_fields__))
         bad += [f"graph.{k}" for k in sorted(set(d.get("graph", {}))
                                              - set(GraphConfig.__dataclass_fields__))]
@@ -63,7 +65,10 @@ class ModelConfig:
             raise ConfigError(f"unknown model config keys: {bad}")
         if "graph" in d:
             d["graph"] = GraphConfig(**d["graph"])
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ConfigError(f"model config value of the wrong type: {e}") from e
 
 
 @dataclass

@@ -58,7 +58,10 @@ class TrainConfig:
         bad = set(d) - known
         if bad:
             raise ConfigError(f"unknown train config keys: {sorted(bad)}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ConfigError(f"train config value of the wrong type: {e}") from e
 
 
 @dataclass

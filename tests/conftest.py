@@ -62,6 +62,29 @@ def make_line_scene(t_history=10, t_future=30, dt=0.1, n_lanes=3, lane_len=60.0,
     return Scene(scene_id, dt, t_history, t_future, agents, lanes)
 
 
+def dense_overlay(style, seed, tiles=6, spacing=40.0):
+    """synthgen maps overlaid on a 3 x 2 grid with ids renamed per tile, as
+    the benchmark builds its dense scenes."""
+    parts = [gen_scene(style, (seed, m), "tile") for m in range(tiles)]
+    agents, lanes = [], []
+    for m, s in enumerate(parts):
+        off, pre = np.array([spacing * (m % 3), spacing * (m // 3)]), f"t{m}."
+
+        def ref(i):
+            return None if i is None else pre + i
+
+        for a in s.agents:
+            st = a.states.copy()
+            st[:, 0:2] += off
+            agents.append(AgentTrack(pre + a.id, a.agent_class, st))
+        lanes += [LaneDef(pre + l.id, l.lane_type, l.centerline + off, l.left_boundary + off,
+                          l.right_boundary + off, [ref(x) for x in l.successors],
+                          [ref(x) for x in l.predecessors], ref(l.left_neighbor),
+                          ref(l.right_neighbor)) for l in s.lanes]
+    p = parts[0]
+    return Scene("dense", p.dt, p.t_history, p.t_future, agents, lanes)
+
+
 @pytest.fixture
 def line_scene():
     return make_line_scene()

@@ -81,15 +81,23 @@ def test_train_missing_config_file(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
-@pytest.mark.parametrize("mcfg,bad", [({"d_hh": 64}, "d_hh"),
-                                      ({"graph": {"radius": 3}}, "graph.radius")],
-                         ids=["top-level", "graph"])
-def test_unknown_model_config_key(workdir, tmp_path, command, mcfg, bad):
-    path = tmp_path / "mcfg.json"
-    path.write_text(json.dumps(mcfg))
+@pytest.mark.parametrize("flag,cfg,bad", [
+    ("--model-config", {"d_hh": 64}, "d_hh"),
+    ("--model-config", {"graph": {"radius": 3}}, "graph.radius"),
+    ("--model-config", {"graph": 3}, "'graph' must be a JSON object"),
+    ("--model-config", [1], "must hold a JSON object"),
+    ("--model-config", {"d_h": "64"}, "wrong type"),
+    ("--train-config", {"batch_size": "4"}, "wrong type"),
+    ("--train-config", "4", "must hold a JSON object"),
+], ids=["top-level", "graph", "graph-not-object", "not-object", "wrong-type",
+        "train-wrong-type", "train-not-object"])
+def test_unknown_model_config_key(workdir, tmp_path, command, flag, cfg, bad):
+    """Config files that are valid JSON but not a valid config exit 2, with no traceback."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
     data = str(workdir / "data")
     where = ["--data", data] if command == "train" else ["--data-a", data, "--data-b", data]
-    r = run_cli(command, *where, "--model-config", str(path), "--out", str(tmp_path / "o"))
+    r = run_cli(command, *where, flag, str(path), "--out", str(tmp_path / "o"))
     assert r.returncode == 2, r.stderr
     assert bad in r.stderr and "Traceback" not in r.stderr
 

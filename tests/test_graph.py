@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from goalgraph.errors import ConfigError, InvalidInputError
 from goalgraph.geometry import Pose2
 from goalgraph.graph import (
+    LANE_RELATIONS,
     NRB_TOTAL,
     GraphConfig,
+    _rel_feat_arrays,
     assign_poses,
+    build_decide_point_edges,
     build_graph,
     nrb_goal_candidates,
     reachable_lanes,
     relative_edge_feature,
 )
+from goalgraph.model import Model, ModelConfig
 from goalgraph.scene import Scene
+from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import const_vel_track, make_line_scene, straight_lane
+from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
 
 ang = st.floats(-math.pi, math.pi)
 coord = st.floats(-500, 500)
@@ -80,7 +85,7 @@ def test_suc_edges_capped_at_20_steps():
     g = build_graph(sc, K=1)
     e = g.edges["a_suc"]
     # the node at t=29 receives edges from t in [9, 28]: exactly 20
-    last = g.agent_node_id(0, 29)
+    last = np.nonzero((g.agent_node_agent == 0) & (g.agent_node_t == 29))[0][0]
     assert int((e.dst == last).sum()) == 20
     # dt carried on suc edges
     gaps = e.feat[:, 5]
@@ -257,3 +262,239 @@ def test_graph_se2_invariant_features(synth_scene):
         e0, e1 = g0.edges[et], g1.edges[et]
         assert np.array_equal(e0.src, e1.src)
         assert np.allclose(e0.feat, e1.feat, atol=1e-9)
+
+
+# degenerate scenes: (scene, edge counts at K=2, number of predictions at K=2)
+def _degenerate(kind):
+    T = 40
+    lane = straight_lane("L0", 0, 0, 60.0)
+    if kind == "no-lanes":  # the vehicle has no lane to seed from: nrb fallback
+        agents = [const_vel_track("v", "vehicle", 0, 0, 10, 0, T),
+                  const_vel_track("p", "pedestrian", 5, 8, 1.0, 0.5, T)]
+        return Scene("s", 0.1, 10, 30, agents, []), dict(
+            p2l=0, l2l=0, a_suc=90, a_soc=20, l2a=0, a_self_q=40, a_soc_q=4, l2q=0, q2q=4,
+            dec_lane=0, dec_nrb=2 * 2 * NRB_TOTAL), 4
+    if kind == "no-agents":
+        return Scene("s", 0.1, 10, 30, [], [lane]), dict(
+            p2l=90, l2l=0, a_suc=0, a_soc=0, l2a=0, a_self_q=0, a_soc_q=0, l2q=0, q2q=0,
+            dec_lane=0, dec_nrb=0), 0
+    # the only agent stops being valid before the last observed step
+    early = const_vel_track("w", "vehicle", 0, 2, 10, 0, T,
+                            valid=(np.arange(T) < 5).astype(float))
+    return Scene("s", 0.1, 10, 30, [early], [lane]), dict(
+        p2l=90, l2l=0, a_suc=10, a_soc=0, l2a=5, a_self_q=0, a_soc_q=0, l2q=0, q2q=0,
+        dec_lane=0, dec_nrb=0), 0
+
+
+@pytest.mark.parametrize("kind", ["no-lanes", "no-agents", "none-valid-at-t-last"])
+def test_degenerate_scenes(kind):
+    sc, counts, n_preds = _degenerate(kind)
+    g = build_graph(sc, K=2)
+    assert {t: e.count for t, e in g.edges.items()} == counts
+    for e in g.edges.values():
+        assert e.feat.shape == (e.count, 6)
+    assert g.n_queries == 2 * len(g.predicted)
+    assert all(not rb for rb in g.goal_rb.values())
+    model = Model(ModelConfig(d_h=16, heads=2, K=2, ffn_hidden=32, dropout=0.0))
+    preds = model.predict(sc)
+    assert len(preds) == n_preds
+    assert all(p.selected_lane_idx is None and np.isfinite(p.traj_scene).all() for p in preds)
+
+
+# -- edge-order oracle: the per-pair loops graph.py used to build every edge set
+
+def _rel(pm, pn, dt=None):
+    pm, pn = np.asarray(pm, float).reshape(-1, 3), np.asarray(pn, float).reshape(-1, 3)
+    return _rel_feat_arrays(pm, pn, None if dt is None else np.asarray(dt, float))
+
+
+def _nrb_loop(scene, agent_idx, query_pose):
+    agent = scene.agents[agent_idx]
+    v = agent.states[:scene.t_history][agent.valid[:scene.t_history], 2:4]
+    vbar = max(float(np.mean(np.hypot(v[:, 0], v[:, 1]))) if len(v) else 0.0, 0.5)
+    cx, cy, h0 = query_pose
+    poses, radii, circles = [], [], []
+    for i in range(1, 9):
+        r = i * vbar * 1.0
+        n = 8 * i
+        for theta in h0 + 2.0 * math.pi * np.arange(n) / n:
+            poses.append((cx + r * math.cos(theta), cy + r * math.sin(theta), theta))
+            radii.append(r)
+            circles.append(i)
+    return np.array(poses), np.array(radii), np.array(circles, dtype=int)
+
+
+def _loop_oracle(g):
+    """Every edge set of g rebuilt pair by pair, in the order the loops visit
+    pairs: {edge type: (src, dst, feat, rel)}, plus the query/nrb node arrays."""
+    scene, cfg, K = g.scene, g.cfg, g.K
+    t_last = scene.t_history - 1
+    lookup = {(int(a), int(t)): n for n, (a, t) in
+              enumerate(zip(g.agent_node_agent, g.agent_node_t))}
+    ap, lp = g.agent_pose, g.lane_pose
+    out = {}
+
+    def put(name, ss, dd, ps, pd, dts=None, rel=None):
+        ss, dd = np.array(ss, dtype=int), np.array(dd, dtype=int)
+        out[name] = (ss, dd, _rel(ps[ss], pd[dd], dts).reshape(-1, 6),
+                     None if rel is None else np.array(rel, dtype=int))
+
+    put("p2l", range(len(scene.points)), g.point_lane_idx, g.point_pose, lp)
+    ss, dd, rel = [], [], []
+    for i, li in enumerate(scene.lanes):
+        for j, lj in enumerate(scene.lanes):
+            if i == j or math.hypot(*(lp[i, :2] - lp[j, :2])) > cfg.lane_to_lane_radius:
+                continue
+            r = ("successor" if lj.id in li.successors else
+                 "predecessor" if lj.id in li.predecessors else
+                 "left-neighbor" if lj.id == li.left_neighbor else
+                 "right-neighbor" if lj.id == li.right_neighbor else "none")
+            ss.append(i), dd.append(j), rel.append(LANE_RELATIONS.index(r))
+    put("l2l", ss, dd, lp, lp, rel=rel)
+
+    ss, dd, dts = [], [], []
+    for i in range(len(scene.agents)):
+        nodes = np.nonzero(g.agent_node_agent == i)[0]
+        for a in range(len(nodes)):
+            for b in range(a + 1, len(nodes)):
+                gap = g.agent_node_t[nodes[b]] - g.agent_node_t[nodes[a]]
+                if gap <= cfg.max_successor_gap:
+                    ss.append(nodes[a]), dd.append(nodes[b]), dts.append(gap * scene.dt)
+    put("a_suc", ss, dd, ap, ap, dts)
+    ss, dd = [], []
+    for t in sorted(set(g.agent_node_t.tolist())):
+        nodes = np.nonzero(g.agent_node_t == t)[0]
+        for m in nodes:
+            for n in nodes:
+                if (g.agent_node_agent[m] != g.agent_node_agent[n]
+                        and math.hypot(*(ap[m, :2] - ap[n, :2])) <= cfg.social_radius):
+                    ss.append(m), dd.append(n)
+    put("a_soc", ss, dd, ap, ap)
+    ss, dd = [], []
+    for i in range(len(lp)):
+        for n in range(len(ap)):
+            if math.hypot(*(lp[i, :2] - ap[n, :2])) <= cfg.lane_to_agent_radius:
+                ss.append(i), dd.append(n)
+    put("l2a", ss, dd, lp, ap)
+
+    qa = [i for i in scene.predicted_agents() for _ in range(K)]
+    qm = [k for _ in scene.predicted_agents() for k in range(K)]
+    qp = np.array([ap[lookup[(i, t_last)]] for i in qa]).reshape(-1, 3)
+    out["query"] = (np.array(qa, dtype=int), np.array(qm, dtype=int), qp)
+    ss, dd, dts = [], [], []
+    for q, i in enumerate(qa):
+        for n in np.nonzero(g.agent_node_agent == i)[0]:
+            ss.append(n), dd.append(q), dts.append((t_last - g.agent_node_t[n]) * scene.dt)
+    put("a_self_q", ss, dd, ap, qp, dts)
+    ss, dd = [], []
+    for q, i in enumerate(qa):
+        for n in np.nonzero(g.agent_node_t == t_last)[0]:
+            if (g.agent_node_agent[n] != i
+                    and math.hypot(*(ap[n, :2] - qp[q, :2])) <= cfg.query_social_radius):
+                ss.append(n), dd.append(q)
+    put("a_soc_q", ss, dd, ap, qp)
+    ss, dd = [], []
+    for i in range(len(lp)):
+        for q in range(len(qa)):
+            if math.hypot(*(lp[i, :2] - qp[q, :2])) <= cfg.query_lane_radius:
+                ss.append(i), dd.append(q)
+    put("l2q", ss, dd, lp, qp)
+    ss, dd = [], []
+    for base in range(0, len(qa), K):
+        for k1 in range(K):
+            for k2 in range(K):
+                if k1 != k2:
+                    ss.append(base + k1), dd.append(base + k2)
+    put("q2q", ss, dd, qp, qp)
+
+    reach, nrb = {}, []
+    for i in scene.predicted_agents():
+        r = _bfs_oracle(scene, i, cfg) if scene.agents[i].road_bound and scene.lanes else None
+        if r:
+            reach[i] = r
+        else:
+            nrb.append((i, _nrb_loop(scene, i, ap[lookup[(i, t_last)]])))
+    out["reach"] = reach
+    owner = np.array([i for i, c in nrb for _ in c[0]], dtype=int)
+    npose = np.concatenate([c[0] for _, c in nrb]) if nrb else np.zeros((0, 3))
+    out["nrb"] = (owner, npose, np.concatenate([c[1] for _, c in nrb]) if nrb else np.zeros(0),
+                  np.concatenate([c[2] for _, c in nrb]) if nrb else np.zeros(0, dtype=int))
+    ss, dd = [], []
+    for q, i in enumerate(qa):
+        for lane_idx in reach.get(i, []):
+            ss.append(q), dd.append(lane_idx)
+    put("dec_lane", ss, dd, qp, lp)
+    ss, dd = [], []
+    for q, i in enumerate(qa):
+        if i not in reach:
+            for c in np.nonzero(owner == i)[0]:
+                ss.append(q), dd.append(c)
+    put("dec_nrb", ss, dd, qp, npose)
+
+    # decide-point edges to one lane per query, queries inserted out of order
+    lane_per_query = {q: (7 * q + 3) % len(lp) for q in reversed(range(len(qa)))}
+    ss, dd = [], []
+    for q in sorted(lane_per_query):
+        lane = scene.lanes[lane_per_query[q]]
+        segs = sorted((p.seg_index, n) for n, p in enumerate(scene.points)
+                      if p.lane_id == lane.id and p.side == "center")
+        for _, n in segs:
+            ss.append(q), dd.append(n)
+    put("dec_point", ss, dd, qp, g.point_pose)
+    return out, lane_per_query
+
+
+def _relation_scene():
+    """L0 -> L1 is both a successor and a left-neighbor link; L2 is L0's right
+    neighbor. One vehicle is off every lane but near L0, one far from all lanes."""
+    T = 40
+    lanes = [straight_lane("L0", 0, 0, 40.0, successors=["L1"], left_neighbor="L1",
+                           right_neighbor="L2"),
+             straight_lane("L1", 40, 0, 40.0, predecessors=["L0"], right_neighbor="L0"),
+             straight_lane("L2", 0, -3.7, 40.0, left_neighbor="L0")]
+    agents = [const_vel_track("v", "vehicle", 2, 0, 10, 0, T),
+              const_vel_track("p", "pedestrian", 5, 6, 1.0, 0.5, T),
+              const_vel_track("off", "vehicle", 10, 6, 5, 0, T),
+              const_vel_track("far", "vehicle", 10, 200, 5, 0, T)]
+    return Scene("rel", 0.1, 10, 30, agents, lanes)
+
+
+@pytest.mark.parametrize("kind,K", [("A", 2), ("A", 6), ("B", 1), ("B", 2), ("dense", 2),
+                                    ("relations", 3)])
+def test_edge_sets_match_loop_oracle(kind, K):
+    if kind == "dense":
+        scenes = [dense_overlay(STYLE_A, 41)]
+    elif kind == "relations":
+        scenes = [_relation_scene()]
+    else:
+        style = STYLE_A if kind == "A" else STYLE_B
+        scenes = [gen_scene(style, (43, i), f"s{i}") for i in range(5)]
+    for cfg in (GraphConfig(), GraphConfig(social_radius=20.0, lane_to_agent_radius=30.0,
+                                           lane_to_lane_radius=50.0, query_social_radius=30.0,
+                                           query_lane_radius=60.0, max_successor_gap=4)):
+        for sc in scenes:
+            g = build_graph(sc, K=K, cfg=cfg)
+            want, lane_per_query = _loop_oracle(g)
+            got = dict(g.edges, dec_point=build_decide_point_edges(g, lane_per_query))
+            assert sorted(got) == sorted(k for k in want
+                                         if k not in ("query", "reach", "nrb"))
+            for et, e in got.items():
+                src, dst, feat, rel = want[et]
+                for a, b in ((e.src, src), (e.dst, dst), (e.feat, feat)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (sc.id, et)
+                if rel is None:
+                    assert e.rel is None, et
+                else:
+                    assert e.rel.dtype == rel.dtype and np.array_equal(e.rel, rel)
+            for a, b in zip((g.query_agent, g.query_mode, g.query_pose), want["query"]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip((g.nrb_owner, g.nrb_pose, g.nrb_radius, g.nrb_circle),
+                            want["nrb"]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert g.reachable == want["reach"]
+            assert g.goal_rb == {i: i in want["reach"] for i in g.predicted}
+    if kind == "relations":
+        rel = {(int(s), int(d)): LANE_RELATIONS[r] for s, d, r in
+               zip(g.edges["l2l"].src, g.edges["l2l"].dst, g.edges["l2l"].rel)}
+        assert rel == {(0, 1): "successor", (1, 0): "predecessor", (0, 2): "right-neighbor",
+                       (2, 0): "left-neighbor", (1, 2): "none", (2, 1): "none"}

@@ -33,7 +33,7 @@ from goalgraph.training import (
     train,
 )
 
-from conftest import make_line_scene
+from conftest import dense_overlay, make_line_scene
 
 
 # --- loss oracles -----------------------------------------------------------
@@ -235,33 +235,10 @@ def _nearest_lane_loop(scene, xy, candidates):
     return best
 
 
-def _dense_overlay(style, seed, tiles=6, spacing=40.0):
-    """synthgen maps overlaid on a 3 x 2 grid with ids renamed per tile, as
-    the benchmark builds its dense scenes."""
-    parts = [gen_scene(style, (seed, m), "tile") for m in range(tiles)]
-    agents, lanes = [], []
-    for m, s in enumerate(parts):
-        off, pre = np.array([spacing * (m % 3), spacing * (m // 3)]), f"t{m}."
-
-        def ref(i):
-            return None if i is None else pre + i
-
-        for a in s.agents:
-            st = a.states.copy()
-            st[:, 0:2] += off
-            agents.append(AgentTrack(pre + a.id, a.agent_class, st))
-        lanes += [LaneDef(pre + l.id, l.lane_type, l.centerline + off, l.left_boundary + off,
-                          l.right_boundary + off, [ref(x) for x in l.successors],
-                          [ref(x) for x in l.predecessors], ref(l.left_neighbor),
-                          ref(l.right_neighbor)) for l in s.lanes]
-    p = parts[0]
-    return Scene("dense", p.dt, p.t_history, p.t_future, agents, lanes)
-
-
 @pytest.mark.parametrize("kind", ["A", "B", "dense"])
 def test_nearest_lanes_matches_loop(kind):
     if kind == "dense":
-        scenes = [_dense_overlay(STYLE_A, 31)]
+        scenes = [dense_overlay(STYLE_A, 31)]
     else:
         style = STYLE_A if kind == "A" else STYLE_B
         scenes = [gen_scene(style, (32, i), f"s{i}") for i in range(4)]
