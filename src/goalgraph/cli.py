@@ -186,23 +186,14 @@ def cmd_compare(args) -> int:
                 _write_compare_csv(rows, os.path.join(args.out, "compare.csv"))
                 raise NumericError(f"sub-run {variant}/seed{seed} failed "
                                    f"(partial results written): {e}") from e
-            reps = {}
+            cells = {}
             for name, data in (("A", data_a), ("B", data_b)):
-                reps[name] = metrics_mod.evaluate(model, data, ks=(1, 6))
-            for name in ("A", "B"):
-                r = reps[name]
-                rows.append({"variant": variant, "seed": seed, "eval_set": name,
-                             "minADE_6": r.minADE[6], "minFDE_6": r.minFDE[6],
-                             "b_minFDE_6": r.b_minFDE[6], "minMR_6": r.minMR[6],
-                             "missRateTopK_2_6": r.missRateTopK_2[6], "ORR": r.ORR})
-            ra, rb = reps["A"], reps["B"]
+                r = metrics_mod.evaluate(model, data, ks=(1, 6))
+                cells[name] = {**{f"{m}_6": getattr(r, m)[6] for m in metrics_mod.METRICS},
+                               "ORR": r.ORR}
+                rows.append({"variant": variant, "seed": seed, "eval_set": name, **cells[name]})
             rows.append({"variant": variant, "seed": seed, "eval_set": "degradation",
-                         **{k: _rel_change(getattr(ra, a)[6] if a else ra.ORR,
-                                           getattr(rb, a)[6] if a else rb.ORR)
-                            for k, a in (("minADE_6", "minADE"), ("minFDE_6", "minFDE"),
-                                         ("b_minFDE_6", "b_minFDE"), ("minMR_6", "minMR"),
-                                         ("missRateTopK_2_6", "missRateTopK_2"),
-                                         ("ORR", None))}})
+                         **{c: _rel_change(cells["A"][c], cells["B"][c]) for c in cells["A"]}})
     csv_path = os.path.join(args.out, "compare.csv")
     _write_compare_csv(rows, csv_path)
     write_manifest(args.out, "compare",
@@ -217,8 +208,7 @@ def _rel_change(a: float, b: float) -> float:
 
 
 def _write_compare_csv(rows, path):
-    cols = ("variant", "seed", "eval_set", "minADE_6", "minFDE_6", "b_minFDE_6",
-            "minMR_6", "missRateTopK_2_6", "ORR")
+    cols = ("variant", "seed", "eval_set", *(f"{m}_6" for m in metrics_mod.METRICS), "ORR")
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(cols) + "\n")
         for r in rows:

@@ -40,15 +40,6 @@ class Pose2:
         )
 
 
-def rotate_xy(xy: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate points (..., 2) by theta about the origin."""
-    c, s = math.cos(theta), math.sin(theta)
-    out = np.empty_like(xy, dtype=float)
-    out[..., 0] = c * xy[..., 0] - s * xy[..., 1]
-    out[..., 1] = s * xy[..., 0] + c * xy[..., 1]
-    return out
-
-
 def polyline_lengths(pts: np.ndarray) -> np.ndarray:
     """Per-segment lengths of a polyline (N, 2) -> (N-1,)."""
     return np.hypot(*(pts[1:] - pts[:-1]).T)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,13 @@ class GraphConfig:
     query_lane_radius: float = 150.0
     reach_distance_cap: float = 150.0
     seed_lane_radius: float = 50.0
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"graph config value of the wrong type: "
+                                  f"{name} must be a real number, got {v!r}")
 
 
 def relative_edge_feature(pose_m: Pose2, pose_n: Pose2, dt=None):

@@ -10,80 +10,47 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import points_in_polygon, points_near_polygon_boundary
-from .scene import Scene
 
 MISS_THRESHOLD = 2.0  # meters
 LANE_EPS = 0.1        # boundary tolerance absorbing polygonization error
+# the per-K metrics: MetricsReport fields, report columns and compare columns, in order
+METRICS = ("minADE", "minFDE", "b_minFDE", "minMR", "missRateTopK_2")
 
 
-def _top_k(preds_k: list, K: int) -> list:
-    """K highest-scoring modes; stable for equal scores (lower mode first)."""
-    order = sorted(range(len(preds_k)), key=lambda i: (-preds_k[i].score, i))
-    return [preds_k[i] for i in order[:K]]
+def agent_metrics(preds_k: list, gt_scene: np.ndarray, K: int, literal: bool = False):
+    """(minADE, minFDE, brier-minFDE, miss) of one agent's K highest-scoring
+    modes (a tie keeps mode order), all from one (K, T_f) distance array.
 
-
-def min_ade_k(preds_k: list, gt_scene: np.ndarray, K: int) -> float:
-    best = math.inf
-    for p in _top_k(preds_k, K):
-        if p.traj_scene.shape != gt_scene.shape:
-            raise DataError(f"trajectory length mismatch {p.traj_scene.shape} vs {gt_scene.shape}")
-        d = np.hypot(*(p.traj_scene - gt_scene).T).mean()
-        best = min(best, float(d))
-    return best
-
-
-def min_fde_k(preds_k: list, gt_scene: np.ndarray, K: int) -> float:
-    best = math.inf
-    for p in _top_k(preds_k, K):
-        if p.traj_scene.shape != gt_scene.shape:
-            raise DataError(f"trajectory length mismatch {p.traj_scene.shape} vs {gt_scene.shape}")
-        best = min(best, float(np.hypot(*(p.traj_scene[-1] - gt_scene[-1]))))
-    return best
-
-
-def is_miss_top2(preds_k: list, gt_scene: np.ndarray, K: int) -> bool:
-    """Miss if every top-K mode has some waypoint further than 2 m from GT."""
-    for p in _top_k(preds_k, K):
-        if (np.hypot(*(p.traj_scene - gt_scene).T) <= MISS_THRESHOLD).all():
-            return False
-    return True
-
-
-def brier_min_fde_k(preds_k: list, gt_scene: np.ndarray, K: int,
-                    literal: bool = False) -> float:
-    """minFDE plus a Brier penalty from the minimizing mode's score.
-
-    Default penalty (1 - s)^2; literal=True uses (1 - s^2) instead.
+    The Brier penalty is (1 - s)^2 for the score s of the minFDE mode (the
+    higher score on a tie); literal=True uses (1 - s^2) instead. A miss is
+    every top-K mode having some waypoint further than 2 m from GT.
     """
-    top = _top_k(preds_k, K)
-    fdes = [float(np.hypot(*(p.traj_scene[-1] - gt_scene[-1]))) for p in top]
-    best = min(range(len(top)), key=lambda i: (fdes[i], -top[i].score))
-    s = top[best].score
+    for p in preds_k:
+        if p.traj_scene.shape != gt_scene.shape:
+            raise DataError(f"trajectory length mismatch {p.traj_scene.shape} vs {gt_scene.shape}")
+    top = sorted(range(len(preds_k)), key=lambda i: -preds_k[i].score)[:K]
+    diff = np.stack([preds_k[i].traj_scene for i in top]) - gt_scene
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    fde = dist[:, -1]
+    best = min(range(len(top)), key=lambda i: (fde[i], -preds_k[top[i]].score))
+    s = preds_k[top[best]].score
     penalty = (1.0 - s * s) if literal else (1.0 - s) ** 2
-    return fdes[best] + penalty
+    miss = not (dist <= MISS_THRESHOLD).all(axis=1).any()
+    return float(dist.mean(axis=1).min()), float(fde[best]), float(fde[best]) + penalty, miss
 
 
-def point_in_lanes(xy, lanes, eps: float = LANE_EPS) -> bool:
-    """True iff xy lies inside (or within eps of the boundary of) any lane polygon."""
-    pt = np.asarray(xy, dtype=float)[None, :]
-    for lane in lanes:
-        poly = lane.polygon()
-        if points_in_polygon(pt, poly)[0] or points_near_polygon_boundary(pt, poly, eps)[0]:
-            return True
-    return False
-
-
-def trajectory_offroad(traj_scene: np.ndarray, lane_polys: list, eps: float = LANE_EPS) -> bool:
-    """True if any waypoint lies outside every lane polygon."""
-    covered = np.zeros(len(traj_scene), dtype=bool)
+def trajectory_offroad(trajs, lane_polys: list, eps: float = LANE_EPS):
+    """Per trajectory of a (..., T, 2) array: True if any waypoint lies outside
+    every lane polygon (and further than eps from its boundary). A single
+    (T, 2) trajectory gives one bool."""
+    trajs = np.asarray(trajs, dtype=float)
+    pts = trajs.reshape(-1, 2)
+    on = np.zeros(len(pts), dtype=bool)
     for poly in lane_polys:
-        covered |= points_in_polygon(traj_scene, poly)
-        if covered.all():
-            return False
-        covered |= points_near_polygon_boundary(traj_scene, poly, eps)
-        if covered.all():
-            return False
-    return not covered.all()
+        on |= points_in_polygon(pts, poly)
+        on |= points_near_polygon_boundary(pts, poly, eps)
+    off = ~on.reshape(trajs.shape[:-1]).all(axis=-1)
+    return off if off.ndim else bool(off)
 
 
 @dataclass
@@ -99,65 +66,52 @@ class MetricsReport:
     per_class: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "n_agents": self.n_agents, "n_scenes": self.n_scenes,
-            "minADE": {str(k): v for k, v in self.minADE.items()},
-            "minFDE": {str(k): v for k, v in self.minFDE.items()},
-            "b_minFDE": {str(k): v for k, v in self.b_minFDE.items()},
-            "minMR": {str(k): v for k, v in self.minMR.items()},
-            "missRateTopK_2": {str(k): v for k, v in self.missRateTopK_2.items()},
-            "ORR": self.ORR,
-            "per_class": self.per_class,
-        }
+        return {"n_agents": self.n_agents, "n_scenes": self.n_scenes,
+                **{m: {str(k): v for k, v in getattr(self, m).items()} for m in METRICS},
+                "ORR": self.ORR, "per_class": self.per_class}
 
 
 def evaluate(model, dataset: list, ks=(1, 6), brier_literal: bool = False) -> MetricsReport:
-    """Aggregate all metrics over a dataset; deterministic."""
+    """Aggregate all metrics over a dataset; deterministic. ORR counts every
+    mode of the road-bound agents, with one lane test per scene."""
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
     rep = MetricsReport(n_scenes=len(dataset))
-    acc = {k: {"ade": [], "fde": [], "bfde": [], "mr": [], "miss": []} for k in ks}
+    acc = {(m, k): [] for m in METRICS for k in ks}
     per_class: dict = {}
     orr_hits, orr_total = 0, 0
     for scene in dataset:
-        preds = model.predict(scene)
         by_agent: dict = {}
-        for p in preds:
+        for p in model.predict(scene):
             by_agent.setdefault(p.agent_idx, []).append(p)
-        lane_polys = [l.polygon() for l in scene.lanes]
+        road = []
         for ai, preds_k in sorted(by_agent.items()):
             agent = scene.agents[ai]
             if not agent.valid[scene.t_history:].all():
                 continue
             gt = agent.states[scene.t_history:, 0:2]
             rep.n_agents += 1
-            cls_acc = per_class.setdefault(agent.agent_class,
-                                           {k: {"ade": [], "fde": []} for k in ks})
+            cls_acc = per_class.setdefault(agent.agent_class, {k: ([], []) for k in ks})
             for k in ks:
-                ade = min_ade_k(preds_k, gt, k)
-                fde = min_fde_k(preds_k, gt, k)
-                acc[k]["ade"].append(ade)
-                acc[k]["fde"].append(fde)
-                acc[k]["bfde"].append(brier_min_fde_k(preds_k, gt, k, brier_literal))
-                acc[k]["mr"].append(1.0 if fde > MISS_THRESHOLD else 0.0)
-                acc[k]["miss"].append(1.0 if is_miss_top2(preds_k, gt, k) else 0.0)
-                cls_acc[k]["ade"].append(ade)
-                cls_acc[k]["fde"].append(fde)
+                ade, fde, bfde, miss = agent_metrics(preds_k, gt, k, brier_literal)
+                row = (ade, fde, bfde, float(fde > MISS_THRESHOLD), float(miss))
+                for m, v in zip(METRICS, row):
+                    acc[m, k].append(v)
+                cls_acc[k][0].append(ade)
+                cls_acc[k][1].append(fde)
             if agent.road_bound:
-                for p in preds_k:  # ORR counts every mode
-                    orr_total += 1
-                    if trajectory_offroad(p.traj_scene, lane_polys):
-                        orr_hits += 1
-    for k in ks:
-        rep.minADE[k] = float(np.mean(acc[k]["ade"])) if acc[k]["ade"] else math.nan
-        rep.minFDE[k] = float(np.mean(acc[k]["fde"])) if acc[k]["fde"] else math.nan
-        rep.b_minFDE[k] = float(np.mean(acc[k]["bfde"])) if acc[k]["bfde"] else math.nan
-        rep.minMR[k] = float(np.mean(acc[k]["mr"])) if acc[k]["mr"] else math.nan
-        rep.missRateTopK_2[k] = float(np.mean(acc[k]["miss"])) if acc[k]["miss"] else math.nan
+                road += [p.traj_scene for p in preds_k]
+        if road:
+            off = trajectory_offroad(np.stack(road), [l.polygon() for l in scene.lanes])
+            orr_hits += int(off.sum())
+            orr_total += len(road)
+    for m in METRICS:
+        getattr(rep, m).update({k: float(np.mean(acc[m, k])) if acc[m, k] else math.nan
+                                for k in ks})
     rep.ORR = orr_hits / orr_total if orr_total else 0.0
     rep.per_class = {
-        cls: {str(k): {"minADE": float(np.mean(v[k]["ade"])),
-                       "minFDE": float(np.mean(v[k]["fde"]))} for k in ks}
+        cls: {str(k): {"minADE": float(np.mean(v[k][0])), "minFDE": float(np.mean(v[k][1]))}
+              for k in ks}
         for cls, v in per_class.items()
     }
     return rep
@@ -166,11 +120,10 @@ def evaluate(model, dataset: list, ks=(1, 6), brier_literal: bool = False) -> Me
 def write_report(rep: MetricsReport, csv_path: str, json_path: str,
                  dataset_name: str = "", variant: str = "") -> None:
     with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("dataset,variant,K,minADE,minFDE,b_minFDE,minMR,missRateTopK_2,ORR,n_agents\n")
+        f.write(",".join(("dataset", "variant", "K", *METRICS, "ORR", "n_agents")) + "\n")
         for k in sorted(rep.minADE):
-            f.write(f"{dataset_name},{variant},{k},{rep.minADE[k]:.10g},{rep.minFDE[k]:.10g},"
-                    f"{rep.b_minFDE[k]:.10g},{rep.minMR[k]:.10g},{rep.missRateTopK_2[k]:.10g},"
-                    f"{rep.ORR:.10g},{rep.n_agents}\n")
+            cells = [f"{getattr(rep, m)[k]:.10g}" for m in METRICS] + [f"{rep.ORR:.10g}"]
+            f.write(",".join([dataset_name, variant, str(k), *cells, str(rep.n_agents)]) + "\n")
     with open(json_path, "w", encoding="utf-8") as f:
         json.dump(rep.to_dict(), f, sort_keys=True, indent=1)
         f.write("\n")

@@ -38,7 +38,7 @@ class ModelConfig:
     variant: str = "goal"  # or "baseline"
     ffn_hidden: int = 512
     graph: GraphConfig = field(default_factory=GraphConfig)
-    brier_literal: bool = False  # see metrics.brier_min_fde_k
+    brier_literal: bool = False  # see metrics.agent_metrics
 
     def __post_init__(self):
         if self.d_h % self.heads:
@@ -339,7 +339,6 @@ class Model:
     def forward(self, scene: Scene, train: bool = False, rng=None,
                 graph: HeteroGraph | None = None) -> ForwardResult:
         """`graph`, when given, must be build_graph(scene, cfg.K, cfg.graph)."""
-        self.ps.fresh()
         g = graph if graph is not None else build_graph(scene, self.cfg.K, self.cfg.graph)
         if g.K != self.cfg.K:
             raise ConfigError(f"graph built for K={g.K}, model has K={self.cfg.K}")

@@ -57,15 +57,6 @@ class ParamStore:
     def names(self):
         return sorted(self.params)
 
-    # Every forward pass builds a fresh tape; detach parameters between passes.
-    # No-op while gradients are disabled: ops never attach tape links then.
-    def fresh(self):
-        if not ad._grad_enabled:
-            return
-        for t in self.params.values():
-            t._parents = ()
-            t._backward = None
-
 
 def create_affine(ps: ParamStore, prefix: str, d_in: int, d_out: int):
     ps.create(f"{prefix}.W", (d_in, d_out), "affine", decay=True)
@@ -220,7 +211,6 @@ def grad_check(f, ps: ParamStore, h: float = 1e-5, tol: float = 1e-4,
     than failing on pure float noise.
     """
     check_names = sorted(names) if names is not None else ps.names()
-    ps.fresh()
     ps.zero_grad()
     loss = f()
     loss.backward()

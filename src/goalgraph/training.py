@@ -80,28 +80,13 @@ def focal_loss_tensor(p_t: Tensor, alpha: float, gamma: float) -> Tensor:
     return ad.scalar_mul(ad.mean_all(ad.mul(ad.pow_const(om, gamma), ad.log(p))), -alpha)
 
 
-def focal_loss(scores: np.ndarray, target_index: int, alpha: float, gamma: float) -> float:
-    p = max(float(scores[target_index]), 1e-12)
-    return -alpha * (1.0 - p) ** gamma * math.log(p)
-
-
 def huber_loss_tensor(residual: Tensor, delta: float) -> Tensor:
     return ad.mean_all(ad.huber_elts(residual, delta))
-
-
-def huber_loss(pred_xy, gt_xy, delta: float) -> float:
-    e = np.abs(np.asarray(pred_xy, dtype=float) - np.asarray(gt_xy, dtype=float))
-    return float(np.mean(np.where(e <= delta, 0.5 * e ** 2, delta * (e - 0.5 * delta))))
 
 
 def laplace_nll_tensor(mu: Tensor, b: Tensor, gt: np.ndarray) -> Tensor:
     err = ad.abs_(ad.sub(mu, Tensor(gt)))
     return ad.mean_all(ad.add(ad.log(ad.scalar_mul(b, 2.0)), ad.div(err, b)))
-
-
-def laplace_nll(mu, b, gt) -> float:
-    mu, b, gt = (np.asarray(x, dtype=float) for x in (mu, b, gt))
-    return float(np.mean(np.log(2.0 * b) + np.abs(gt - mu) / b))
 
 
 # ---------------------------------------------------------------------------

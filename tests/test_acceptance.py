@@ -30,22 +30,15 @@ from goalgraph.graph import (
     nrb_goal_candidates,
     reachable_lanes,
 )
-from goalgraph.metrics import (
-    brier_min_fde_k,
-    evaluate,
-    is_miss_top2,
-    min_ade_k,
-    min_fde_k,
-    trajectory_offroad,
-)
+from goalgraph.metrics import agent_metrics, evaluate, trajectory_offroad
 from goalgraph.model import ForwardResult, Model, ModelConfig
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 from goalgraph.training import (
     TrainConfig,
     compute_scene_loss,
-    focal_loss,
-    huber_loss,
-    laplace_nll,
+    focal_loss_tensor,
+    huber_loss_tensor,
+    laplace_nll_tensor,
     lr_schedule,
     select_winner_baseline,
     select_winner_mode,
@@ -160,7 +153,6 @@ def _a2_staged_groups(m, scene, g, tcfg):
         if et:
             inval(et)
         q = (q_ck[0] if qf is None else qf) if pos <= 0 else q_ck[pos]
-        m.ps.fresh()
         for step, (name, et2) in enumerate(DEC_LAYERS):
             if pos <= step:
                 src = enc["lane"] if et2 == "l2q" else (q if et2 == "q2q"
@@ -172,7 +164,6 @@ def _a2_staged_groups(m, scene, g, tcfg):
         if et:
             inval(et)
         f = feats0 if feats is None else feats
-        m.ps.fresh()
         lane = lane_ck[min(pos, 2)] if feats is None else f["lane"]
         for step, (name, et2) in enumerate(ENC_LAYERS[:2]):
             if pos <= step:
@@ -306,7 +297,8 @@ def test_a3_loss_identities():
         scores = rng.dirichlet(np.ones(int(rng.integers(2, 8))))
         t = int(rng.integers(len(scores)))
         ce = -math.log(max(scores[t], 1e-12))
-        worst_focal = max(worst_focal, abs(focal_loss(scores, t, 1.0, 0.0) - ce))
+        focal = focal_loss_tensor(Tensor(scores[t:t + 1]), 1.0, 0.0).value
+        worst_focal = max(worst_focal, abs(float(focal) - ce))
 
     # Laplace NLL and Huber against closed forms computed right here
     worst_nll, worst_hub = 0.0, 0.0
@@ -317,14 +309,16 @@ def test_a3_loss_identities():
         gt = rng.normal(0, 5, size=(n, 2))
         ref = float(np.mean([math.log(2.0 * b[i, j]) + abs(gt[i, j] - mu[i, j]) / b[i, j]
                              for i in range(n) for j in range(2)]))
-        worst_nll = max(worst_nll, abs(laplace_nll(mu, b, gt) - ref))
+        nll = laplace_nll_tensor(Tensor(mu), Tensor(b), gt).value
+        worst_nll = max(worst_nll, abs(float(nll) - ref))
         delta = float(rng.uniform(0.2, 2.0))
         ref_h = []
         for i in range(n):
             for j in range(2):
                 e = abs(mu[i, j] - gt[i, j])
                 ref_h.append(0.5 * e * e if e <= delta else delta * (e - 0.5 * delta))
-        worst_hub = max(worst_hub, abs(huber_loss(mu, gt, delta) - float(np.mean(ref_h))))
+        hub = huber_loss_tensor(Tensor(mu - gt), delta).value
+        worst_hub = max(worst_hub, abs(float(hub) - float(np.mean(ref_h))))
 
     # schedule endpoints: 0 at step 0, peak at warmup end, 0 at the last step
     total, warmup = 4000, 400
@@ -403,12 +397,10 @@ def test_a4_oracle_equivalence():
             o_miss = all(any(math.hypot(*(p.traj_scene[t] - gt[t])) > 2.0
                              for t in range(T_f)) for p in top)
             o_mr = o_fde > 2.0
-            worst = max(worst,
-                        abs(min_ade_k(preds, gt, K) - o_ade),
-                        abs(min_fde_k(preds, gt, K) - o_fde),
-                        abs(brier_min_fde_k(preds, gt, K) - o_bfde))
-            count_mismatch += is_miss_top2(preds, gt, K) != o_miss
-            count_mismatch += (min_fde_k(preds, gt, K) > 2.0) != o_mr
+            ade, fde, bfde, miss = agent_metrics(preds, gt, K)
+            worst = max(worst, abs(ade - o_ade), abs(fde - o_fde), abs(bfde - o_bfde))
+            count_mismatch += miss != o_miss
+            count_mismatch += (fde > 2.0) != o_mr
         rb = bool(rng.integers(2))
         w = select_winner_mode(preds, gt[-1], lane_mid, rb)
         count_mismatch += w != _oracle_winner(preds, gt[-1], scene, rb)
@@ -518,6 +510,9 @@ def _run_all_commands(root):
                      "--scene", os.path.join(data, scene_path),
                      "--out", os.path.join(ev, "preds.jsonl"),
                      "--svg", os.path.join(ev, "scene.svg")]) == 0
+    assert cli.main(["compare", "--data-a", data, "--data-b", data, "--seeds", "7",
+                     "--model-config", mcfg_path, "--train-config", tcfg_path,
+                     "--out", os.path.join(root, "compare")]) == 0
     files = {}
     for base, _, names in os.walk(root):
         for nmf in names:

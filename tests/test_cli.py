@@ -89,8 +89,11 @@ def test_train_missing_config_file(workdir, tmp_path):
     ("--model-config", {"d_h": "64"}, "wrong type"),
     ("--train-config", {"batch_size": "4"}, "wrong type"),
     ("--train-config", "4", "must hold a JSON object"),
+    ("--model-config", {"graph": {"social_radius": "5"}}, "social_radius must be a real number"),
+    ("--model-config", {"graph": {"max_successor_gap": True}},
+     "max_successor_gap must be a real number"),
 ], ids=["top-level", "graph", "graph-not-object", "not-object", "wrong-type",
-        "train-wrong-type", "train-not-object"])
+        "train-wrong-type", "train-not-object", "graph-wrong-type", "graph-bool"])
 def test_unknown_model_config_key(workdir, tmp_path, command, flag, cfg, bad):
     """Config files that are valid JSON but not a valid config exit 2, with no traceback."""
     path = tmp_path / "cfg.json"
@@ -259,6 +262,8 @@ def test_compare(workdir, tmp_path):
                 "--train-config", str(workdir / "tcfg.json"), "--out", str(out))
     assert r.returncode == 0, r.stderr
     header, *lines = (out / "compare.csv").read_text().splitlines()
+    assert header == ("variant,seed,eval_set,minADE_6,minFDE_6,b_minFDE_6,minMR_6,"
+                      "missRateTopK_2_6,ORR")
     cols = header.split(",")
     rows = {(v, e): dict(zip(cols[3:], map(float, rest)))
             for v, _, e, *rest in (line.split(",") for line in lines)}

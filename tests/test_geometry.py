@@ -13,7 +13,6 @@ from goalgraph.geometry import (
     points_in_polygon,
     points_near_polygon_boundary,
     polyline_arclength,
-    rotate_xy,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -47,11 +46,6 @@ def test_pose_transform_roundtrip():
     x, y = q.x - 5.0, q.y + 1.0
     # rotate back around origin of the transform
     assert abs(normalize_angle(q.heading - p.heading - 1.2)) < 1e-12
-
-
-def test_rotate_xy_quarter_turn():
-    out = rotate_xy(np.array([[1.0, 0.0]]), math.pi / 2)
-    assert np.allclose(out, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_polyline_arclength():
@@ -89,9 +83,3 @@ def test_points_near_polygon_boundary():
     xy = np.array([[5.0, -0.05], [5.0, -0.5]])
     near = points_near_polygon_boundary(xy, poly, eps=0.1)
     assert near.tolist() == [True, False]
-
-
-@given(st.floats(-100, 100), st.floats(-100, 100), st.floats(-3, 3))
-def test_rotation_preserves_norm(x, y, theta):
-    out = rotate_xy(np.array([[x, y]]), theta)
-    assert np.hypot(*out[0]) == pytest.approx(math.hypot(x, y), abs=1e-9)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import goalgraph.autodiff as ad
 import goalgraph.nn as nn
 import goalgraph.training as training
+from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
 from goalgraph.geometry import point_to_polyline_distance, polyline_distances
 from goalgraph.graph import HeteroGraph, reachable_lanes
@@ -21,9 +22,9 @@ from goalgraph.training import (
     TrainConfig,
     augment_scene,
     compute_scene_loss,
-    focal_loss,
-    huber_loss,
-    laplace_nll,
+    focal_loss_tensor,
+    huber_loss_tensor,
+    laplace_nll_tensor,
     load_model,
     lr_schedule,
     nearest_lanes,
@@ -36,40 +37,51 @@ from goalgraph.training import (
 from conftest import dense_overlay, make_line_scene
 
 
-# --- loss oracles -----------------------------------------------------------
+# --- the taped losses training runs, against closed forms ----------------------
+
+def focal(p_t, alpha, gamma):
+    return float(focal_loss_tensor(Tensor(np.array([p_t])), alpha, gamma).value)
+
+
+def huber(pred, gt, delta):
+    return float(huber_loss_tensor(Tensor(np.asarray(pred) - np.asarray(gt)), delta).value)
+
+
+def laplace(mu, b, gt):
+    return float(laplace_nll_tensor(Tensor(mu), Tensor(b), gt).value)
+
 
 def test_focal_loss_values():
-    assert focal_loss(np.array([1.0]), 0, 0.75, 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert focal(1.0, 0.75, 2.0) == pytest.approx(0.0, abs=1e-12)
     # p_t = 0.5, alpha 0.75, gamma 2 -> 0.75 * 0.25 * log 2
     expected = 0.75 * 0.25 * math.log(2.0)
-    assert focal_loss(np.array([0.5, 0.5]), 0, 0.75, 2.0) == pytest.approx(expected, abs=1e-12)
+    assert focal(0.5, 0.75, 2.0) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=100)
 @given(st.floats(1e-6, 1.0 - 1e-9))
 def test_focal_gamma0_is_cross_entropy(p):
-    scores = np.array([p, 1.0 - p])
-    assert focal_loss(scores, 0, 1.0, 0.0) == pytest.approx(-math.log(p), abs=1e-10)
+    assert focal(p, 1.0, 0.0) == pytest.approx(-math.log(p), abs=1e-10)
 
 
 def test_huber_values():
-    assert huber_loss(np.zeros(2), np.zeros(2), 1.0) == 0.0
-    assert huber_loss(np.array([0.5]), np.array([0.0]), 1.0) == pytest.approx(0.125, abs=1e-12)
-    assert huber_loss(np.array([3.0]), np.array([0.0]), 1.0) == pytest.approx(2.5, abs=1e-12)
+    assert huber(np.zeros(2), np.zeros(2), 1.0) == 0.0
+    assert huber(np.array([0.5]), np.array([0.0]), 1.0) == pytest.approx(0.125, abs=1e-12)
+    assert huber(np.array([3.0]), np.array([0.0]), 1.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_laplace_nll_values():
     mu = np.zeros((4, 2))
     gt = np.zeros((4, 2))
-    assert laplace_nll(mu, np.full((4, 2), 0.5), gt) == pytest.approx(0.0, abs=1e-12)
-    assert laplace_nll(mu, np.ones((4, 2)), gt) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert laplace_nll(mu, np.ones((4, 2)), gt + 1.0) == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
+    assert laplace(mu, np.full((4, 2), 0.5), gt) == pytest.approx(0.0, abs=1e-12)
+    assert laplace(mu, np.ones((4, 2)), gt) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert laplace(mu, np.ones((4, 2)), gt + 1.0) == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
 
 
 @settings(max_examples=50)
 @given(st.floats(-5, 5), st.floats(0.05, 3.0), st.floats(-5, 5))
 def test_laplace_nll_closed_form(mu, b, gt):
-    got = laplace_nll(np.array([[mu]]), np.array([[b]]), np.array([[gt]]))
+    got = laplace(np.array([[mu]]), np.array([[b]]), np.array([[gt]]))
     assert got == pytest.approx(math.log(2 * b) + abs(gt - mu) / b, abs=1e-12)
 
 
@@ -334,6 +346,19 @@ def test_forward_and_loss_add_no_attributes(synth_scene, small_mcfg):
     assert loss is not None and any(fr.graph.goal_rb[a] for a in assign.winners)
     assert [set(vars(lane)) for lane in synth_scene.lanes] == before
     assert set(vars(fr.graph)) <= set(HeteroGraph.__dataclass_fields__)
+
+
+def test_parameters_stay_tape_leaves(synth_scene, small_mcfg):
+    """Ops link only their outputs into the tape, so after a taped forward,
+    loss and backward, and again after a second pass, every parameter is
+    still a leaf: nothing needs detaching between passes."""
+    m = Model(small_mcfg, seed=0)
+    for _ in range(2):
+        fr = m.forward(synth_scene, train=True, rng=np.random.default_rng(0))
+        loss, _, _ = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
+        loss.backward()
+        assert all(t._parents == () and t._backward is None for t in m.ps.params.values())
+        assert sum(t.grad is not None for t in m.ps.params.values()) > 0
 
 
 def test_gradient_isolation_single_agent():
