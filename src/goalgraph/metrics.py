@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry import points_in_polygon, points_near_polygon_boundary
 
 MISS_THRESHOLD = 2.0  # meters
@@ -42,13 +42,20 @@ def agent_metrics(preds_k: list, gt_scene: np.ndarray, K: int, literal: bool = F
 def trajectory_offroad(trajs, lane_polys: list, eps: float = LANE_EPS):
     """Per trajectory of a (..., T, 2) array: True if any waypoint lies outside
     every lane polygon (and further than eps from its boundary). A single
-    (T, 2) trajectory gives one bool."""
+    (T, 2) trajectory gives one bool.
+
+    Each lane tests only the waypoints not yet on a lane that lie in its
+    vertex box padded by 2 eps: a point outside that box is more than eps
+    from every edge, and its ray crosses the polygon an even number of times
+    or not at all, so skipping it changes no verdict."""
     trajs = np.asarray(trajs, dtype=float)
     pts = trajs.reshape(-1, 2)
     on = np.zeros(len(pts), dtype=bool)
     for poly in lane_polys:
-        on |= points_in_polygon(pts, poly)
-        on |= points_near_polygon_boundary(pts, poly, eps)
+        lo, hi = np.min(poly, axis=0) - 2 * eps, np.max(poly, axis=0) + 2 * eps
+        idx = np.flatnonzero(~on & (pts >= lo).all(axis=1) & (pts <= hi).all(axis=1))
+        near = pts[idx]
+        on[idx] = points_in_polygon(near, poly) | points_near_polygon_boundary(near, poly, eps)
     off = ~on.reshape(trajs.shape[:-1]).all(axis=-1)
     return off if off.ndim else bool(off)
 
@@ -73,7 +80,10 @@ class MetricsReport:
 
 def evaluate(model, dataset: list, ks=(1, 6), brier_literal: bool = False) -> MetricsReport:
     """Aggregate all metrics over a dataset; deterministic. ORR counts every
-    mode of the road-bound agents, with one lane test per scene."""
+    mode of the road-bound agents, with one lane test per scene. A k above
+    the model's K uses all its modes; a k below 1 is a ConfigError."""
+    if any(k < 1 for k in ks):
+        raise ConfigError(f"every k must be >= 1, got {list(ks)}")
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
     rep = MetricsReport(n_scenes=len(dataset))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,16 @@ class ModelConfig:
     brier_literal: bool = False  # see metrics.agent_metrics
 
     def __post_init__(self):
+        for names, kind, what in ((("d_h", "heads", "K", "T_h", "T_f", "ffn_hidden"),
+                                   numbers.Integral, "an integer"),
+                                  (("dropout",), numbers.Real, "a real number"),
+                                  (("brier_literal",), bool, "a bool"),
+                                  (("variant",), str, "a str")):
+            for n in names:
+                v = getattr(self, n)
+                if (isinstance(v, bool) and kind is not bool) or not isinstance(v, kind):
+                    raise ConfigError(f"model config value of the wrong type: "
+                                      f"{n} must be {what}, got {v!r}")
         if self.d_h % self.heads:
             raise ConfigError(f"d_h={self.d_h} not divisible by heads={self.heads}")
         if self.K < 1:

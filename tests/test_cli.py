@@ -92,8 +92,14 @@ def test_train_missing_config_file(workdir, tmp_path):
     ("--model-config", {"graph": {"social_radius": "5"}}, "social_radius must be a real number"),
     ("--model-config", {"graph": {"max_successor_gap": True}},
      "max_successor_gap must be a real number"),
+    ("--model-config", {"K": True}, "K must be an integer"),
+    ("--model-config", {"T_f": 30.5}, "T_f must be an integer"),
+    ("--model-config", {"d_h": 16.0, "heads": 4}, "d_h must be an integer"),
+    ("--model-config", {"dropout": "0.1"}, "dropout must be a real number"),
+    ("--model-config", {"brier_literal": 1}, "brier_literal must be a bool"),
 ], ids=["top-level", "graph", "graph-not-object", "not-object", "wrong-type",
-        "train-wrong-type", "train-not-object", "graph-wrong-type", "graph-bool"])
+        "train-wrong-type", "train-not-object", "graph-wrong-type", "graph-bool",
+        "int-bool", "int-float", "int-float-divisible", "real-str", "bool-int"])
 def test_unknown_model_config_key(workdir, tmp_path, command, flag, cfg, bad):
     """Config files that are valid JSON but not a valid config exit 2, with no traceback."""
     path = tmp_path / "cfg.json"
@@ -138,6 +144,17 @@ def test_evaluate(workdir, tmp_path):
         assert rep["minFDE"][k] >= 0
     assert os.path.exists(out)
     assert os.path.exists(str(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_evaluate_k_below_one(workdir, tmp_path, k):
+    """--k 0 used to end in a traceback and --k -1 in a report over K - 1 modes."""
+    out = tmp_path / "report.csv"
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "model.ckpt"),
+                "--data", str(workdir / "data"), "--out", str(out), "--k", "1", k)
+    assert r.returncode == 2, r.stderr
+    assert "k must be >= 1" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_evaluate_latest_checkpoint(workdir, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goalgraph.errors import ConfigError, InvalidInputError
 from goalgraph.geometry import Pose2
@@ -45,12 +45,27 @@ def test_rel_feat_nonfinite():
 
 @settings(max_examples=60)
 @given(coord, coord, ang, coord, coord, ang, coord, coord, ang)
+@example(xm=1e-08, ym=1.0, hm=0.0, xn=0.0, yn=1.0, hn=0.0, dx=0.0, dy=0.0, dth=2.0)
 def test_rel_feat_se2_invariant(xm, ym, hm, xn, yn, hn, dx, dy, dth):
+    """A rigid move of both poses leaves the edge feature unchanged.
+
+    sin a, cos a, d and dt hold to atol 1e-9. The bearing phi of n seen from
+    m is conditioned by d = |n - m|: moving a pose rounds each coordinate by
+    up to about 3.5 eps M, with eps = 2.2e-16 and M the largest absolute
+    coordinate or offset (at most 500 here). The moved displacement is then
+    off by up to 7 sqrt(2) eps M, and phi by that over d, in any
+    implementation. So sin phi and cos phi hold to 1e-9 + 16 eps M / d.
+    Coincident poses move to coincident poses, both with phi = 0.
+    """
     pm, pn = Pose2(xm, ym, hm), Pose2(xn, yn, hn)
     f0 = relative_edge_feature(pm, pn, dt=0.3)
     f1 = relative_edge_feature(pm.transform(dx, dy, dth),
                                pn.transform(dx, dy, dth), dt=0.3)
-    assert np.allclose(f0, f1, atol=1e-9)
+    big = max(abs(v) for v in (xm, ym, xn, yn, dx, dy))
+    d = math.hypot(xn - xm, yn - ym)
+    cond = 16 * np.finfo(float).eps * big / d if d else 0.0
+    assert np.allclose(f0[[0, 1, 4, 5]], f1[[0, 1, 4, 5]], atol=1e-9)
+    assert np.allclose(f0[2:4], f1[2:4], atol=1e-9 + cond)
 
 
 def test_assign_poses_agent_and_lane(line_scene):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from goalgraph.errors import DataError
+from goalgraph.errors import ConfigError, DataError
 from goalgraph.geometry import points_in_polygon, points_near_polygon_boundary
 from goalgraph.metrics import (
+    LANE_EPS,
     MISS_THRESHOLD,
     agent_metrics,
     evaluate,
@@ -15,7 +16,7 @@ from goalgraph.metrics import (
 from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import dense_overlay, make_line_scene
+from conftest import dense_overlay, make_line_scene, straight_lane
 
 
 def mk(mode, traj, score):
@@ -193,6 +194,16 @@ def test_evaluate_empty_dataset():
     m = Model(ModelConfig(d_h=32, heads=4, K=2, ffn_hidden=64), seed=0)
     with pytest.raises(DataError):
         evaluate(m, [], ks=(1,))
+
+
+def test_evaluate_k_below_one(small_mcfg):
+    m = Model(small_mcfg, seed=0)
+    scenes = [gen_scene(STYLE_A, (12, 0), "s0")]
+    for ks in ((0,), (1, -1)):
+        with pytest.raises(ConfigError):
+            evaluate(m, scenes, ks=ks)
+    # a k above the model's K uses all of its modes
+    assert evaluate(m, scenes, ks=(9,)).minFDE[9] == evaluate(m, scenes, ks=(3,)).minFDE[3]
 
 
 def test_evaluate_aggregation_oracle(small_mcfg):
@@ -385,3 +396,98 @@ def test_trajectory_offroad_stacked_matches_per_trajectory():
         off += sum(oracle)
         on += len(oracle) - sum(oracle)
     assert on > 50 and off > 50, (on, off)
+
+
+# --- the lane test against the unculled per-lane loop ---------------------------
+
+def _all_lanes_offroad(trajs, lane_polys, eps=LANE_EPS):
+    """trajectory_offroad with no box pre-test: every waypoint against every
+    edge of every lane polygon. Kept as the oracle."""
+    trajs = np.asarray(trajs, dtype=float)
+    pts = trajs.reshape(-1, 2)
+    on = np.zeros(len(pts), dtype=bool)
+    for poly in lane_polys:
+        on |= points_in_polygon(pts, poly)
+        on |= points_near_polygon_boundary(pts, poly, eps)
+    off = ~on.reshape(trajs.shape[:-1]).all(axis=-1)
+    return off if off.ndim else bool(off)
+
+
+def _adversarial_points(polys, eps=LANE_EPS, tiny=1e-12):
+    """Points where a box pre-test padded too little would change a verdict:
+    polygon vertices; points eps and 2 eps +- tiny outside each side of each
+    lane's box, level with its extreme vertices and spread along the side;
+    points eps (1 +- tiny) from each edge midpoint along the edge normal, on
+    both sides; points left of each box within its y-range, whose ray
+    crosses the whole polygon."""
+    out = []
+    for poly in polys:
+        poly = np.asarray(poly, dtype=float)
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        out.append(poly)
+        for o in (eps, 2 * eps - tiny, 2 * eps, 2 * eps + tiny):
+            for ax in (0, 1):
+                other = 1 - ax
+                along = np.concatenate([np.linspace(lo[other], hi[other], 5),
+                                        poly[poly[:, ax] == lo[ax], other],
+                                        poly[poly[:, ax] == hi[ax], other]])
+                for edge, sign in ((lo[ax], -1.0), (hi[ax], 1.0)):
+                    p = np.empty((len(along), 2))
+                    p[:, ax], p[:, other] = edge + sign * o, along
+                    out.append(p)
+        a, b = poly, np.roll(poly, -1, axis=0)
+        ab = b - a
+        length = np.hypot(ab[:, 0], ab[:, 1])
+        keep = length > 0
+        normal = np.stack([-ab[keep, 1], ab[keep, 0]], axis=1) / length[keep, None]
+        mid = 0.5 * (a[keep] + b[keep])
+        for f in (1.0 - tiny, 1.0 + tiny):
+            out += [mid + f * eps * normal, mid - f * eps * normal]
+        ys = np.concatenate([np.linspace(lo[1], hi[1], 9), poly[:, 1]])
+        out.append(np.stack([np.full(len(ys), lo[0] - 7.0), ys], axis=1))
+    return np.concatenate(out)
+
+
+def _offroad_cases():
+    """(name, lane polygons, points) per case: synthgen A and B scenes, a
+    dense overlay, a zero-width lane next to a normal one."""
+    scenes = ([gen_scene(STYLE_A, (18, i), f"a{i}") for i in range(3)]
+              + [gen_scene(STYLE_B, (19, i), f"b{i}") for i in range(3)]
+              + [dense_overlay(STYLE_B, 20, tiles=6)])
+    cases = []
+    for s in scenes:
+        polys = [l.polygon() for l in s.lanes]
+        cases.append((s.id, polys, _adversarial_points(polys)))
+    flat = straight_lane("flat", 0.0, 0.0, 20.0, width=0.0)
+    wide = straight_lane("wide", 0.0, 10.0, 20.0, heading=0.3)
+    polys = [flat.polygon(), wide.polygon()]
+    cases.append(("zero-width", polys, _adversarial_points(polys)))
+    return cases
+
+
+def test_trajectory_offroad_matches_per_lane_oracle():
+    """The lane test's verdicts equal the unculled loop's under ==, per
+    waypoint (as one-waypoint trajectories) and per trajectory, on points
+    chosen at the edge of each lane's padded box and of its eps band."""
+    rng = np.random.default_rng(21)
+    on = off = traj_on = traj_off = 0
+    for name, polys, pts in _offroad_cases():
+        oracle = _all_lanes_offroad(pts[:, None, :], polys)
+        assert trajectory_offroad(pts[:, None, :], polys).tolist() == oracle.tolist(), name
+        on += int((~oracle).sum())
+        off += int(oracle.sum())
+        # trajectories of 6 waypoints: on-lane points, then one of them swapped
+        # for any point of the case
+        trajs = pts[~oracle][rng.integers(0, int((~oracle).sum()), (200, 6))]
+        trajs[100:, 3] = pts[rng.integers(0, len(pts), 100)]
+        expect = _all_lanes_offroad(trajs, polys)
+        assert trajectory_offroad(trajs, polys).tolist() == expect.tolist(), name
+        for t, e in zip(trajs[98:103], expect[98:103]):
+            assert trajectory_offroad(t, polys) is bool(e), name
+        traj_on += int((~expect).sum())
+        traj_off += int(expect.sum())
+    assert on > 1000 and off > 1000, (on, off)
+    assert traj_on > 500 and traj_off > 300, (traj_on, traj_off)
+    # with no lane every trajectory is off, and a single (T, 2) input gives a bool
+    assert trajectory_offroad(trajs, []).tolist() == [True] * len(trajs)
+    assert trajectory_offroad(trajs[0], []) is True
