@@ -25,10 +25,12 @@ def main():
     for nt, n in counts.items():
         print(f"  {nt:6s} {n}")
 
-    print("\nedge types (source -> destination, count):")
+    # The K mode queries of an agent share its pose, so a query-side edge
+    # set keeps one feature row per distinct (agent, candidate) pair and
+    # `row` points each edge at its row.
+    print("\nedge types (source -> destination): edges, distinct feature rows")
     for et, es in sorted(g.edges.items()):
-        print(f"  {et:10s} {len(es.src):6d} edges, "
-              f"feature block shape {es.feat.shape}")
+        print(f"  {et:10s} {es.count:6d} edges {len(es.feat):6d} rows")
 
     # Apply a large rigid motion to everything: lanes, tracks, boundaries.
     rng = np.random.default_rng(3)
@@ -42,7 +44,7 @@ def main():
         es2 = g2.edges[et]
         assert np.array_equal(es.src, es2.src) and np.array_equal(es.dst, es2.dst)
         if es.count:
-            worst = max(worst, float(np.abs(es.feat - es2.feat).max()))
+            worst = max(worst, float(np.abs(es.feat[es.row] - es2.feat[es2.row]).max()))
     print(f"\nrigid motion dx={dx:.1f} m, dy={dy:.1f} m, dtheta={dth:.2f} rad")
     print(f"max edge-feature change across all edge types: {worst:.3e}")
     print("identical edge lists, features unchanged to float precision")

@@ -66,11 +66,6 @@ def point_at_arclength(pts: np.ndarray, s: float) -> tuple[float, float, float]:
     return float(p[0]), float(p[1]), heading
 
 
-def point_to_polyline_distance(xy, pts: np.ndarray) -> float:
-    """Minimum distance from a point to a polyline (N, 2)."""
-    return float(polyline_distances([xy], [pts])[0, 0])
-
-
 def polyline_distances(points, polylines: list) -> np.ndarray:
     """Minimum distance from each of the (P, 2) points to each polyline
     (N_i, 2), as a (P, n_polylines) array, in one pass over all their segments."""

@@ -61,8 +61,11 @@ def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> n
     ex, ey = pn[:, 0] - pm[:, 0], pn[:, 1] - pm[:, 1]
     dx, dy = c * ex - s * ey, s * ex + c * ey
     d = np.hypot(dx, dy)
-    phi = np.where(d < 1e-9, 0.0, np.arctan2(dy, np.where(d < 1e-9, 1.0, dx)))
-    return np.stack([np.sin(a), np.cos(a), np.sin(phi), np.cos(phi), d,
+    # rounding decides the bearing of poses this close, so it fades out to
+    # (sin, cos) = (0, 1) as d falls from 1e-9 to 1e-12 m, with no jump
+    w = np.clip((d - 1e-12) / (1e-9 - 1e-12), 0.0, 1.0)
+    phi = np.where(w > 0.0, np.arctan2(dy, dx), 0.0)
+    return np.stack([np.sin(a), np.cos(a), w * np.sin(phi), w * np.cos(phi) + (1.0 - w), d,
                      np.zeros_like(d) if dt is None else dt], axis=1)
 
 
@@ -73,15 +76,21 @@ def _near(pa: np.ndarray, pb: np.ndarray, radius: float) -> np.ndarray:
 
 @dataclass
 class EdgeSet:
+    """Edges src[i] -> dst[i]. feat (and rel) hold one row per distinct edge
+    feature, and row[i] is edge i's row in them; without row, one per edge."""
+
     src: np.ndarray
     dst: np.ndarray
     feat: np.ndarray
     rel: np.ndarray | None = None
+    row: np.ndarray | None = None
     # segment layouts of src and dst, for the grouped softmax and sums over edges
     by_src: Segments = field(init=False, repr=False, compare=False)
     by_dst: Segments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.row is None:
+            self.row = np.arange(len(self.src))
         self.by_src, self.by_dst = Segments(self.src), Segments(self.dst)
 
     @property
@@ -89,11 +98,33 @@ class EdgeSet:
         return len(self.src)
 
 
-def _edge_set(src_pose: np.ndarray, dst_pose: np.ndarray, pairs, dt=None, rel=None) -> EdgeSet:
+def _edge_set(src_pose: np.ndarray, dst_pose: np.ndarray, pairs, dt=None, rel=None,
+              same=(None, None)) -> EdgeSet:
     """The edges of the (src, dst) index pairs, in their order, with relative
-    features of each dst pose seen from its src pose; dt and rel are per pair."""
+    features of each dst pose seen from its src pose; dt and rel are per pair.
+
+    `same` maps the src and dst ids of a side to the id whose pose (and so
+    features) they share, or is None there: a query maps to its agent's mode-0
+    query. Features are computed once per distinct pair of those ids (dt and
+    rel must agree within one), numbered in order of first occurrence, so a
+    set without repeats keeps one row per edge.
+    """
     src, dst = (np.asarray(ids, dtype=int) for ids in pairs)
-    return EdgeSet(src, dst, _rel_feat_arrays(src_pose[src], dst_pose[dst], dt), rel)
+    s, d = (ids if m is None else m[ids] for ids, m in zip((src, dst), same))
+    _, first, inverse = np.unique(s * len(dst_pose) + d, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct pairs by first occurrence
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    first = first[order]
+    return EdgeSet(src, dst,
+                   _rel_feat_arrays(src_pose[s[first]], dst_pose[d[first]],
+                                    None if dt is None else dt[first]),
+                   None if rel is None else rel[first], number[inverse])
+
+
+def _mode0(g: HeteroGraph) -> np.ndarray:
+    """Each query's agent's mode-0 query, which has the same pose."""
+    return np.arange(g.n_queries) - g.query_mode
 
 
 @dataclass
@@ -350,22 +381,26 @@ def _build_query_nodes_and_edges(g: HeteroGraph):
 
     # (agent, self, agent-query): all of the agent's history nodes -> each
     # query; query-major
+    q0 = _mode0(g)
     q, src = np.nonzero(g.query_agent[:, None] == agent[None, :])
-    g.edges["a_self_q"] = _edge_set(ap, qp, (src, q), dt=(t_last - g.agent_node_t[src]) * scene.dt)
+    g.edges["a_self_q"] = _edge_set(ap, qp, (src, q), dt=(t_last - g.agent_node_t[src]) * scene.dt,
+                                    same=(None, q0))
 
     # (agent, social, agent-query): other agents' last-step nodes within
     # radius; query-major
     q, j = np.nonzero((g.query_agent[:, None] != agent[last][None, :])
                       & _near(qp, ap[last], cfg.query_social_radius))
-    g.edges["a_soc_q"] = _edge_set(ap, qp, (last[j], q))
+    g.edges["a_soc_q"] = _edge_set(ap, qp, (last[j], q), same=(None, q0))
 
     # (lane, gives-traffic-info, agent-query)
     g.edges["l2q"] = _edge_set(g.lane_pose, qp,
-                               np.nonzero(_near(g.lane_pose, qp, cfg.query_lane_radius)))
+                               np.nonzero(_near(g.lane_pose, qp, cfg.query_lane_radius)),
+                               same=(None, q0))
 
     # (agent-query, self, agent-query): fully connect the K queries of one agent
     same_agent = g.query_agent[:, None] == g.query_agent[None, :]
-    g.edges["q2q"] = _edge_set(qp, qp, np.nonzero(same_agent & ~np.eye(len(qp), dtype=bool)))
+    g.edges["q2q"] = _edge_set(qp, qp, np.nonzero(same_agent & ~np.eye(len(qp), dtype=bool)),
+                               same=(q0, q0))
 
 
 def _build_goal_candidates(g: HeteroGraph):
@@ -393,11 +428,13 @@ def _build_goal_candidates(g: HeteroGraph):
         for j, empty in enumerate((np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))))
 
     # (agent-query, decide, lane)
+    q0 = _mode0(g)
     g.edges["dec_lane"] = _edge_set(g.query_pose, g.lane_pose,
-                                    np.nonzero(np.repeat(reach, g.K, axis=0)))
+                                    np.nonzero(np.repeat(reach, g.K, axis=0)), same=(q0, None))
     # (agent-query, decide, point-nrb)
     g.edges["dec_nrb"] = _edge_set(g.query_pose, g.nrb_pose,
-                                   np.nonzero(g.query_agent[:, None] == g.nrb_owner[None, :]))
+                                   np.nonzero(g.query_agent[:, None] == g.nrb_owner[None, :]),
+                                   same=(q0, None))
 
 
 def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
@@ -411,4 +448,4 @@ def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
             raise StructuralError(f"lane {lane_per_query[q]} has no center point segments")
     src = np.repeat(np.array(qs, dtype=int), [len(p) for p in pts])
     dst = np.concatenate([np.zeros(0, dtype=int)] + pts)
-    return _edge_set(g.query_pose, g.point_pose, (src, dst))
+    return _edge_set(g.query_pose, g.point_pose, (src, dst), same=(_mode0(g), None))

@@ -199,6 +199,7 @@ class Model:
     # embeddings
 
     def embed_edge(self, etype: str, edges: EdgeSet) -> Tensor:
+        """Embeddings of the set's distinct feature rows (edges.feat)."""
         ps = self.ps
         x = nn.mlp(ps, f"emb.edge.{etype}.cont", Tensor(edges.feat), 2)
         if edges.rel is not None:
@@ -244,7 +245,8 @@ class Model:
         edges = g.edges[etype]
         return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.by_src, edges.by_dst,
                                         eemb[etype], heads=self.cfg.heads,
-                                        p_drop=self.cfg.dropout, train=train, rng=rng)
+                                        p_drop=self.cfg.dropout, train=train, rng=rng,
+                                        edge_row=edges.row)
 
     def encode(self, g: HeteroGraph, feats: dict, eemb: dict, train=False, rng=None) -> dict:
         lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], g, eemb, "p2l", train, rng)
@@ -274,7 +276,9 @@ class Model:
 
         The MLP's first layer is linear in the concatenation, so its weight is
         applied in row blocks: the f_i and f_j blocks multiply each distinct
-        query and candidate once and are then gathered per edge.
+        query and candidate once, and the f_ij block each distinct edge
+        feature row, and are then gathered per edge. Returns the scores and
+        f_ij by distinct row.
         """
         if edges.count == 0:
             raise StructuralError(f"empty candidate set for stage {stage}")
@@ -285,9 +289,11 @@ class Model:
         by_src, by_dst = edges.by_src, edges.by_dst
         hi = ad.matmul(ad.gather_rows(q_feats, by_src.present), ad.slice_rows(w, 0, d))
         hj = ad.matmul(ad.gather_rows(cand_feats, by_dst.present), ad.slice_rows(w, d, 2 * d))
+        hij = ad.affine(fe, ad.slice_rows(w, 2 * d, 3 * d), ps[pre + ".l0.b"])
         h = ad.add(ad.add(ad.gather_rows(hi, by_src.rank), ad.gather_rows(hj, by_dst.rank)),
-                   ad.affine(fe, ad.slice_rows(w, 2 * d, 3 * d), ps[pre + ".l0.b"]))
-        hidden = ad.add(nn.affine(ps, pre + ".l1", ad.leaky_relu(h)), fe)
+                   ad.gather_rows(hij, edges.row))
+        hidden = ad.add(nn.affine(ps, pre + ".l1", ad.leaky_relu(h)),
+                        ad.gather_rows(fe, edges.row))
         logits = ad.reshape(nn.affine(ps, f"score.{stage}.out", hidden), (edges.count,))
         return ad.softmax_grouped(logits, by_src, n_groups), fe
 
@@ -303,10 +309,11 @@ class Model:
 
     def regress_offset(self, grp: str, q_feats, cand_feats, fe: Tensor,
                        edges: EdgeSet, positions: np.ndarray) -> Tensor:
-        """Offset head on the selected decide edges; returns (N, 2) in goal frames."""
+        """Offset head on the selected decide edges, fe being the set's edge
+        embeddings by distinct row; returns (N, 2) in goal frames."""
         fi = ad.gather_rows(q_feats, edges.src[positions])
         fj = ad.gather_rows(cand_feats, edges.dst[positions])
-        fij = ad.gather_rows(fe, positions)
+        fij = ad.gather_rows(fe, edges.row[positions])
         return nn.mlp(self.ps, f"off.{grp}", ad.concat([fi, fj, fij], axis=1), 2)
 
     def complete_trajectory(self, grp: str, q_rows: Tensor, goal_local: Tensor):

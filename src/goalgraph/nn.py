@@ -103,14 +103,16 @@ def create_graph_attention_layer(ps: ParamStore, prefix: str, d_h: int, ffn_hidd
 def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
                           dst_feats: Tensor, edge_src, edge_dst, edge_emb: Tensor,
                           heads: int = 8, p_drop: float = 0.0, train: bool = False,
-                          rng=None) -> Tensor:
+                          rng=None, edge_row=None) -> Tensor:
     """Transformer-style attention over graph edges, then a residual FFN.
 
     Per head: query from dst, key and value from src with the projected edge
     embedding added to both; attention softmax runs over each destination
     node's in-edges. Destinations without in-edges pass through the
     skip + FFN path unchanged by attention. edge_src and edge_dst are id
-    arrays or their `ad.Segments` layouts.
+    arrays or their `ad.Segments` layouts; so is edge_row, each edge's row in
+    edge_emb when edges share rows (without it, edge_emb has a row per edge).
+    Edge embeddings are projected once per row, then gathered per edge.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
@@ -126,6 +128,8 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     if n_e:
         q = ad.gather_rows(affine(ps, f"{prefix}.q", d0), edge_dst)
         e = affine(ps, f"{prefix}.edge", edge_emb)
+        if edge_row is not None:
+            e = ad.gather_rows(e, edge_row)
         k = ad.add(ad.gather_rows(affine(ps, f"{prefix}.k", s), edge_src), e)
         v = ad.add(ad.gather_rows(affine(ps, f"{prefix}.v", s), edge_src), e)
         qh = ad.reshape(q, (n_e, heads, d_head))

@@ -121,12 +121,27 @@ class AdamW:
                 g = np.zeros_like(p.value)
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - c.beta1) * (g - m)
-            v += (1.0 - c.beta2) * (g * g - v)
-            upd = (m / b1c) / (np.sqrt(v / b2c) + c.adam_eps)
+            # in place, in this order:
+            #   m += (1 - beta1) (g - m);  v += (1 - beta2) (g g - v)
+            #   upd = (m / b1c) / (sqrt(v / b2c) + eps) [+ weight_decay p];  p -= lr upd
+            s, upd = np.empty((2,) + g.shape)
+            np.subtract(g, m, out=s)
+            s *= 1.0 - c.beta1
+            m += s
+            np.multiply(g, g, out=s)
+            s -= v
+            s *= 1.0 - c.beta2
+            v += s
+            np.divide(v, b2c, out=s)
+            np.sqrt(s, out=s)
+            s += c.adam_eps
+            np.divide(m, b1c, out=upd)
+            upd /= s
             if self.ps.decay[name]:
-                upd = upd + c.weight_decay * p.value
-            p.value -= lr * upd
+                np.multiply(p.value, c.weight_decay, out=s)
+                upd += s
+            upd *= lr
+            p.value -= upd
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Shared fixtures: hand-built scenes and small model configurations."""
+"""Shared fixtures: hand-built scenes, small model configurations and oracles."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, gen_scene
+
+
+def point_to_polyline_distance(xy, pts) -> float:
+    """Minimum distance from a point to a polyline (N, 2), one segment at a
+    time: the oracle for geometry.polyline_distances."""
+    p, pts = np.asarray(xy, dtype=float), np.asarray(pts, dtype=float)
+    best = math.inf
+    for a, b in zip(pts[:-1], pts[1:]):
+        ab = b - a
+        den = float(ab @ ab)
+        t = 0.0 if den < 1e-18 else min(max(float((p - a) @ ab) / den, 0.0), 1.0)
+        best = min(best, math.hypot(*(a + t * ab - p)))
+    return best
 
 
 def straight_lane(lane_id, x0, y0, length, width=3.7, n=None, heading=0.0, **kw):

@@ -418,7 +418,7 @@ def test_a4_oracle_equivalence():
 def _oracle_reachable(scene, agent_idx, cfg):
     """Dijkstra over (successor: +lane length, lateral neighbor: +0)."""
     from goalgraph.geometry import points_in_polygon
-    from goalgraph.geometry import point_to_polyline_distance as p2d
+    p2d = conftest.point_to_polyline_distance
     xy = scene.agents[agent_idx].states[scene.t_history - 1, 0:2]
     seeds = [i for i, l in enumerate(scene.lanes)
              if points_in_polygon(xy[None, :], l.polygon())[0]]

@@ -9,10 +9,10 @@ from goalgraph.geometry import (
     Pose2,
     normalize_angle,
     point_at_arclength,
-    point_to_polyline_distance,
     points_in_polygon,
     points_near_polygon_boundary,
     polyline_arclength,
+    polyline_distances,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -68,8 +68,8 @@ def test_point_at_arclength_clamps():
 
 def test_point_to_polyline_distance():
     pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-    assert point_to_polyline_distance((5.0, 3.0), pts) == pytest.approx(3.0)
-    assert point_to_polyline_distance((-4.0, 3.0), pts) == pytest.approx(5.0)
+    d = polyline_distances([(5.0, 3.0), (-4.0, 3.0)], [pts])
+    assert d[:, 0] == pytest.approx([3.0, 5.0])
 
 
 def test_points_in_polygon_square():

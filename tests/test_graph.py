@@ -22,7 +22,8 @@ from goalgraph.model import Model, ModelConfig
 from goalgraph.scene import Scene
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
+from conftest import (const_vel_track, dense_overlay, make_line_scene,
+                      point_to_polyline_distance, straight_lane)
 
 ang = st.floats(-math.pi, math.pi)
 coord = st.floats(-500, 500)
@@ -46,6 +47,7 @@ def test_rel_feat_nonfinite():
 @settings(max_examples=60)
 @given(coord, coord, ang, coord, coord, ang, coord, coord, ang)
 @example(xm=1e-08, ym=1.0, hm=0.0, xn=0.0, yn=1.0, hn=0.0, dx=0.0, dy=0.0, dth=2.0)
+@example(xm=1e-9, ym=0.0, hm=0.0, xn=0.0, yn=0.0, hn=0.0, dx=0.0, dy=0.0, dth=-3.0)
 def test_rel_feat_se2_invariant(xm, ym, hm, xn, yn, hn, dx, dy, dth):
     """A rigid move of both poses leaves the edge feature unchanged.
 
@@ -66,6 +68,22 @@ def test_rel_feat_se2_invariant(xm, ym, hm, xn, yn, hn, dx, dy, dth):
     cond = 16 * np.finfo(float).eps * big / d if d else 0.0
     assert np.allclose(f0[[0, 1, 4, 5]], f1[[0, 1, 4, 5]], atol=1e-9)
     assert np.allclose(f0[2:4], f1[2:4], atol=1e-9 + cond)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.5, -2.0, math.pi, -math.pi / 2])
+def test_rel_feat_bearing_fades_near_zero_distance(theta):
+    """The bearing has no jump where d crosses 1e-9 m and reads exactly
+    (sin, cos) = (0, 1) at d = 0 and at d = 1e-13 m."""
+    def feat(d):
+        return relative_edge_feature(Pose2(0.0, 0.0, 0.3),
+                                     Pose2(d * math.cos(theta + 0.3), d * math.sin(theta + 0.3), 1.0))
+
+    lo, hi = feat(1e-9 * (1 - 1e-12)), feat(1e-9 * (1 + 1e-12))
+    assert np.abs(lo - hi).max() < 1e-10
+    assert hi[3] == pytest.approx(math.cos(theta), abs=1e-6)
+    for d in (0.0, 1e-13):
+        f = feat(d)
+        assert (f[2], f[3]) == (0.0, 1.0) and math.copysign(1.0, f[2]) == 1.0
 
 
 def test_assign_poses_agent_and_lane(line_scene):
@@ -178,7 +196,7 @@ def _bfs_oracle(scene, agent_idx, cfg):
     """Independent reimplementation: Dijkstra-flavored BFS over successor and
     lateral-neighbor links with accumulated centerline length."""
     import heapq
-    from goalgraph.geometry import point_to_polyline_distance, points_in_polygon
+    from goalgraph.geometry import points_in_polygon
     pos = scene.agents[agent_idx].states[scene.t_history - 1, :2]
     seeds = [i for i, l in enumerate(scene.lanes)
              if points_in_polygon(pos[None, :], l.polygon())[0]]
@@ -307,13 +325,38 @@ def test_degenerate_scenes(kind):
     g = build_graph(sc, K=2)
     assert {t: e.count for t, e in g.edges.items()} == counts
     for e in g.edges.values():
-        assert e.feat.shape == (e.count, 6)
+        assert e.feat[e.row].shape == (e.count, 6)
     assert g.n_queries == 2 * len(g.predicted)
     assert all(not rb for rb in g.goal_rb.values())
     model = Model(ModelConfig(d_h=16, heads=2, K=2, ffn_hidden=32, dropout=0.0))
     preds = model.predict(sc)
     assert len(preds) == n_preds
     assert all(p.selected_lane_idx is None and np.isfinite(p.traj_scene).all() for p in preds)
+
+
+QUERY_SIDE = ("a_self_q", "a_soc_q", "l2q", "q2q", "dec_lane", "dec_nrb", "dec_point")
+
+
+@pytest.mark.parametrize("K", [1, 3, 6])
+def test_query_side_sets_share_rows_across_modes(K):
+    """Query-side sets keep one feature row per (agent, candidate) pair: at
+    most count / K rows, and one per agent for q2q. Rows are numbered in order
+    of first occurrence, so encoder sets keep one row per edge."""
+    scenes = ([gen_scene(STYLE_A, (43, i), f"s{i}") for i in range(3)]
+              + [dense_overlay(STYLE_B, 41, tiles=4), make_line_scene(n_vehicles=2, n_peds=2)])
+    for sc in scenes:
+        g = build_graph(sc, K=K)
+        lane = {q: (7 * int(a) + 3) % len(sc.lanes) for q, a in enumerate(g.query_agent)}
+        sets = dict(g.edges, dec_point=build_decide_point_edges(g, lane))
+        for et, e in sets.items():
+            assert e.row.shape == (e.count,) and len(e.feat) <= e.count
+            first = np.sort(np.unique(e.row, return_index=True)[1])
+            assert np.array_equal(e.row[first], np.arange(len(e.feat))), (sc.id, et)
+            if et in QUERY_SIDE:
+                assert len(e.feat) * K <= e.count, (sc.id, et)
+            else:
+                assert np.array_equal(e.row, np.arange(e.count)), (sc.id, et)
+        assert len(g.edges["q2q"].feat) == (g.n_queries // K if K > 1 else 0)
 
 
 # -- edge-order oracle: the per-pair loops graph.py used to build every edge set
@@ -495,12 +538,12 @@ def test_edge_sets_match_loop_oracle(kind, K):
                                          if k not in ("query", "reach", "nrb"))
             for et, e in got.items():
                 src, dst, feat, rel = want[et]
-                for a, b in ((e.src, src), (e.dst, dst), (e.feat, feat)):
+                for a, b in ((e.src, src), (e.dst, dst), (e.feat[e.row], feat)):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (sc.id, et)
                 if rel is None:
                     assert e.rel is None, et
                 else:
-                    assert e.rel.dtype == rel.dtype and np.array_equal(e.rel, rel)
+                    assert e.rel.dtype == rel.dtype and np.array_equal(e.rel[e.row], rel)
             for a, b in zip((g.query_agent, g.query_mode, g.query_pose), want["query"]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             for a, b in zip((g.nrb_owner, g.nrb_pose, g.nrb_radius, g.nrb_circle),

@@ -1,15 +1,22 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import goalgraph.autodiff as ad
+import goalgraph.graph as graph_mod
+import goalgraph.model as model_mod
+import goalgraph.training as training_mod
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
-from goalgraph.graph import build_graph
-from goalgraph.model import Model, ModelConfig, _local_to_scene, scene_to_local
+from goalgraph.graph import EdgeSet, build_graph
+from goalgraph.model import Model, ModelConfig, ModePrediction, _local_to_scene, scene_to_local
+from goalgraph.synthgen import STYLE_B
+from goalgraph.training import TrainConfig, compute_scene_loss
 
-from conftest import const_vel_track, make_line_scene, straight_lane
+from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
 from goalgraph.scene import Scene
 
 
@@ -248,3 +255,58 @@ def test_completion_cumsum_semantics():
     mu = ad.cumsum_axis(t, 0).value
     assert np.allclose(mu[:, 0], 0.1 * np.arange(1, 31))
     assert np.allclose(mu[:, 1], 0.0)
+
+
+# -- shared edge feature rows against a per-edge reference
+
+def _per_edge(e: EdgeSet) -> EdgeSet:
+    """The set with its own feature row for every edge."""
+    return EdgeSet(e.src, e.dst, e.feat[e.row], None if e.rel is None else e.rel[e.row])
+
+
+def _run_forward_and_loss(m, scene, g):
+    """Untaped predictions, then the taped training loss and every gradient."""
+    with ad.no_grad():
+        preds = m.forward(scene, graph=g).preds
+    m.ps.zero_grad()
+    fr = m.forward(scene, train=True, rng=np.random.default_rng(0), graph=g)
+    loss = compute_scene_loss(m, fr, scene, TrainConfig(dropout=0.0))[0]
+    loss.backward()
+    grads = {n: t.grad.copy() for n, t in m.ps.params.items() if t.grad is not None}
+    return preds, float(loss.value), grads
+
+
+@pytest.mark.parametrize("variant", ["goal", "baseline"])
+@pytest.mark.parametrize("kind", ["pedestrians", "dense"])
+def test_shared_edge_rows_match_per_edge_reference(kind, variant, monkeypatch):
+    """Embedding each distinct edge feature row once and gathering it per edge
+    gives bitwise the predictions of one row per edge; the taped loss and
+    gradients differ only in summation order."""
+    scene = (make_line_scene(n_vehicles=2, n_peds=2) if kind == "pedestrians"
+             else dense_overlay(STYLE_B, 41, tiles=4))
+    m = Model(ModelConfig(d_h=32, heads=4, K=6, ffn_hidden=64, dropout=0.0, variant=variant),
+              seed=2)
+    g = build_graph(scene, m.cfg.K, m.cfg.graph)
+    ref = copy.copy(g)
+    ref.edges = {et: _per_edge(e) for et, e in g.edges.items()}
+    assert sum(len(e.feat) for e in g.edges.values()) < sum(len(e.feat) for e in ref.edges.values())
+    shared = _run_forward_and_loss(m, scene, g)
+    with monkeypatch.context() as mp:
+        for mod in (model_mod, training_mod):  # teacher-forced and predicted point stages
+            mp.setattr(mod, "build_decide_point_edges",
+                       lambda gr, lanes: _per_edge(graph_mod.build_decide_point_edges(gr, lanes)))
+        want = _run_forward_and_loss(m, scene, ref)
+
+    (preds, loss, grads), (preds_ref, loss_ref, grads_ref) = shared, want
+    assert len(preds) == len(preds_ref) == m.cfg.K * len(g.predicted) > 0
+    for a, b in zip(preds, preds_ref):
+        for f in dataclasses.fields(ModePrediction):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+    assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+    assert grads.keys() == grads_ref.keys()
+    for n in grads:
+        assert np.abs(grads[n] - grads_ref[n]).max() <= 1e-12 * np.abs(grads_ref[n]).max(), n

@@ -133,6 +133,25 @@ def test_gal_matches_dense_oracle():
     assert np.allclose(out, oracle, atol=1e-9)
 
 
+def test_gal_edge_rows_match_per_edge_embeddings():
+    """With edge_row, each edge embedding row is projected once and gathered
+    per edge: the output of one embedding row per edge, and the same gradient."""
+    ps, src, dst, fe, edges = _gal_setup()
+    rows = np.array([1, 0, 1, 3])
+    outs, grads = [], []
+    for shared in (True, False):
+        fe.grad = None
+        out = (nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst, fe, heads=2,
+                                        edge_row=rows) if shared
+               else gal(ps, src, dst, edges, ad.gather_rows(fe, rows)))
+        ad.sum_all(ad.mul(out, out)).backward()
+        outs.append(out.value)
+        grads.append(fe.grad.copy())
+    assert np.array_equal(outs[0], outs[1])
+    assert np.allclose(grads[0], grads[1], rtol=1e-12, atol=0.0)
+    assert not grads[0][2].any()  # row 2 feeds no edge
+
+
 def test_gal_singleton_edge_weight_one():
     # one in-edge: attention output equals that edge's value row
     ps, src, dst, fe, _ = _gal_setup()

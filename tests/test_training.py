@@ -12,7 +12,7 @@ import goalgraph.nn as nn
 import goalgraph.training as training
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
-from goalgraph.geometry import point_to_polyline_distance, polyline_distances
+from goalgraph.geometry import polyline_distances
 from goalgraph.graph import HeteroGraph, reachable_lanes
 from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.scene import AgentTrack, LaneDef, Scene
@@ -34,7 +34,7 @@ from goalgraph.training import (
     train,
 )
 
-from conftest import dense_overlay, make_line_scene
+from conftest import dense_overlay, make_line_scene, point_to_polyline_distance
 
 
 # --- the taped losses training runs, against closed forms ----------------------
