@@ -463,8 +463,9 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(xhat * gain.value + bias.value, (a, gain, bias), bw)
 
 
-def dropout(a, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    if not train or p <= 0.0:
+def dropout(a, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout with rate p, drawn from rng; the identity without rng."""
+    if rng is None or p <= 0.0:
         return _as_tensor(a)
     a = _as_tensor(a)
     keep = (rng.random(a.value.shape) >= p) / (1.0 - p)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import ConfigError, DataError, GoalGraphError, NumericError
 from .model import ModelConfig
 from .scene import load_dataset, load_scene
 from .svg import render_scene_svg
-from .training import TrainConfig, load_model, train
+from .training import TrainConfig, load_model, train, write_json
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -45,17 +46,17 @@ def write_manifest(out_dir: str, command: str, config: dict, seed: int,
         "outputs": sorted(outputs),
         "duration_s": round(time.time() - t0, 3),
     }
-    path = os.path.join(out_dir, "run_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
-    os.replace(tmp, path)
+    write_json(os.path.join(out_dir, "run_manifest.json"), manifest, indent=1)
 
 
 def _seed_override(seed: int) -> int:
+    """GOALGRAPH_SEED when set, else `seed`; a seed is an integer >= 0."""
     env = os.environ.get("GOALGRAPH_SEED")
-    return int(env) if env else seed
+    value = env or str(seed)
+    if not (value.isascii() and value.isdigit()):
+        raise ConfigError(f"{'GOALGRAPH_SEED' if env else 'seed'} must be an integer >= 0, "
+                          f"got {value!r}")
+    return int(value)
 
 
 def _load_json(path: str) -> dict:
@@ -72,10 +73,9 @@ def _load_json(path: str) -> dict:
 
 
 def _model_config(mdict: dict, dataset: list, variant: str) -> ModelConfig:
-    """The --model-config settings for `variant`; the time horizons default
-    to the dataset's."""
-    return ModelConfig.from_dict({"T_h": dataset[0].t_history, "T_f": dataset[0].t_future,
-                                  **mdict, "variant": variant})
+    """The --model-config settings for `variant`; the future horizon
+    defaults to the dataset's."""
+    return ModelConfig.from_dict({"T_f": dataset[0].t_future, **mdict, "variant": variant})
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,7 @@ def cmd_evaluate(args) -> int:
     t0 = time.time()
     model = load_model(args.model)
     dataset = load_dataset(args.data)
-    rep = metrics_mod.evaluate(model, dataset, ks=tuple(args.k),
-                               brier_literal=model.cfg.brier_literal)
+    rep = metrics_mod.evaluate(model, dataset, ks=tuple(args.k))
     csv_path = args.out
     json_path = os.path.splitext(args.out)[0] + ".json"
     metrics_mod.write_report(rep, csv_path, json_path,
@@ -171,13 +170,13 @@ def cmd_compare(args) -> int:
     data_b = load_dataset(args.data_b)
     tdict = _load_json(args.train_config) if args.train_config else {}
     mdict = _load_json(args.model_config) if args.model_config else {}
+    tcfgs = [replace(TrainConfig.from_dict(tdict), seed=seed) for seed in args.seeds]
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for variant in ("goal", "baseline"):
-        for seed in args.seeds:
-            tcfg = TrainConfig.from_dict(tdict)
-            tcfg.seed = seed
-            mcfg = _model_config(mdict, data_a, variant)
+        mcfg = _model_config(mdict, data_a, variant)
+        for tcfg in tcfgs:
+            seed = tcfg.seed
             run_dir = os.path.join(args.out, f"{variant}_seed{seed}")
             try:
                 model, _ = train(data_a, tcfg, mcfg, out_dir=run_dir,

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Segments
+from .config import Config
 from .errors import ConfigError, InvalidInputError, StructuralError
 from .geometry import Pose2, points_in_polygon, polyline_distances
 from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene
@@ -23,7 +23,7 @@ NRB_CIRCLE_PERIOD = 1.0  # s per circle index
 
 
 @dataclass(frozen=True)
-class GraphConfig:
+class GraphConfig(Config):
     """Connection radii and caps for graph construction (meters / steps)."""
 
     lane_to_lane_radius: float = 125.0
@@ -34,13 +34,6 @@ class GraphConfig:
     query_lane_radius: float = 150.0
     reach_distance_cap: float = 150.0
     seed_lane_radius: float = 50.0
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"graph config value of the wrong type: "
-                                  f"{name} must be a real number, got {v!r}")
 
 
 def relative_edge_feature(pose_m: Pose2, pose_n: Pose2, dt=None):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .config import Config
 from .errors import ConfigError, StructuralError
 from .graph import (
     LANE_RELATIONS,
@@ -29,57 +29,25 @@ B_FLOOR = 1e-3
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     d_h: int = 128
     heads: int = 8
     K: int = 6
-    T_h: int = 10
     T_f: int = 30
-    dropout: float = 0.1
+    dropout: float = 0.1  # applied when the forward pass is given an rng
     variant: str = "goal"  # or "baseline"
     ffn_hidden: int = 512
     graph: GraphConfig = field(default_factory=GraphConfig)
-    brier_literal: bool = False  # see metrics.agent_metrics
 
-    def __post_init__(self):
-        for names, kind, what in ((("d_h", "heads", "K", "T_h", "T_f", "ffn_hidden"),
-                                   numbers.Integral, "an integer"),
-                                  (("dropout",), numbers.Real, "a real number"),
-                                  (("brier_literal",), bool, "a bool"),
-                                  (("variant",), str, "a str")):
-            for n in names:
-                v = getattr(self, n)
-                if (isinstance(v, bool) and kind is not bool) or not isinstance(v, kind):
-                    raise ConfigError(f"model config value of the wrong type: "
-                                      f"{n} must be {what}, got {v!r}")
+    def check(self):
         if self.d_h % self.heads:
             raise ConfigError(f"d_h={self.d_h} not divisible by heads={self.heads}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.variant not in ("goal", "baseline"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-
-    def to_dict(self):
-        d = self.__dict__.copy()
-        d["graph"] = self.graph.__dict__.copy()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if not isinstance(d.get("graph", {}), dict):
-            raise ConfigError("model config 'graph' must be a JSON object")
-        bad = sorted(set(d) - set(cls.__dataclass_fields__))
-        bad += [f"graph.{k}" for k in sorted(set(d.get("graph", {}))
-                                             - set(GraphConfig.__dataclass_fields__))]
-        if bad:
-            raise ConfigError(f"unknown model config keys: {bad}")
-        if "graph" in d:
-            d["graph"] = GraphConfig(**d["graph"])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"model config value of the wrong type: {e}") from e
 
 
 @dataclass
@@ -241,30 +209,28 @@ class Model:
         is shared by every block that consumes its edge set."""
         return {et: self.embed_edge(et, g.edges[et]) for et in EDGE_TYPES}
 
-    def _gal(self, prefix, src, dst, g: HeteroGraph, eemb: dict, etype, train, rng):
+    def _gal(self, prefix, src, dst, g: HeteroGraph, eemb: dict, etype, rng):
         edges = g.edges[etype]
         return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.by_src, edges.by_dst,
                                         eemb[etype], heads=self.cfg.heads,
-                                        p_drop=self.cfg.dropout, train=train, rng=rng,
-                                        edge_row=edges.row)
+                                        p_drop=self.cfg.dropout, rng=rng, edge_row=edges.row)
 
-    def encode(self, g: HeteroGraph, feats: dict, eemb: dict, train=False, rng=None) -> dict:
-        lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], g, eemb, "p2l", train, rng)
-        lane = self._gal("enc.map.l2l", lane, lane, g, eemb, "l2l", train, rng)
+    def encode(self, g: HeteroGraph, feats: dict, eemb: dict, rng=None) -> dict:
+        lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], g, eemb, "p2l", rng)
+        lane = self._gal("enc.map.l2l", lane, lane, g, eemb, "l2l", rng)
         agent = feats["agent"]
         for r in range(2):
-            agent = self._gal(f"enc.agent{r}.suc", agent, agent, g, eemb, "a_suc", train, rng)
-            agent = self._gal(f"enc.agent{r}.soc", agent, agent, g, eemb, "a_soc", train, rng)
-            agent = self._gal(f"enc.agent{r}.ti", lane, agent, g, eemb, "l2a", train, rng)
+            agent = self._gal(f"enc.agent{r}.suc", agent, agent, g, eemb, "a_suc", rng)
+            agent = self._gal(f"enc.agent{r}.soc", agent, agent, g, eemb, "a_soc", rng)
+            agent = self._gal(f"enc.agent{r}.ti", lane, agent, g, eemb, "l2a", rng)
         return {"agent": agent, "lane": lane, "point": feats["point"], "nrb": feats["nrb"]}
 
-    def decode_queries(self, g: HeteroGraph, enc: dict, q: Tensor, eemb: dict,
-                       train=False, rng=None) -> Tensor:
+    def decode_queries(self, g: HeteroGraph, enc: dict, q: Tensor, eemb: dict, rng=None) -> Tensor:
         for r in range(2):
-            q = self._gal(f"dec.q{r}.self", enc["agent"], q, g, eemb, "a_self_q", train, rng)
-            q = self._gal(f"dec.q{r}.soc", enc["agent"], q, g, eemb, "a_soc_q", train, rng)
-            q = self._gal(f"dec.q{r}.ti", enc["lane"], q, g, eemb, "l2q", train, rng)
-            q = self._gal(f"dec.q{r}.mode", q, q, g, eemb, "q2q", train, rng)
+            q = self._gal(f"dec.q{r}.self", enc["agent"], q, g, eemb, "a_self_q", rng)
+            q = self._gal(f"dec.q{r}.soc", enc["agent"], q, g, eemb, "a_soc_q", rng)
+            q = self._gal(f"dec.q{r}.ti", enc["lane"], q, g, eemb, "l2q", rng)
+            q = self._gal(f"dec.q{r}.mode", q, q, g, eemb, "q2q", rng)
         return q
 
     # ------------------------------------------------------------------
@@ -354,26 +320,26 @@ class Model:
     # ------------------------------------------------------------------
     # full forward passes
 
-    def forward(self, scene: Scene, train: bool = False, rng=None,
-                graph: HeteroGraph | None = None) -> ForwardResult:
-        """`graph`, when given, must be build_graph(scene, cfg.K, cfg.graph)."""
+    def forward(self, scene: Scene, rng=None, graph: HeteroGraph | None = None) -> ForwardResult:
+        """Dropout runs when `rng` is given. `graph`, when given, must be
+        build_graph(scene, cfg.K, cfg.graph)."""
         g = graph if graph is not None else build_graph(scene, self.cfg.K, self.cfg.graph)
         if g.K != self.cfg.K:
             raise ConfigError(f"graph built for K={g.K}, model has K={self.cfg.K}")
         feats = self.embed_nodes(g)
         eemb = self.embed_edges(g)
-        enc = self.encode(g, feats, eemb, train, rng)
-        q = self.decode_queries(g, enc, feats["query"], eemb, train, rng)
+        enc = self.encode(g, feats, eemb, rng)
+        q = self.decode_queries(g, enc, feats["query"], eemb, rng)
         fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
         if g.n_queries == 0:
             return fr
         if self.cfg.variant == "goal":
-            self._forward_goal(fr, train)
+            self._forward_goal(fr)
         else:
             self._forward_baseline(fr)
         return fr
 
-    def _forward_goal(self, fr: ForwardResult, train: bool):
+    def _forward_goal(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
         K, T_f, n = self.cfg.K, self.cfg.T_f, g.n_queries
         rb = np.array([g.goal_rb[a] for a in g.query_agent.tolist()], dtype=bool)
@@ -450,7 +416,7 @@ class Model:
     def predict(self, scene: Scene) -> list:
         """Inference: K ModePredictions per predicted agent."""
         with ad.no_grad():
-            return self.forward(scene, train=False).preds
+            return self.forward(scene).preds
 
 
 def _local_to_scene(pts_local: np.ndarray, pose: np.ndarray) -> np.ndarray:

@@ -102,8 +102,7 @@ def create_graph_attention_layer(ps: ParamStore, prefix: str, d_h: int, ffn_hidd
 
 def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
                           dst_feats: Tensor, edge_src, edge_dst, edge_emb: Tensor,
-                          heads: int = 8, p_drop: float = 0.0, train: bool = False,
-                          rng=None, edge_row=None) -> Tensor:
+                          heads: int = 8, p_drop: float = 0.0, rng=None, edge_row=None) -> Tensor:
     """Transformer-style attention over graph edges, then a residual FFN.
 
     Per head: query from dst, key and value from src with the projected edge
@@ -113,6 +112,7 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     arrays or their `ad.Segments` layouts; so is edge_row, each edge's row in
     edge_emb when edges share rows (without it, edge_emb has a row per edge).
     Edge embeddings are projected once per row, then gathered per edge.
+    Dropout with rate p_drop runs when rng is given.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
@@ -142,11 +142,11 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
         attn = ad.add(affine(ps, f"{prefix}.skip", d0), msg)
     else:
         attn = affine(ps, f"{prefix}.skip", d0)
-    x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, train, rng))
+    x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, rng))
 
     h = layer_norm(ps, f"{prefix}.ln_ffn", x1)
     h = affine(ps, f"{prefix}.ffn.l0", h)
-    h = ad.dropout(ad.leaky_relu(h), p_drop, train, rng)
+    h = ad.dropout(ad.leaky_relu(h), p_drop, rng)
     h = affine(ps, f"{prefix}.ffn.l1", h)
     return ad.add(x1, h)
 

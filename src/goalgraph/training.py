@@ -7,13 +7,14 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .config import Config
 from .errors import ConfigError, DataError, NumericError
 from .geometry import polyline_distances
 from .graph import build_decide_point_edges
@@ -22,7 +23,7 @@ from .scene import AgentTrack, Scene
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     lr_peak: float = 5e-4
     beta1: float = 0.9
     beta2: float = 0.95
@@ -30,7 +31,6 @@ class TrainConfig:
     warmup_epochs: int = 1
     total_epochs: int = 40
     batch_size: int = 64
-    dropout: float = 0.1
     aug_scale_min: float = 0.8
     aug_scale_max: float = 1.2
     aug_drop_frac: float = 0.10
@@ -41,27 +41,15 @@ class TrainConfig:
     seed: int = 0
     adam_eps: float = 1e-8
 
-    def __post_init__(self):
+    def check(self):
         if self.warmup_epochs >= self.total_epochs:
             raise ConfigError("warmup_epochs must be < total_epochs")
         for f_ in ("lr_peak", "batch_size", "total_epochs", "traj_loss_weight",
                    "focal_alpha", "huber_delta"):
             if getattr(self, f_) <= 0:
                 raise ConfigError(f"{f_} must be positive")
-
-    def to_dict(self):
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        bad = set(d) - known
-        if bad:
-            raise ConfigError(f"unknown train config keys: {sorted(bad)}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"train config value of the wrong type: {e}") from e
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -188,12 +176,7 @@ def select_winner_baseline(preds_k: list, gt_endpoint: np.ndarray) -> int:
 
 def _supervised_agents(scene: Scene, graph) -> list:
     """Predicted agents with a fully valid future."""
-    out = []
-    for i in graph.predicted:
-        fut = scene.agents[i].valid[scene.t_history:]
-        if fut.all():
-            out.append(i)
-    return out
+    return [i for i in graph.predicted if scene.agents[i].valid[scene.t_history:].all()]
 
 
 def nearest_lanes(scene: Scene, points, candidates: list) -> tuple[list, list]:
@@ -352,16 +335,21 @@ def augment_scene(scene: Scene, rng: np.random.Generator,
 
 def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | None = None,
           augment: bool = True, log_every: int = 0, callback=None) -> tuple[Model, list]:
-    """Returns (model, per-epoch log rows). Deterministic for a fixed seed.
+    """Returns (model, per-epoch log rows). Deterministic for a fixed seed. A
+    scene whose future is not mcfg.T_f steps is a DataError before any step.
 
     callback(epoch, model), when given, runs after every epoch; a truthy
     return stops training early.
     """
     if not dataset:
         raise ConfigError("empty dataset")
+    for scene in dataset:
+        if scene.t_future != mcfg.T_f:
+            raise DataError(f"scene {scene.id} has a future of {scene.t_future} steps, "
+                            f"the model config T_f={mcfg.T_f}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    model = Model(replace(mcfg, dropout=tcfg.dropout), seed=tcfg.seed)
+    model = Model(mcfg, seed=tcfg.seed)
     opt = AdamW(model.ps, tcfg)
     ss = np.random.SeedSequence(tcfg.seed)
     shuffle_rng, aug_rng, drop_rng = (np.random.default_rng(s) for s in ss.spawn(3))
@@ -406,10 +394,7 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
             step += 1
             lr = lr_schedule(step, total_steps, warmup_steps, tcfg.lr_peak)
             opt.step(lr)
-        row = {"epoch": epoch,
-               "loss": float(np.mean(ep_terms["loss"])) if ep_terms["loss"] else 0.0,
-               **{k: (float(np.mean(v)) if v else 0.0)
-                  for k, v in ep_terms.items() if k != "loss"},
+        row = {"epoch": epoch, **{k: float(np.mean(v)) if v else 0.0 for k, v in ep_terms.items()},
                "lr": lr}
         log_rows.append(row)
         if log_every and epoch % log_every == 0:
@@ -429,7 +414,7 @@ def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, graph):
     accumulating into the parameter grads. Returns (loss value, terms, graph),
     with (None, {}) first without a supervised agent. The scene's tape is
     released on return, so a batch holds one tape at a time."""
-    fr = model.forward(scene, train=tcfg.dropout > 0, rng=rng, graph=graph)
+    fr = model.forward(scene, rng=rng, graph=graph)
     loss, terms, _ = compute_scene_loss(model, fr, scene, tcfg)
     if loss is None:
         return None, {}, fr.graph
@@ -445,12 +430,19 @@ def write_loss_log(rows: list, path: str) -> None:
                     f"{r['l_goal']:.10g},{r['l_traj']:.10g},{r['lr']:.10g}\n")
 
 
-def save_model(model: Model, path: str) -> None:
-    """Checkpoint with the model config embedded as an extra manifest entry."""
-    nn.save_checkpoint(model.ps, path)
-    with open(path + ".config.json", "w", encoding="utf-8") as f:
-        json.dump(model.cfg.to_dict(), f, sort_keys=True)
+def write_json(path: str, obj, indent=None) -> None:
+    """obj as sorted-key JSON and a newline, written to path.tmp, then moved to path."""
+    with open(path + ".tmp", "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=indent)
         f.write("\n")
+    os.replace(path + ".tmp", path)
+
+
+def save_model(model: Model, path: str) -> None:
+    """Checkpoint at `path`, and the model config in the sidecar
+    `path`.config.json; each is written whole, then moved in place."""
+    nn.save_checkpoint(model.ps, path)
+    write_json(path + ".config.json", model.cfg.to_dict())
 
 
 def load_model(path: str) -> Model:
@@ -463,6 +455,6 @@ def load_model(path: str) -> Model:
             cfg = ModelConfig.from_dict(json.load(f))
     except OSError as e:
         raise DataError(f"cannot read model config {cfg_path}: {e.strerror}") from e
-    except (ValueError, TypeError, ConfigError) as e:
+    except (ValueError, ConfigError) as e:
         raise DataError(f"{cfg_path}: malformed model config: {e}") from e
     return Model(cfg, ps=ps)

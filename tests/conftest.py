@@ -113,5 +113,4 @@ def synth_scene():
 @pytest.fixture
 def small_mcfg():
     from goalgraph.model import ModelConfig
-    return ModelConfig(d_h=32, heads=4, K=3, T_h=10, T_f=30,
-                       ffn_hidden=64, dropout=0.0)
+    return ModelConfig(d_h=32, heads=4, K=3, T_f=30, ffn_hidden=64, dropout=0.0)

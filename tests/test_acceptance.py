@@ -59,7 +59,7 @@ def record(name, ok, detail):
 
 def test_a1_se2_invariance():
     t0 = time.time()
-    m = Model(ModelConfig(d_h=16, heads=4, K=2, T_h=10, T_f=30, dropout=0.0), seed=0)
+    m = Model(ModelConfig(d_h=16, heads=4, K=2, T_f=30, dropout=0.0), seed=0)
     rng = np.random.default_rng(11)
     worst_feat, worst_pred = 0.0, 0.0
     for i in range(100):
@@ -123,20 +123,20 @@ def _a2_staged_groups(m, scene, g, tcfg):
         feats0 = m.embed_nodes(g)
         lane_ck = [feats0["lane"]]
         lane_ck.append(m._gal("enc.map.p2l", feats0["point"], lane_ck[-1],
-                              g, eemb, "p2l", False, None))
+                              g, eemb, "p2l", None))
         lane_ck.append(m._gal("enc.map.l2l", lane_ck[-1], lane_ck[-1],
-                              g, eemb, "l2l", False, None))
+                              g, eemb, "l2l", None))
         a_ck = [feats0["agent"]]
         for name, et in ENC_LAYERS[2:]:
             src = lane_ck[2] if et == "l2a" else a_ck[-1]
-            a_ck.append(m._gal(name, src, a_ck[-1], g, eemb, et, False, None))
+            a_ck.append(m._gal(name, src, a_ck[-1], g, eemb, et, None))
         enc0 = {"agent": a_ck[6], "lane": lane_ck[2],
                 "point": feats0["point"], "nrb": feats0["nrb"]}
         q_ck = [feats0["query"]]
         for name, et in DEC_LAYERS:
             src = enc0["lane"] if et == "l2q" else (q_ck[-1] if et == "q2q"
                                                     else enc0["agent"])
-            q_ck.append(m._gal(name, src, q_ck[-1], g, eemb, et, False, None))
+            q_ck.append(m._gal(name, src, q_ck[-1], g, eemb, et, None))
 
     def restore():
         eemb.update(pristine)
@@ -146,7 +146,7 @@ def _a2_staged_groups(m, scene, g, tcfg):
 
     def tail(q, enc):
         fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
-        m._forward_goal(fr, False)
+        m._forward_goal(fr)
         return compute_scene_loss(m, fr, scene, tcfg)[0]
 
     def decode_from(pos, enc=enc0, qf=None, et=None):
@@ -157,7 +157,7 @@ def _a2_staged_groups(m, scene, g, tcfg):
             if pos <= step:
                 src = enc["lane"] if et2 == "l2q" else (q if et2 == "q2q"
                                                         else enc["agent"])
-                q = m._gal(name, src, q, g, eemb, et2, False, None)
+                q = m._gal(name, src, q, g, eemb, et2, None)
         return tail(q, enc)
 
     def encode_from(pos, feats=None, et=None):
@@ -168,12 +168,12 @@ def _a2_staged_groups(m, scene, g, tcfg):
         for step, (name, et2) in enumerate(ENC_LAYERS[:2]):
             if pos <= step:
                 src = f["point"] if step == 0 else lane
-                lane = m._gal(name, src, lane, g, eemb, et2, False, None)
+                lane = m._gal(name, src, lane, g, eemb, et2, None)
         agent = a_ck[min(max(pos - 2, 0), 6)] if feats is None else f["agent"]
         for step, (name, et2) in enumerate(ENC_LAYERS[2:], start=2):
             if pos <= step:
                 src = lane if et2 == "l2a" else agent
-                agent = m._gal(name, src, agent, g, eemb, et2, False, None)
+                agent = m._gal(name, src, agent, g, eemb, et2, None)
         enc = {"agent": agent, "lane": lane, "point": f["point"], "nrb": f["nrb"]}
         return decode_from(0, enc=enc, qf=f["query"])
 
@@ -224,9 +224,8 @@ def test_a2_gradient_correctness():
     t0 = time.time()
     scene = make_line_scene(t_history=4, t_future=10, n_lanes=1, lane_len=40.0,
                             n_vehicles=3)
-    mcfg = ModelConfig(d_h=16, heads=4, K=2, T_h=4, T_f=10, ffn_hidden=8,
-                       dropout=0.0)
-    tcfg = TrainConfig(dropout=0.0, seed=0)
+    mcfg = ModelConfig(d_h=16, heads=4, K=2, T_f=10, ffn_hidden=8, dropout=0.0)
+    tcfg = TrainConfig(seed=0)
     m = Model(mcfg, seed=0)
     g = build_graph(scene, mcfg.K, mcfg.graph)
     groups, restore = _a2_staged_groups(m, scene, g, tcfg)

@@ -152,9 +152,8 @@ def test_layer_norm_grad():
 
 def test_dropout_identity_cases():
     t = tensor((5, 4), seed=3)
-    assert np.array_equal(ad.dropout(t, 0.3, train=False).value, t.value)
-    assert np.array_equal(
-        ad.dropout(t, 0.0, train=True, rng=np.random.default_rng(0)).value, t.value)
+    assert np.array_equal(ad.dropout(t, 0.3).value, t.value)
+    assert np.array_equal(ad.dropout(t, 0.0, rng=np.random.default_rng(0)).value, t.value)
 
 
 def test_softmax_grouped_basic():

@@ -91,17 +91,28 @@ def test_train_missing_config_file(workdir, tmp_path):
     ("--train-config", "4", "must hold a JSON object"),
     ("--model-config", {"graph": {"social_radius": "5"}}, "social_radius must be a real number"),
     ("--model-config", {"graph": {"max_successor_gap": True}},
-     "max_successor_gap must be a real number"),
+     "max_successor_gap must be an integer"),
     ("--model-config", {"K": True}, "K must be an integer"),
     ("--model-config", {"T_f": 30.5}, "T_f must be an integer"),
     ("--model-config", {"d_h": 16.0, "heads": 4}, "d_h must be an integer"),
     ("--model-config", {"dropout": "0.1"}, "dropout must be a real number"),
-    ("--model-config", {"brier_literal": 1}, "brier_literal must be a bool"),
+    ("--model-config", {"T_h": 10, "brier_literal": 1},
+     "unknown ModelConfig keys: ['T_h', 'brier_literal']"),
+    ("--model-config", {"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
+    ("--model-config", {"dropout": -0.1}, "dropout must be in [0, 1), got -0.1"),
+    ("--train-config", {"total_epochs": 2.5}, "total_epochs must be an integer"),
+    ("--train-config", {"batch_size": True}, "batch_size must be an integer"),
+    ("--train-config", {"seed": 1.5}, "seed must be an integer"),
+    ("--train-config", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("--train-config", {"dropout": 0.1}, "unknown TrainConfig keys: ['dropout']"),
 ], ids=["top-level", "graph", "graph-not-object", "not-object", "wrong-type",
         "train-wrong-type", "train-not-object", "graph-wrong-type", "graph-bool",
-        "int-bool", "int-float", "int-float-divisible", "real-str", "bool-int"])
+        "int-bool", "int-float", "int-float-divisible", "real-str", "removed-keys",
+        "dropout-one", "dropout-negative", "train-int-float", "train-int-bool",
+        "train-seed-float", "train-seed-negative", "train-dropout"])
 def test_unknown_model_config_key(workdir, tmp_path, command, flag, cfg, bad):
-    """Config files that are valid JSON but not a valid config exit 2, with no traceback."""
+    """Config files that are valid JSON but not a valid config exit 2, with no traceback.
+    Dropout is a model config key only; T_h and brier_literal are keys no longer."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     data = str(workdir / "data")
@@ -186,6 +197,64 @@ def test_evaluate_checkpoint_without_config(workdir, tmp_path, sidecar):
                 "--out", str(tmp_path / "report.csv"))
     assert r.returncode == 3, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("key", ["T_h", "brier_literal"])
+def test_evaluate_sidecar_with_removed_key(workdir, tmp_path, key):
+    """A sidecar that still holds a key ModelConfig no longer has exits 3 and names it."""
+    ckpt = tmp_path / "old.ckpt"
+    ckpt.write_bytes((workdir / "run" / "model.ckpt").read_bytes())
+    cfg = json.loads((workdir / "run" / "model.ckpt.config.json").read_text())
+    (tmp_path / "old.ckpt.config.json").write_text(json.dumps({**cfg, key: 0}))
+    r = run_cli("evaluate", "--model", str(ckpt), "--data", str(workdir / "data"),
+                "--out", str(tmp_path / "report.csv"))
+    assert r.returncode == 3, r.stderr
+    assert f"'{key}'" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_model_config_dropout_is_trained_and_recorded(workdir, tmp_path):
+    """A model config's dropout is the rate the model trains with, and the
+    one its sidecar and the run manifest record."""
+    (tmp_path / "mcfg.json").write_text(json.dumps({**MCFG, "dropout": 0.3}))
+    out = tmp_path / "run"
+    r = run_cli("train", "--data", str(workdir / "data"),
+                "--model-config", str(tmp_path / "mcfg.json"),
+                "--train-config", str(workdir / "tcfg.json"), "--out", str(out), "--no-augment")
+    assert r.returncode == 0, r.stderr
+    sidecar = json.loads((out / "model.ckpt.config.json").read_text())
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sidecar["dropout"] == manifest["config"]["model"]["dropout"] == 0.3
+    assert (out / "model.ckpt").read_bytes() != (workdir / "run" / "model.ckpt").read_bytes()
+
+
+def test_train_horizon_mismatch(workdir, tmp_path):
+    """A model T_f other than the data's future length is a data error
+    before the first step, naming the scene and both lengths."""
+    (tmp_path / "mcfg.json").write_text(json.dumps({**MCFG, "T_f": 20}))
+    r = run_cli("train", "--data", str(workdir / "data"),
+                "--model-config", str(tmp_path / "mcfg.json"), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    assert "scene A_7_00000" in r.stderr and "30 steps" in r.stderr and "T_f=20" in r.stderr
+    assert not (tmp_path / "o" / "ckpt_latest.ckpt").exists()
+
+
+@pytest.mark.parametrize("command,args,env,bad", [
+    ("generate", ["--seed", "-1"], None, "seed must be an integer >= 0, got '-1'"),
+    ("generate", ["--seed", "1"], {"GOALGRAPH_SEED": "abc"},
+     "GOALGRAPH_SEED must be an integer >= 0, got 'abc'"),
+    ("train", [], {"GOALGRAPH_SEED": "-1"}, "GOALGRAPH_SEED must be an integer >= 0, got '-1'"),
+    ("compare", ["--seeds", "3", "-1"], None, "seed must be >= 0, got -1"),
+], ids=["generate", "env-not-integer", "env-negative", "compare"])
+def test_seed_below_zero(workdir, tmp_path, command, args, env, bad):
+    """A seed below 0 or a malformed GOALGRAPH_SEED exits 2 before any work."""
+    data = str(workdir / "data")
+    where = {"generate": ["--style", "A", "--n", "1"], "train": ["--data", data],
+             "compare": ["--data-a", data, "--data-b", data]}[command]
+    out = tmp_path / "o"
+    r = run_cli(command, *where, *args, "--out", str(out), env=env)
+    assert r.returncode == 2, r.stderr
+    assert bad in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_train_missing_data_dir(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import goalgraph.model as model_mod
 import goalgraph.training as training_mod
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
-from goalgraph.graph import EdgeSet, build_graph
+from goalgraph.graph import EdgeSet, GraphConfig, build_graph
 from goalgraph.model import Model, ModelConfig, ModePrediction, _local_to_scene, scene_to_local
 from goalgraph.synthgen import STYLE_B
 from goalgraph.training import TrainConfig, compute_scene_loss
@@ -21,8 +22,8 @@ from goalgraph.scene import Scene
 
 
 def small_model(variant="goal", K=3, seed=0):
-    cfg = ModelConfig(d_h=32, heads=4, K=K, T_h=10, T_f=30,
-                      ffn_hidden=64, dropout=0.0, variant=variant)
+    cfg = ModelConfig(d_h=32, heads=4, K=K, T_f=30, ffn_hidden=64, dropout=0.0,
+                      variant=variant)
     return Model(cfg, seed=seed)
 
 
@@ -33,12 +34,32 @@ def test_config_validation():
         ModelConfig(K=0)
     with pytest.raises(ConfigError):
         ModelConfig(variant="other")
+    for bad in (-0.1, 1.0, math.nan):
+        with pytest.raises(ConfigError, match="dropout must be in"):
+            ModelConfig(dropout=bad)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 def test_config_roundtrip():
-    cfg = ModelConfig(d_h=64, heads=8, K=6, brier_literal=True)
-    cfg2 = ModelConfig.from_dict(cfg.to_dict())
-    assert cfg2 == cfg
+    """from_dict(to_dict(c)) == c through JSON for each config, at its
+    defaults and with every field away from its default."""
+    graph = GraphConfig(**{f.name: f.default + 1 for f in dataclasses.fields(GraphConfig)})
+    changed = [
+        graph,
+        ModelConfig(d_h=64, heads=4, K=2, T_f=12, dropout=0.25, variant="baseline",
+                    ffn_hidden=32, graph=graph),
+        TrainConfig(lr_peak=1e-3, beta1=0.8, beta2=0.9, weight_decay=0.0, warmup_epochs=2,
+                    total_epochs=5, batch_size=3, aug_scale_min=0.9, aug_scale_max=1.1,
+                    aug_drop_frac=0.0, traj_loss_weight=2.0, focal_alpha=0.5,
+                    focal_gamma=1.0, huber_delta=0.5, seed=7, adam_eps=1e-6),
+    ]
+    for cfg in changed:
+        default = type(cfg)()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(cfg))
+        for c in (default, cfg):
+            assert type(c).from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
 
 def test_prediction_counts(synth_scene):
@@ -152,7 +173,7 @@ def test_forward_rejects_graph_built_for_other_K(line_scene, graph_K):
 
 def test_mode_queries_differ(line_scene):
     m = small_model(K=2)
-    fr = m.forward(line_scene, train=False)
+    fr = m.forward(line_scene)
     q = fr.query_feats.value
     assert not np.allclose(q[0], q[1])
 
@@ -216,7 +237,7 @@ def test_predict_equals_taped_forward(synth_scene, variant):
     m = small_model(variant=variant, K=3)
     for sc in (synth_scene, make_line_scene(n_vehicles=2, n_peds=1)):
         fast = m.predict(sc)
-        taped = m.forward(sc, train=False).preds
+        taped = m.forward(sc).preds
         assert len(fast) == len(taped) > 0
         for a, b in zip(fast, taped):
             assert a.score == b.score
@@ -269,8 +290,8 @@ def _run_forward_and_loss(m, scene, g):
     with ad.no_grad():
         preds = m.forward(scene, graph=g).preds
     m.ps.zero_grad()
-    fr = m.forward(scene, train=True, rng=np.random.default_rng(0), graph=g)
-    loss = compute_scene_loss(m, fr, scene, TrainConfig(dropout=0.0))[0]
+    fr = m.forward(scene, rng=np.random.default_rng(0), graph=g)
+    loss = compute_scene_loss(m, fr, scene, TrainConfig())[0]
     loss.backward()
     grads = {n: t.grad.copy() for n, t in m.ps.params.items() if t.grad is not None}
     return preds, float(loss.value), grads

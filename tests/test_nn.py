@@ -71,7 +71,7 @@ def test_mlp_matches_matrix_oracle():
 
 def gal(ps, src, dst, edges, fe, heads=2):
     return nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst,
-                                    fe, heads=heads, p_drop=0.0, train=False)
+                                    fe, heads=heads, p_drop=0.0)
 
 
 def _gal_setup(seed=0, d_h=8, heads=2, n_src=3, n_dst=2):

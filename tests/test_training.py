@@ -354,7 +354,7 @@ def test_parameters_stay_tape_leaves(synth_scene, small_mcfg):
     still a leaf: nothing needs detaching between passes."""
     m = Model(small_mcfg, seed=0)
     for _ in range(2):
-        fr = m.forward(synth_scene, train=True, rng=np.random.default_rng(0))
+        fr = m.forward(synth_scene, rng=np.random.default_rng(0))
         loss, _, _ = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
         loss.backward()
         assert all(t._parents == () and t._backward is None for t in m.ps.params.values())
@@ -378,32 +378,34 @@ def test_gradient_isolation_single_agent():
 def test_short_training_deterministic(tmp_path, small_mcfg):
     scenes = [gen_scene(STYLE_A, (3, i), f"s{i}") for i in range(3)]
     tcfg = TrainConfig(seed=2, total_epochs=2, warmup_epochs=1, batch_size=4)
-    m1, log1 = train(scenes, tcfg, small_mcfg, augment=True)
-    m2, log2 = train(scenes, tcfg, small_mcfg, augment=True)
+    mcfg = replace(small_mcfg, dropout=0.1)
+    m1, log1 = train(scenes, tcfg, mcfg, augment=True)
+    m2, log2 = train(scenes, tcfg, mcfg, augment=True)
     for n in m1.ps.names():
         assert np.array_equal(m1.ps[n].value, m2.ps[n].value)
     assert log1 == log2
 
 
 def test_train_leaves_caller_config_unchanged(small_mcfg):
+    """The model trains with the caller's config, dropout included."""
     scenes = [gen_scene(STYLE_A, (3, 0), "s0")]
-    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1, dropout=0.1)
-    before = replace(small_mcfg)
-    model, _ = train(scenes, tcfg, small_mcfg, augment=False)
-    assert small_mcfg == before and small_mcfg.dropout == 0.0
-    assert model.cfg.dropout == tcfg.dropout
+    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1)
+    mcfg = replace(small_mcfg, dropout=0.3)
+    before = replace(mcfg)
+    model, _ = train(scenes, tcfg, mcfg, augment=False)
+    assert mcfg == before and model.cfg == mcfg
 
 
 def test_training_reduces_loss(small_mcfg):
     scenes = [gen_scene(STYLE_A, (5, i), f"s{i}") for i in range(2)]
     tcfg = TrainConfig(seed=1, total_epochs=8, warmup_epochs=1, batch_size=2)
-    _, log = train(scenes, tcfg, small_mcfg, augment=False)
+    _, log = train(scenes, tcfg, replace(small_mcfg, dropout=0.1), augment=False)
     assert log[-1]["loss"] < log[0]["loss"]
 
 
 def test_baseline_training_runs(small_mcfg):
     scenes = [gen_scene(STYLE_A, (6, i), f"s{i}") for i in range(2)]
-    mcfg = ModelConfig.from_dict({**small_mcfg.to_dict(), "variant": "baseline"})
+    mcfg = ModelConfig.from_dict({**small_mcfg.to_dict(), "variant": "baseline", "dropout": 0.1})
     tcfg = TrainConfig(seed=1, total_epochs=2, warmup_epochs=1, batch_size=2)
     m, log = train(scenes, tcfg, mcfg, augment=False)
     assert all(np.isfinite(r["loss"]) for r in log)
@@ -429,7 +431,7 @@ def test_batch_frees_each_scene_tape(monkeypatch, small_mcfg):
     monkeypatch.setattr(Model, "forward", tracked_forward)
     monkeypatch.setattr(training, "compute_scene_loss", tracked_loss)
     tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=3)
-    train(scenes, tcfg, small_mcfg, augment=False)
+    train(scenes, tcfg, replace(small_mcfg, dropout=0.1), augment=False)
     assert len(refs) >= 4 and alive
     assert not any(alive)
 
@@ -438,7 +440,7 @@ def test_unaugmented_training_keys_graphs_by_dataset_index(monkeypatch, small_mc
     """Two different scenes with one id each train on their own graph, in
     every epoch: each step's loss and gradient equal a fresh forward's."""
     scenes = [gen_scene(STYLE_A, (12, i), "same-id") for i in range(2)]
-    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1, dropout=0.0)
+    tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1)
     last, checked = [], []
     scene_loss, step = training.compute_scene_loss, AdamW.step
 
@@ -469,7 +471,7 @@ def test_unaugmented_training_keys_graphs_by_dataset_index(monkeypatch, small_mc
 
 def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg):
     scenes = [gen_scene(STYLE_A, (9, i), f"s{i}") for i in range(3)]
-    tcfg = TrainConfig(seed=4, total_epochs=2, warmup_epochs=1, batch_size=3, dropout=0.0)
+    tcfg = TrainConfig(seed=4, total_epochs=2, warmup_epochs=1, batch_size=3)
     grads = {}
 
     def first_epoch(epoch, model):
@@ -493,12 +495,13 @@ def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg):
 def test_loss_log_format(tmp_path, small_mcfg):
     scenes = [gen_scene(STYLE_A, (7, 0), "s0")]
     tcfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=1)
-    train(scenes, tcfg, small_mcfg, out_dir=str(tmp_path), augment=False)
+    mcfg = replace(small_mcfg, dropout=0.1)
+    train(scenes, tcfg, mcfg, out_dir=str(tmp_path), augment=False)
     header = (tmp_path / "loss_log.csv").read_text().splitlines()[0]
     assert header == "epoch,loss,l_lane,l_point,l_goal,l_traj,lr"
     for ckpt in ("model.ckpt", "ckpt_latest.ckpt"):
         assert (tmp_path / ckpt).exists()
-        assert load_model(str(tmp_path / ckpt)).cfg == replace(small_mcfg, dropout=tcfg.dropout)
+        assert load_model(str(tmp_path / ckpt)).cfg == mcfg
 
 
 def test_save_load_model_roundtrip(tmp_path, small_mcfg, synth_scene):
