@@ -18,15 +18,15 @@ from .graph import (
 )
 from .metrics import MetricsReport, evaluate
 from .model import Model, ModelConfig, ModePrediction
-from .scene import AgentTrack, LaneDef, PointSeg, Scene, load_scene, save_scene
+from .scene import AgentTrack, LaneDef, Scene, load_scene, save_scene
 from .synthgen import STYLE_A, STYLE_B, gen_dataset, gen_scene
 from .training import TrainConfig, train
 
 __all__ = [
     "Pose2", "GraphConfig", "HeteroGraph", "build_graph", "nrb_goal_candidates",
     "reachable_lanes", "relative_edge_feature", "MetricsReport", "evaluate",
-    "Model", "ModelConfig", "ModePrediction", "AgentTrack", "LaneDef", "PointSeg",
-    "Scene", "load_scene", "save_scene", "STYLE_A", "STYLE_B", "gen_dataset",
+    "Model", "ModelConfig", "ModePrediction", "AgentTrack", "LaneDef", "Scene",
+    "load_scene", "save_scene", "STYLE_A", "STYLE_B", "gen_dataset",
     "gen_scene", "TrainConfig", "train",
 ]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import synthgen
-from .errors import ConfigError, DataError, GoalGraphError, NumericError
+from .errors import ConfigError, DataError, GoalGraphError
 from .model import ModelConfig
 from .scene import load_dataset, load_scene
 from .svg import render_scene_svg
@@ -72,10 +72,9 @@ def _load_json(path: str) -> dict:
     return d
 
 
-def _model_config(mdict: dict, dataset: list, variant: str) -> ModelConfig:
-    """The --model-config settings for `variant`; the future horizon
-    defaults to the dataset's."""
-    return ModelConfig.from_dict({"T_f": dataset[0].t_future, **mdict, "variant": variant})
+def _model_config(mdict: dict, dataset: list) -> ModelConfig:
+    """The --model-config settings; the future horizon defaults to the dataset's."""
+    return ModelConfig.from_dict({"T_f": dataset[0].t_future, **mdict})
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +98,14 @@ def cmd_train(args) -> int:
     tdict = _load_json(args.train_config) if args.train_config else {}
     mdict = _load_json(args.model_config) if args.model_config else {}
     tcfg = TrainConfig.from_dict(tdict)
-    mcfg = _model_config(mdict, dataset, args.variant)
+    mcfg = _model_config(mdict, dataset)
     tcfg.seed = _seed_override(tcfg.seed)
     model, _ = train(dataset, tcfg, mcfg, out_dir=args.out,
                      augment=not args.no_augment, log_every=args.log_every)
     ckpt = os.path.join(args.out, "model.ckpt")
     write_manifest(args.out, "train",
                    {"train": tcfg.to_dict(), "model": model.cfg.to_dict(),
-                    "data": args.data, "variant": args.variant},
+                    "data": args.data},
                    tcfg.seed, [ckpt, os.path.join(args.out, "loss_log.csv")], t0)
     return EXIT_OK
 
@@ -170,11 +169,14 @@ def cmd_compare(args) -> int:
     data_b = load_dataset(args.data_b)
     tdict = _load_json(args.train_config) if args.train_config else {}
     mdict = _load_json(args.model_config) if args.model_config else {}
+    if "variant" in mdict:
+        raise ConfigError(f"{args.model_config}: compare trains both variants; "
+                          f"remove the key 'variant'")
     tcfgs = [replace(TrainConfig.from_dict(tdict), seed=seed) for seed in args.seeds]
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for variant in ("goal", "baseline"):
-        mcfg = _model_config(mdict, data_a, variant)
+        mcfg = _model_config({**mdict, "variant": variant}, data_a)
         for tcfg in tcfgs:
             seed = tcfg.seed
             run_dir = os.path.join(args.out, f"{variant}_seed{seed}")
@@ -183,8 +185,8 @@ def cmd_compare(args) -> int:
                                  augment=not args.no_augment, log_every=args.log_every)
             except GoalGraphError as e:
                 _write_compare_csv(rows, os.path.join(args.out, "compare.csv"))
-                raise NumericError(f"sub-run {variant}/seed{seed} failed "
-                                   f"(partial results written): {e}") from e
+                raise type(e)(f"sub-run {variant}/seed{seed} failed "
+                              f"(partial results written): {e}") from e
             cells = {}
             for name, data in (("A", data_a), ("B", data_b)):
                 r = metrics_mod.evaluate(model, data, ks=(1, 6))
@@ -239,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--model-config", default=None)
     t.add_argument("--train-config", default=None)
-    t.add_argument("--variant", choices=("goal", "baseline"), default="goal")
     t.add_argument("--out", required=True)
     t.add_argument("--no-augment", action="store_true")
     t.add_argument("--log-every", type=int, default=0)
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, GoalGraphError) as e:
+    except GoalGraphError as e:
         print(f"error: numeric: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -12,8 +12,8 @@ from .errors import InvalidInputError
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def normalize_angle(a):
+    """Wrap an angle, or each of an array of them, to (-pi, pi]."""
     return math.pi - (math.pi - a) % TWO_PI
 
 
@@ -38,6 +38,20 @@ class Pose2:
             s * self.x + c * self.y + dy,
             self.heading + dtheta,
         )
+
+
+def to_local(xy: np.ndarray, pose: np.ndarray) -> np.ndarray:
+    """(..., 2) scene-frame points in the frame of (..., 3) poses (x, y, heading)."""
+    c, s = np.cos(-pose[..., 2]), np.sin(-pose[..., 2])
+    ex, ey = xy[..., 0] - pose[..., 0], xy[..., 1] - pose[..., 1]
+    return np.stack([c * ex - s * ey, s * ex + c * ey], axis=-1)
+
+
+def to_scene(xy: np.ndarray, pose: np.ndarray) -> np.ndarray:
+    """(..., 2) points given in the frame of (..., 3) poses, in the scene frame."""
+    c, s = np.cos(pose[..., 2]), np.sin(pose[..., 2])
+    return np.stack([xy[..., 0] * c - xy[..., 1] * s + pose[..., 0],
+                     xy[..., 0] * s + xy[..., 1] * c + pose[..., 1]], axis=-1)
 
 
 def polyline_lengths(pts: np.ndarray) -> np.ndarray:

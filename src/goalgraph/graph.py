@@ -10,8 +10,8 @@ import numpy as np
 from .autodiff import Segments
 from .config import Config
 from .errors import ConfigError, InvalidInputError, StructuralError
-from .geometry import Pose2, points_in_polygon, polyline_distances
-from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene
+from .geometry import Pose2, points_in_polygon, polyline_distances, to_local
+from .scene import AGENT_CLASSES, LANE_TYPES, POINT_DTYPE, SIDES, Scene, headings
 
 LANE_RELATIONS = ("none", "successor", "predecessor", "left-neighbor", "right-neighbor")
 
@@ -50,9 +50,7 @@ def relative_edge_feature(pose_m: Pose2, pose_n: Pose2, dt=None):
 def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> np.ndarray:
     """Vectorized relative_edge_feature; pm, pn are (E, 3) pose arrays."""
     a = pn[:, 2] - pm[:, 2]
-    c, s = np.cos(-pm[:, 2]), np.sin(-pm[:, 2])
-    ex, ey = pn[:, 0] - pm[:, 0], pn[:, 1] - pm[:, 1]
-    dx, dy = c * ex - s * ey, s * ex + c * ey
+    dx, dy = to_local(pn[:, 0:2], pm).T
     d = np.hypot(dx, dy)
     # rounding decides the bearing of poses this close, so it fades out to
     # (sin, cos) = (0, 1) as d falls from 1e-9 to 1e-12 m, with no jump
@@ -158,7 +156,6 @@ class HeteroGraph:
     nrb_owner: np.ndarray = None           # agent index per candidate
     nrb_pose: np.ndarray = None            # (M, 3)
     nrb_radius: np.ndarray = None
-    nrb_circle: np.ndarray = None
 
     predicted: list = field(default_factory=list)       # agent indices
     goal_rb: dict = field(default_factory=dict)         # agent idx -> bool (rb goal pipeline)
@@ -172,25 +169,6 @@ class HeteroGraph:
     @property
     def n_queries(self):
         return len(self.query_agent)
-
-
-def assign_poses(scene: Scene):
-    """Scene-frame poses for every node type.
-
-    Returns (agent_poses, lane_poses, point info) where agent_poses is a
-    (n_agents, T, 3) array (heading via the carry-forward rule) and lane_poses
-    the arc-length-midpoint pose per lane.
-    """
-    T = scene.t_total
-    agent_poses = np.zeros((len(scene.agents), T, 3))
-    for i, a in enumerate(scene.agents):
-        agent_poses[i, :, 0:2] = a.states[:, 0:2]
-        agent_poses[i, :, 2] = a.headings()
-    lane_poses = np.zeros((len(scene.lanes), 3))
-    for i, lane in enumerate(scene.lanes):
-        p = lane.midpoint_pose()
-        lane_poses[i] = (p.x, p.y, p.heading)
-    return agent_poses, lane_poses
 
 
 def reachable_lanes(scene: Scene, agent_idx: int, cfg: GraphConfig = GraphConfig()):
@@ -271,8 +249,7 @@ def build_graph(scene: Scene, K: int, cfg: GraphConfig = GraphConfig()) -> Heter
     if K < 1:
         raise ConfigError(f"K must be >= 1, got {K}")
     g = HeteroGraph(scene=scene, cfg=cfg, K=K)
-    agent_poses, lane_poses = assign_poses(scene)
-    _build_nodes(g, agent_poses, lane_poses)
+    _build_nodes(g)
     _build_map_edges(g)
     _build_agent_edges(g)
     _build_query_nodes_and_edges(g)
@@ -280,41 +257,33 @@ def build_graph(scene: Scene, K: int, cfg: GraphConfig = GraphConfig()) -> Heter
     return g
 
 
-def _build_nodes(g: HeteroGraph, agent_poses, lane_poses):
+def _build_nodes(g: HeteroGraph):
+    """Scene-frame poses and features of the agent, lane and point nodes."""
     scene = g.scene
-    aidx, ts, poses, vels, cls = [], [], [], [], []
-    for i, a in enumerate(scene.agents):
-        heads = agent_poses[i, :, 2]
-        for t in range(scene.t_history):
-            if not a.valid[t]:
-                continue
-            aidx.append(i)
-            ts.append(t)
-            poses.append(agent_poses[i, t])
-            c, s = math.cos(-heads[t]), math.sin(-heads[t])
-            vx, vy = a.states[t, 2], a.states[t, 3]
-            vels.append((c * vx - s * vy, s * vx + c * vy))
-            cls.append(AGENT_CLASSES.index(a.agent_class))
-    g.agent_node_agent = np.array(aidx, dtype=int)
-    g.agent_node_t = np.array(ts, dtype=int)
-    g.agent_pose = np.array(poses).reshape(-1, 3)
-    g.agent_vel_local = np.array(vels).reshape(-1, 2)
-    g.agent_class_id = np.array(cls, dtype=int)
+    # agent nodes: the valid history steps, agent-major, time-ascending
+    st = np.array([a.states[:scene.t_history] for a in scene.agents])
+    st = st.reshape(len(scene.agents), scene.t_history, 5)
+    agent, t = np.nonzero(st[..., 4] > 0.5)
+    g.agent_node_agent, g.agent_node_t = agent, t
+    g.agent_pose = np.column_stack([st[agent, t, 0:2], headings(st)[agent, t]])
+    turn = np.zeros_like(g.agent_pose)  # each node's heading about the origin
+    turn[:, 2] = g.agent_pose[:, 2]
+    g.agent_vel_local = to_local(st[agent, t, 2:4], turn)
+    g.agent_class_id = np.array([AGENT_CLASSES.index(a.agent_class) for a in scene.agents],
+                                dtype=int)[agent]
 
-    g.lane_pose = lane_poses
+    g.lane_pose = np.array([(p.x, p.y, p.heading) for p in
+                            (l.midpoint_pose() for l in scene.lanes)]).reshape(-1, 3)
     g.lane_length = np.array([l.length for l in scene.lanes])
     g.lane_type_id = np.array([LANE_TYPES.index(l.lane_type) for l in scene.lanes], dtype=int)
 
-    g.point_pose = np.array([(p.pose.x, p.pose.y, p.pose.heading) for p in scene.points]).reshape(-1, 3)
-    g.point_seg_length = np.array([p.seg_length for p in scene.points])
-    g.point_side_id = np.array([SIDES.index(p.side) for p in scene.points], dtype=int)
-    g.point_type_id = np.array([LANE_TYPES.index(p.point_type) for p in scene.points], dtype=int)
-    g.point_lane_idx = np.array([scene.lane_index[p.lane_id] for p in scene.points], dtype=int)
-    g.point_seg_index = np.array([p.seg_index for p in scene.points], dtype=int)
-    center = g.point_side_id == SIDES.index("center")
-    for lane_idx in range(len(scene.lanes)):
-        idx = np.nonzero(center & (g.point_lane_idx == lane_idx))[0]
-        g.lane_center_points.append(idx[np.argsort(g.point_seg_index[idx], kind="stable")])
+    # point nodes: contiguous copies of the scene's segment table columns
+    (g.point_pose, g.point_seg_length, g.point_side_id, g.point_type_id, g.point_lane_idx,
+     g.point_seg_index) = (scene.points[f].copy() for f in POINT_DTYPE.names)
+    # the table is lane-major with each lane's center rows first, in segment order
+    center = np.nonzero(g.point_side_id == SIDES.index("center"))[0]
+    per_lane = np.bincount(g.point_lane_idx[center], minlength=len(scene.lanes))
+    g.lane_center_points = np.split(center, np.cumsum(per_lane))[:-1]
 
     g.predicted = scene.predicted_agents()
 
@@ -327,7 +296,7 @@ def _build_map_edges(g: HeteroGraph):
     scene, cfg = g.scene, g.cfg
     # (point, belongs-to, lane)
     g.edges["p2l"] = _edge_set(g.point_pose, g.lane_pose,
-                               (np.arange(len(scene.points)), g.point_lane_idx))
+                               (np.arange(len(g.point_pose)), g.point_lane_idx))
 
     # (lane, to, lane) with relation labels
     L = len(scene.lanes)
@@ -416,9 +385,8 @@ def _build_goal_candidates(g: HeteroGraph):
         else:
             nrb.append((i, nrb_goal_candidates(scene, i, g.agent_pose[n])))
     g.nrb_owner = np.repeat(np.array([i for i, _ in nrb], dtype=int), NRB_TOTAL)
-    g.nrb_pose, g.nrb_radius, g.nrb_circle = (
-        np.concatenate([empty] + [c[j] for _, c in nrb])
-        for j, empty in enumerate((np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))))
+    g.nrb_pose, g.nrb_radius = (np.concatenate([empty] + [c[j] for _, c in nrb])
+                                for j, empty in enumerate((np.zeros((0, 3)), np.zeros(0))))
 
     # (agent-query, decide, lane)
     q0 = _mode0(g)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +11,7 @@ from . import nn
 from .autodiff import Tensor
 from .config import Config
 from .errors import ConfigError, StructuralError
+from .geometry import to_local, to_scene
 from .graph import (
     LANE_RELATIONS,
     EdgeSet,
@@ -293,14 +293,8 @@ class Model:
 
         goal_local = R(goal_h - h0) @ offset + R(-h0) (goal_xy - p0)
         """
-        rel_ang = goal_pose[:, 2] - agent_pose[:, 2]
-        const = np.stack([
-            np.cos(-agent_pose[:, 2]) * (goal_pose[:, 0] - agent_pose[:, 0])
-            - np.sin(-agent_pose[:, 2]) * (goal_pose[:, 1] - agent_pose[:, 1]),
-            np.sin(-agent_pose[:, 2]) * (goal_pose[:, 0] - agent_pose[:, 0])
-            + np.cos(-agent_pose[:, 2]) * (goal_pose[:, 1] - agent_pose[:, 1]),
-        ], axis=1)
-        return ad.add(_rot_rows(offset, rel_ang), Tensor(const))
+        return ad.add(_rot_rows(offset, goal_pose[:, 2] - agent_pose[:, 2]),
+                      Tensor(to_local(goal_pose[:, 0:2], agent_pose)))
 
     def goal_head(self, grp: str, fr: ForwardResult, fe: Tensor, edges: EdgeSet,
                   positions: np.ndarray, queries: np.ndarray):
@@ -377,24 +371,23 @@ class Model:
 
         # assemble predictions, renormalizing scores over the K modes per agent
         scene = g.scene
+        traj_scene = to_scene(mu, g.query_pose[:, None, :])
+        goal_scene = to_scene(goal_local, g.query_pose)
         for base in range(0, n, K):
             modes = slice(base, base + K)
             norm = score[modes] / score[modes].sum()
             a_idx = int(g.query_agent[base])
-            # one rigid transform covers every mode's trajectory and goal
-            pts_scene = _local_to_scene(np.concatenate([mu[modes].reshape(-1, 2),
-                                                        goal_local[modes]]), g.query_pose[base])
             for k in range(K):
                 qi = base + k
                 li = None if lane_idx[qi] < 0 else int(lane_idx[qi])
                 fr.preds.append(ModePrediction(
                     agent_id=scene.agents[a_idx].id, agent_idx=a_idx, mode=k,
                     score=float(norm[k]), traj_mu_local=mu[qi], traj_b=b[qi],
-                    traj_scene=pts_scene[k * T_f:(k + 1) * T_f],
+                    traj_scene=traj_scene[qi],
                     selected_lane_id=None if li is None else scene.lanes[li].id,
                     selected_lane_idx=li, selected_point_idx=int(point_idx[qi]),
                     selected_point_pose=point_pose[qi], goal_offset=offset[qi],
-                    goal_scene=pts_scene[K * T_f + k], goal_local=goal_local[qi]))
+                    goal_scene=goal_scene[qi], goal_local=goal_local[qi]))
 
     def _forward_baseline(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
@@ -405,28 +398,17 @@ class Model:
         logits = ad.reshape(nn.mlp(self.ps, "base.score", q, 2), (n,))
         scores = ad.softmax_grouped(logits, np.arange(n) // K, n // K)
         fr.base_scores, fr.base_mu, fr.base_b = scores, mu, b
+        traj_scene = to_scene(mu.value, g.query_pose[:, None, :])
         for qi in range(n):
             a_idx = int(g.query_agent[qi])
             fr.preds.append(ModePrediction(
                 agent_id=g.scene.agents[a_idx].id, agent_idx=a_idx,
                 mode=int(g.query_mode[qi]), score=float(scores.value[qi]),
                 traj_mu_local=mu.value[qi], traj_b=b.value[qi],
-                traj_scene=_local_to_scene(mu.value[qi], g.query_pose[qi])))
+                traj_scene=traj_scene[qi]))
 
     def predict(self, scene: Scene) -> list:
         """Inference: K ModePredictions per predicted agent."""
         with ad.no_grad():
             return self.forward(scene).preds
 
-
-def _local_to_scene(pts_local: np.ndarray, pose: np.ndarray) -> np.ndarray:
-    c, s = math.cos(pose[2]), math.sin(pose[2])
-    x = pts_local[:, 0] * c - pts_local[:, 1] * s + pose[0]
-    y = pts_local[:, 0] * s + pts_local[:, 1] * c + pose[1]
-    return np.stack([x, y], axis=1)
-
-
-def scene_to_local(pts_scene: np.ndarray, pose: np.ndarray) -> np.ndarray:
-    c, s = math.cos(-pose[2]), math.sin(-pose[2])
-    dx, dy = pts_scene[:, 0] - pose[0], pts_scene[:, 1] - pose[1]
-    return np.stack([c * dx - s * dy, s * dx + c * dy], axis=1)

@@ -9,12 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError
+from .errors import DataError
 from .geometry import (
     Pose2,
     normalize_angle,
     point_at_arclength,
     polyline_arclength,
+    to_scene,
 )
 
 AGENT_CLASSES = ("vehicle", "truck", "motorcyclist", "cyclist", "pedestrian")
@@ -23,6 +24,11 @@ LANE_TYPES = ("lane", "intersection")
 SIDES = ("left", "right", "center")
 
 MIN_HEADING_SPEED = 0.1  # m/s; below this the last confident heading is carried
+
+# one row per non-zero-length polyline segment of a lane: its midpoint pose,
+# length, SIDES and LANE_TYPES ids, lane index and index along its polyline
+POINT_DTYPE = np.dtype([("pose", float, (3,)), ("length", float), ("side", int),
+                        ("type", int), ("lane", int), ("seg", int)])
 
 
 @dataclass
@@ -44,7 +50,7 @@ class AgentTrack:
         if self.states.ndim != 2 or self.states.shape[1] != 5:
             raise DataError(f"agent {self.id}: states must be (T, 5)")
         if not np.isfinite(self.states[:, :4][self.valid]).all():
-            raise InvalidInputError(f"agent {self.id}: non-finite state values")
+            raise DataError(f"agent {self.id}: non-finite state values")
 
     @property
     def road_bound(self) -> bool:
@@ -53,20 +59,6 @@ class AgentTrack:
     @property
     def valid(self) -> np.ndarray:
         return self.states[:, 4] > 0.5
-
-    def headings(self) -> np.ndarray:
-        """Velocity-derived heading per step; slow steps carry the most recent
-        confident heading, defaulting to 0 if none exists yet."""
-        T = len(self.states)
-        out = np.zeros(T)
-        last = 0.0
-        for t in range(T):
-            if self.valid[t]:
-                vx, vy = self.states[t, 2], self.states[t, 3]
-                if math.hypot(vx, vy) >= MIN_HEADING_SPEED:
-                    last = math.atan2(vy, vx)
-            out[t] = last
-        return out
 
 
 @dataclass
@@ -94,6 +86,8 @@ class LaneDef:
                           ("right_boundary", self.right_boundary)):
             if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
                 raise DataError(f"lane {self.id}: {name} must be (N>=2, 2)")
+            if not np.isfinite(arr).all():
+                raise DataError(f"lane {self.id}: non-finite {name} coordinates")
         self.length = polyline_arclength(self.centerline)
 
     def midpoint_pose(self) -> Pose2:
@@ -102,24 +96,6 @@ class LaneDef:
     def polygon(self) -> np.ndarray:
         """Lane polygon: left boundary followed by reversed right boundary."""
         return np.concatenate([self.left_boundary, self.right_boundary[::-1]], axis=0)
-
-
-@dataclass
-class PointSeg:
-    """One polyline segment of a lane boundary or centerline."""
-
-    lane_id: str
-    side: str
-    pose: Pose2
-    seg_length: float
-    point_type: str
-    seg_index: int
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise DataError(f"unknown side {self.side!r}")
-        if self.seg_length <= 0:
-            raise DataError(f"point segment on lane {self.lane_id} has length <= 0")
 
 
 @dataclass
@@ -132,7 +108,7 @@ class Scene:
     t_future: int
     agents: list
     lanes: list
-    points: list = field(default_factory=list)
+    points: np.ndarray = field(init=False, repr=False, compare=False)  # POINT_DTYPE rows
 
     def __post_init__(self):
         lane_ids = {l.id for l in self.lanes}
@@ -147,11 +123,7 @@ class Scene:
         for a in self.agents:
             if len(a.states) != T:
                 raise DataError(f"agent {a.id}: expected {T} states, got {len(a.states)}")
-        if not self.points:
-            self.points = derive_point_segments(self.lanes)
-        for p in self.points:
-            if p.lane_id not in lane_ids:
-                raise DataError(f"point segment references unknown lane {p.lane_id!r}")
+        self.points = point_segments(self.lanes)
         self.lane_index = {l.id: i for i, l in enumerate(self.lanes)}
 
     @property
@@ -165,45 +137,60 @@ class Scene:
 
     def transformed(self, dx: float, dy: float, dtheta: float) -> "Scene":
         """Rigidly transform every scene-frame coordinate (for invariance checks)."""
-        c, s = math.cos(dtheta), math.sin(dtheta)
-        R = np.array([[c, -s], [s, c]])
-
-        def tf_pts(pts):
-            return pts @ R.T + np.array([dx, dy])
-
+        move, turn = np.array([dx, dy, dtheta]), np.array([0.0, 0.0, dtheta])
         agents = []
         for a in self.agents:
             st = a.states.copy()
-            st[:, 0:2] = tf_pts(st[:, 0:2])
-            st[:, 2:4] = st[:, 2:4] @ R.T
+            st[:, 0:2] = to_scene(st[:, 0:2], move)
+            st[:, 2:4] = to_scene(st[:, 2:4], turn)
             agents.append(AgentTrack(a.id, a.agent_class, st))
         lanes = [
-            LaneDef(l.id, l.lane_type, tf_pts(l.centerline), tf_pts(l.left_boundary),
-                    tf_pts(l.right_boundary), list(l.successors), list(l.predecessors),
+            LaneDef(l.id, l.lane_type, *(to_scene(p, move) for p in
+                                         (l.centerline, l.left_boundary, l.right_boundary)),
+                    list(l.successors), list(l.predecessors),
                     l.left_neighbor, l.right_neighbor)
             for l in self.lanes
         ]
         return Scene(self.id, self.dt, self.t_history, self.t_future, agents, lanes)
 
 
-def derive_point_segments(lanes) -> list:
-    """Turn each consecutive polyline vertex pair into a PointSeg."""
-    segs = []
-    for lane in lanes:
-        for side, pts in (("center", lane.centerline),
-                          ("left", lane.left_boundary),
-                          ("right", lane.right_boundary)):
-            diffs = pts[1:] - pts[:-1]
-            mids = 0.5 * (pts[1:] + pts[:-1])
-            lens = np.hypot(diffs[:, 0], diffs[:, 1])
-            for k in range(len(diffs)):
-                if lens[k] <= 0:
-                    continue
-                heading = math.atan2(diffs[k, 1], diffs[k, 0])
-                segs.append(PointSeg(lane.id, side,
-                                     Pose2(mids[k, 0], mids[k, 1], heading),
-                                     float(lens[k]), lane.lane_type, k))
-    return segs
+def headings(states: np.ndarray) -> np.ndarray:
+    """Velocity-derived heading at each step of a (..., T, 5) states array.
+    A step that is invalid or slower than MIN_HEADING_SPEED carries the most
+    recent confident heading, 0 if none exists yet."""
+    valid = states[..., 4] > 0.5
+    vx, vy = states[..., 2][valid].tolist(), states[..., 3][valid].tolist()
+    confident = np.zeros(valid.shape, dtype=bool)
+    confident[valid] = np.array(list(map(math.hypot, vx, vy))) >= MIN_HEADING_SPEED
+    ang = np.zeros(valid.shape)
+    ang[valid] = list(map(math.atan2, vy, vx))
+    last = np.maximum.accumulate(np.where(confident, np.arange(valid.shape[-1]), -1), axis=-1)
+    return np.where(last >= 0, np.take_along_axis(ang, np.maximum(last, 0), axis=-1), 0.0)
+
+
+def point_segments(lanes: list) -> np.ndarray:
+    """The POINT_DTYPE table of the lanes' polyline segments, lane by lane,
+    then center, left and right, then along the polyline; a zero-length
+    segment gets no row."""
+    sides = [SIDES.index(side) for side in ("center", "left", "right")]
+    polys = [p for l in lanes for p in (l.centerline, l.left_boundary, l.right_boundary)]
+    n = np.array([len(p) - 1 for p in polys], dtype=int)
+    a = np.concatenate([np.zeros((0, 2))] + [p[:-1] for p in polys])
+    b = np.concatenate([np.zeros((0, 2))] + [p[1:] for p in polys])
+    d = b - a
+    lens = np.hypot(d[:, 0], d[:, 1])
+    keep = lens > 0
+    out = np.empty(int(keep.sum()), dtype=POINT_DTYPE)
+    heading = np.array(list(map(math.atan2, d[keep, 1].tolist(), d[keep, 0].tolist())))
+    out["pose"] = np.column_stack([0.5 * (b + a)[keep], normalize_angle(heading)])
+    out["length"] = lens[keep]
+    lane = np.arange(len(lanes)).repeat(3)  # per polyline
+    types = np.array([LANE_TYPES.index(l.lane_type) for l in lanes], dtype=int)
+    out["side"] = np.repeat(np.tile(sides, len(lanes)), n)[keep]
+    out["type"] = np.repeat(types[lane], n)[keep]
+    out["lane"] = np.repeat(lane, n)[keep]
+    out["seg"] = (np.arange(len(d)) - np.repeat(np.cumsum(n) - n, n))[keep]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from . import nn
 from .autodiff import Tensor
 from .config import Config
 from .errors import ConfigError, DataError, NumericError
-from .geometry import polyline_distances
+from .geometry import polyline_distances, to_local
 from .graph import build_decide_point_edges
-from .model import ForwardResult, Model, ModelConfig, scene_to_local
+from .model import ForwardResult, Model, ModelConfig
 from .scene import AgentTrack, Scene
 
 
@@ -246,12 +246,10 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
         goal_pose, offset, _, mu, b = model.goal_head(grp, fr, fe, edges, positions, qs)
 
         # Huber loss on the offset in the goal node's frame, Laplace NLL on the trajectory
-        c, s = np.cos(-goal_pose[:, 2]), np.sin(-goal_pose[:, 2])
-        ex, ey = endpoints[:, 0] - goal_pose[:, 0], endpoints[:, 1] - goal_pose[:, 1]
-        t_off = np.stack([c * ex - s * ey, s * ex + c * ey], axis=1)
-        l_goal = huber_loss_tensor(ad.sub(offset, Tensor(t_off)), tcfg.huber_delta)
-        gt = np.stack([scene_to_local(st[scene.t_history:, 0:2], pose)
-                       for st, pose in zip(tracks, g.query_pose[qs])])
+        l_goal = huber_loss_tensor(ad.sub(offset, Tensor(to_local(endpoints, goal_pose))),
+                                   tcfg.huber_delta)
+        gt = to_local(np.stack([st[scene.t_history:, 0:2] for st in tracks]),
+                      g.query_pose[qs][:, None, :])
         l_traj = laplace_nll_tensor(mu, b, gt)
         losses += [l_goal, ad.scalar_mul(l_traj, tcfg.traj_loss_weight)]
         goal_terms["l_goal"].append(float(l_goal.value))
@@ -279,7 +277,7 @@ def _baseline_scene_loss(model, fr, scene, tcfg):
     if not sup:
         return None, {}, assign
     agent_base = {int(g.query_agent[b]): b for b in range(0, g.n_queries, K)}
-    pts, mus, bs, gts = [], [], [], []
+    pts, mus = [], []
     for ai in sup:
         base = agent_base[ai]
         endpoint = scene.agents[ai].states[-1, 0:2]
@@ -289,12 +287,11 @@ def _baseline_scene_loss(model, fr, scene, tcfg):
         qi = base + winner
         pts.append(ad.gather_rows(fr.base_scores, np.array([qi])))
         mus.append(qi)
-        gts.append(scene_to_local(scene.agents[ai].states[scene.t_history:, 0:2],
-                                  g.query_pose[qi]))
     qs = np.array(mus, dtype=int)
+    gt = to_local(np.stack([scene.agents[a].states[scene.t_history:, 0:2] for a in sup]),
+                  g.query_pose[qs][:, None, :])
     l_score = focal_loss_tensor(ad.concat(pts, axis=0), tcfg.focal_alpha, tcfg.focal_gamma)
-    l_traj = laplace_nll_tensor(ad.gather_rows(fr.base_mu, qs), ad.gather_rows(fr.base_b, qs),
-                                np.stack(gts))
+    l_traj = laplace_nll_tensor(ad.gather_rows(fr.base_mu, qs), ad.gather_rows(fr.base_b, qs), gt)
     total = ad.add(l_score, ad.scalar_mul(l_traj, tcfg.traj_loss_weight))
     terms = {"l_lane": 0.0, "l_point": float(l_score.value), "l_goal": 0.0,
              "l_traj": float(l_traj.value)}
@@ -334,13 +331,9 @@ def augment_scene(scene: Scene, rng: np.random.Generator,
 # training loop
 
 def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | None = None,
-          augment: bool = True, log_every: int = 0, callback=None) -> tuple[Model, list]:
+          augment: bool = True, log_every: int = 0) -> tuple[Model, list]:
     """Returns (model, per-epoch log rows). Deterministic for a fixed seed. A
-    scene whose future is not mcfg.T_f steps is a DataError before any step.
-
-    callback(epoch, model), when given, runs after every epoch; a truthy
-    return stops training early.
-    """
+    scene whose future is not mcfg.T_f steps is a DataError before any step."""
     if not dataset:
         raise ConfigError("empty dataset")
     for scene in dataset:
@@ -401,8 +394,6 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
             print(f"epoch {epoch}: loss={row['loss']:.4f} lr={lr:.2e}", flush=True)
         if out_dir:
             save_model(model, os.path.join(out_dir, "ckpt_latest.ckpt"))
-        if callback and callback(epoch, model):
-            break
     if out_dir:
         save_model(model, os.path.join(out_dir, "model.ckpt"))
         write_loss_log(log_rows, os.path.join(out_dir, "loss_log.csv"))

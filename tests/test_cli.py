@@ -26,7 +26,7 @@ def workdir(tmp_path_factory):
     r = run_cli("generate", "--style", "A", "--n", "4", "--seed", "7",
                 "--out", str(d / "data"))
     assert r.returncode == 0, r.stderr
-    r = run_cli("train", "--data", str(d / "data"), "--variant", "goal",
+    r = run_cli("train", "--data", str(d / "data"),
                 "--model-config", str(d / "mcfg.json"),
                 "--train-config", str(d / "tcfg.json"),
                 "--out", str(d / "run"), "--no-augment")
@@ -131,7 +131,7 @@ def test_train_empty_data_dir(tmp_path):
 
 def test_train_determinism(workdir, tmp_path):
     out2 = str(tmp_path / "run2")
-    r = run_cli("train", "--data", str(workdir / "data"), "--variant", "goal",
+    r = run_cli("train", "--data", str(workdir / "data"),
                 "--model-config", str(workdir / "mcfg.json"),
                 "--train-config", str(workdir / "tcfg.json"),
                 "--out", out2, "--no-augment")
@@ -225,6 +225,68 @@ def test_model_config_dropout_is_trained_and_recorded(workdir, tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert sidecar["dropout"] == manifest["config"]["model"]["dropout"] == 0.3
     assert (out / "model.ckpt").read_bytes() != (workdir / "run" / "model.ckpt").read_bytes()
+
+
+def test_model_config_variant_is_trained_and_recorded(workdir, tmp_path):
+    """A model config's variant is the one train builds and records: there
+    is no second knob that overrides it."""
+    (tmp_path / "mcfg.json").write_text(json.dumps({**MCFG, "variant": "baseline"}))
+    out = tmp_path / "run"
+    r = run_cli("train", "--data", str(workdir / "data"),
+                "--model-config", str(tmp_path / "mcfg.json"),
+                "--train-config", str(workdir / "tcfg.json"), "--out", str(out), "--no-augment")
+    assert r.returncode == 0, r.stderr
+    sidecar = json.loads((out / "model.ckpt.config.json").read_text())
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sidecar["variant"] == manifest["config"]["model"]["variant"] == "baseline"
+    assert "variant" not in manifest["config"]
+
+
+def test_compare_rejects_variant_key(workdir, tmp_path):
+    (tmp_path / "mcfg.json").write_text(json.dumps({**MCFG, "variant": "goal"}))
+    data = str(workdir / "data")
+    r = run_cli("compare", "--data-a", data, "--data-b", data,
+                "--model-config", str(tmp_path / "mcfg.json"), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2, r.stderr
+    assert "'variant'" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_keeps_sub_run_error_class(workdir, tmp_path):
+    """A sub-run's data error exits 3, as train does, and the partial table
+    is still written."""
+    (tmp_path / "mcfg.json").write_text(json.dumps({**MCFG, "T_f": 20}))
+    data, out = str(workdir / "data"), tmp_path / "o"
+    r = run_cli("compare", "--data-a", data, "--data-b", data, "--seeds", "3",
+                "--model-config", str(tmp_path / "mcfg.json"), "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert "partial results written" in r.stderr and "T_f=20" in r.stderr
+    assert (out / "compare.csv").read_text().splitlines() == [
+        "variant,seed,eval_set,minADE_6,minFDE_6,b_minFDE_6,minMR_6,missRateTopK_2_6,ORR"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("where,name", [(("agents", 0, "states", 3, 1), "agent veh0"),
+                                        (("lanes", 0, "centerline", 1, 0), "lane L0"),
+                                        (("lanes", 1, "left_boundary", 0, 1), "lane L1")],
+                         ids=["agent", "centerline", "boundary"])
+def test_non_finite_scenario_value_is_data_error(workdir, tmp_path, command, where, name):
+    """A NaN in a scenario file exits 3 and names the agent or lane."""
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    *path, last = where
+    node = d
+    for key in path:
+        node = node[key]
+    node[last] = float("nan")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "scene_00000.json").write_text(json.dumps(d))
+    model = str(workdir / "run" / "model.ckpt")
+    args = (["--data", str(data), "--out", str(tmp_path / "r.csv")] if command == "evaluate"
+            else ["--scene", str(data / "scene_00000.json"), "--out", str(tmp_path / "p.jsonl")])
+    r = run_cli(command, "--model", model, *args)
+    assert r.returncode == 3, r.stderr
+    assert name in r.stderr and "non-finite" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_train_horizon_mismatch(workdir, tmp_path):

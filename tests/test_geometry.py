@@ -13,6 +13,8 @@ from goalgraph.geometry import (
     points_near_polygon_boundary,
     polyline_arclength,
     polyline_distances,
+    to_local,
+    to_scene,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -83,3 +85,42 @@ def test_points_near_polygon_boundary():
     xy = np.array([[5.0, -0.05], [5.0, -0.5]])
     near = points_near_polygon_boundary(xy, poly, eps=0.1)
     assert near.tolist() == [True, False]
+
+
+def _to_local_by_hand(xy, pose):
+    """The hand-written rotation to_local replaced (scene_to_local's and the
+    edge features' form): R(-h) (xy - p)."""
+    if pose.ndim == 1:
+        c, s = math.cos(-pose[2]), math.sin(-pose[2])
+    else:
+        c, s = np.cos(-pose[:, 2]), np.sin(-pose[:, 2])
+    dx, dy = xy[:, 0] - pose[..., 0], xy[:, 1] - pose[..., 1]
+    return np.stack([c * dx - s * dy, s * dx + c * dy], axis=1)
+
+
+def _to_scene_by_hand(xy, pose):
+    """The hand-written rotation to_scene replaced: R(h) xy + p."""
+    if pose.ndim == 1:
+        c, s = math.cos(pose[2]), math.sin(pose[2])
+    else:
+        c, s = np.cos(pose[:, 2]), np.sin(pose[:, 2])
+    return np.stack([xy[:, 0] * c - xy[:, 1] * s + pose[..., 0],
+                     xy[:, 0] * s + xy[:, 1] * c + pose[..., 1]], axis=1)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one-pose", "per-row"])
+def test_frame_pair_matches_hand_written_rotation(per_row):
+    rng = np.random.default_rng(3)
+    xy = rng.uniform(-300.0, 300.0, (2000, 2))
+    pose = (np.column_stack([rng.uniform(-300.0, 300.0, (2000, 2)),
+                             rng.uniform(-4.0, 4.0, 2000)]) if per_row
+            else np.array([37.5, -12.25, 2.1]))
+    for ours, by_hand in ((to_local, _to_local_by_hand), (to_scene, _to_scene_by_hand)):
+        got, want = ours(xy, pose), by_hand(xy, pose)
+        assert got.shape == want.shape and np.array_equal(got, want), ours.__name__
+    # round trip, and broadcasting over leading axes
+    back = to_scene(to_local(xy, pose), pose)
+    assert np.abs(back - xy).max() <= 1e-12
+    grid = xy.reshape(40, 50, 2)
+    poses = pose.reshape(40, 50, 3) if per_row else pose
+    assert np.array_equal(to_local(grid, poses), to_local(xy, pose).reshape(40, 50, 2))

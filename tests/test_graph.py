@@ -11,7 +11,6 @@ from goalgraph.graph import (
     NRB_TOTAL,
     GraphConfig,
     _rel_feat_arrays,
-    assign_poses,
     build_decide_point_edges,
     build_graph,
     nrb_goal_candidates,
@@ -19,7 +18,7 @@ from goalgraph.graph import (
     relative_edge_feature,
 )
 from goalgraph.model import Model, ModelConfig
-from goalgraph.scene import Scene
+from goalgraph.scene import AGENT_CLASSES, SIDES, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
 from conftest import (const_vel_track, dense_overlay, make_line_scene,
@@ -86,12 +85,12 @@ def test_rel_feat_bearing_fades_near_zero_distance(theta):
         assert (f[2], f[3]) == (0.0, 1.0) and math.copysign(1.0, f[2]) == 1.0
 
 
-def test_assign_poses_agent_and_lane(line_scene):
-    ap, lp = assign_poses(line_scene)
+def test_node_poses_agent_and_lane(line_scene):
+    g = build_graph(line_scene, K=1)
     # vehicle moves +x at 10 m/s -> heading 0 at every step
-    assert np.allclose(ap[0][:, 2], 0.0)
+    assert np.allclose(g.agent_pose[g.agent_node_agent == 0, 2], 0.0)
     # lane 0 spans x in [0, 60] -> midpoint (30, 0, 0)
-    assert np.allclose(lp[0], [30.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(g.lane_pose[0], [30.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_graph_node_counts(line_scene):
@@ -262,8 +261,8 @@ def test_decide_lane_edges_match_reachable(line_scene):
 def test_decide_point_edges_center_only(line_scene):
     from goalgraph.graph import build_decide_point_edges
     g = build_graph(line_scene, K=1)
-    n_center = sum(1 for p in line_scene.points
-                   if p.lane_id == "L0" and p.side == "center")
+    pts = line_scene.points
+    n_center = int(((pts["lane"] == 0) & (pts["side"] == SIDES.index("center"))).sum())
     e = build_decide_point_edges(g, {0: 0})
     assert e.count == n_center
 
@@ -382,22 +381,60 @@ def _nrb_loop(scene, agent_idx, query_pose):
     return np.array(poses), np.array(radii), np.array(circles, dtype=int)
 
 
+def _headings_loop(track):
+    """The per-step heading loop: a valid step at 0.1 m/s or more sets the
+    heading, every other step carries it."""
+    out, last = np.zeros(len(track.states)), 0.0
+    for t, (_, _, vx, vy, _) in enumerate(track.states):
+        if track.valid[t] and math.hypot(vx, vy) >= 0.1:
+            last = math.atan2(vy, vx)
+        out[t] = last
+    return out
+
+
+def _nodes_loop(scene):
+    """Agent, lane and point node arrays built node by node: (agent node
+    agent, t, pose, local velocity, class id), lane poses and each lane's
+    center point ids by segment."""
+    aidx, ts, poses, vels, cls = [], [], [], [], []
+    for i, a in enumerate(scene.agents):
+        heads = _headings_loop(a)
+        for t in range(scene.t_history):
+            if not a.valid[t]:
+                continue
+            aidx.append(i), ts.append(t), cls.append(AGENT_CLASSES.index(a.agent_class))
+            poses.append((a.states[t, 0], a.states[t, 1], heads[t]))
+            c, s = math.cos(-heads[t]), math.sin(-heads[t])
+            vx, vy = a.states[t, 2], a.states[t, 3]
+            vels.append((c * vx - s * vy, s * vx + c * vy))
+    agents = (np.array(aidx, dtype=int), np.array(ts, dtype=int),
+              np.array(poses).reshape(-1, 3), np.array(vels).reshape(-1, 2),
+              np.array(cls, dtype=int))
+    lanes = np.array([(m.x, m.y, m.heading) for m in
+                      (l.midpoint_pose() for l in scene.lanes)]).reshape(-1, 3)
+    pts, center = scene.points, []
+    for lane_idx in range(len(scene.lanes)):
+        idx = np.nonzero((pts["side"] == SIDES.index("center")) & (pts["lane"] == lane_idx))[0]
+        center.append(idx[np.argsort(pts["seg"][idx], kind="stable")])
+    return agents, lanes, center
+
+
 def _loop_oracle(g):
     """Every edge set of g rebuilt pair by pair, in the order the loops visit
-    pairs: {edge type: (src, dst, feat, rel)}, plus the query/nrb node arrays."""
+    pairs: {edge type: (src, dst, feat, rel)}, plus the node arrays."""
     scene, cfg, K = g.scene, g.cfg, g.K
     t_last = scene.t_history - 1
+    out = {"nodes": _nodes_loop(scene)}
     lookup = {(int(a), int(t)): n for n, (a, t) in
               enumerate(zip(g.agent_node_agent, g.agent_node_t))}
     ap, lp = g.agent_pose, g.lane_pose
-    out = {}
 
     def put(name, ss, dd, ps, pd, dts=None, rel=None):
         ss, dd = np.array(ss, dtype=int), np.array(dd, dtype=int)
         out[name] = (ss, dd, _rel(ps[ss], pd[dd], dts).reshape(-1, 6),
                      None if rel is None else np.array(rel, dtype=int))
 
-    put("p2l", range(len(scene.points)), g.point_lane_idx, g.point_pose, lp)
+    put("p2l", range(len(scene.points)), scene.points["lane"], scene.points["pose"], lp)
     ss, dd, rel = [], [], []
     for i, li in enumerate(scene.lanes):
         for j, lj in enumerate(scene.lanes):
@@ -475,8 +512,7 @@ def _loop_oracle(g):
     out["reach"] = reach
     owner = np.array([i for i, c in nrb for _ in c[0]], dtype=int)
     npose = np.concatenate([c[0] for _, c in nrb]) if nrb else np.zeros((0, 3))
-    out["nrb"] = (owner, npose, np.concatenate([c[1] for _, c in nrb]) if nrb else np.zeros(0),
-                  np.concatenate([c[2] for _, c in nrb]) if nrb else np.zeros(0, dtype=int))
+    out["nrb"] = (owner, npose, np.concatenate([c[1] for _, c in nrb]) if nrb else np.zeros(0))
     ss, dd = [], []
     for q, i in enumerate(qa):
         for lane_idx in reach.get(i, []):
@@ -489,16 +525,18 @@ def _loop_oracle(g):
                 ss.append(q), dd.append(c)
     put("dec_nrb", ss, dd, qp, npose)
 
-    # decide-point edges to one lane per query, queries inserted out of order
-    lane_per_query = {q: (7 * q + 3) % len(lp) for q in reversed(range(len(qa)))}
+    # decide-point edges to one lane (with center segments) per query,
+    # queries inserted out of order
+    pts, center = scene.points, SIDES.index("center")
+    ok = sorted(set(pts["lane"][pts["side"] == center].tolist()))
+    lane_per_query = {q: ok[(7 * q + 3) % len(ok)] for q in reversed(range(len(qa)))}
     ss, dd = [], []
     for q in sorted(lane_per_query):
-        lane = scene.lanes[lane_per_query[q]]
-        segs = sorted((p.seg_index, n) for n, p in enumerate(scene.points)
-                      if p.lane_id == lane.id and p.side == "center")
+        segs = sorted((pts["seg"][n], n) for n in range(len(pts))
+                      if pts["lane"][n] == lane_per_query[q] and pts["side"][n] == center)
         for _, n in segs:
             ss.append(q), dd.append(n)
-    put("dec_point", ss, dd, qp, g.point_pose)
+    put("dec_point", ss, dd, qp, pts["pose"])
     return out, lane_per_query
 
 
@@ -517,13 +555,35 @@ def _relation_scene():
     return Scene("rel", 0.1, 10, 30, agents, lanes)
 
 
+def _gap_scene():
+    """An agent with invalid (NaN) history steps, one too slow for a heading
+    until step 5, and a lane between two others whose centerline has no
+    segment of non-zero length."""
+    T = 40
+    dot = np.array([[20.0, 8.0], [20.0, 8.0]])
+    lanes = [straight_lane("L0", 0, 0, 40.0, successors=["L2"]),
+             LaneDef("dot", "intersection", dot, dot + [[-2.0, 2.0], [2.0, 2.0]],
+                     dot + [[-2.0, -2.0], [2.0, -2.0]]),
+             straight_lane("L2", 40, 0, 40.0, predecessors=["L0"])]
+    valid = np.ones(T)
+    valid[[0, 3, 4, 7]] = 0.0
+    gappy = const_vel_track("gap", "vehicle", 2, 0, 8, 1, T, valid=valid)
+    gappy.states[[0, 3], 0:4] = np.nan
+    slow = const_vel_track("slow", "cyclist", 10, 2, 0.05, 0.0, T)
+    slow.states[5:, 2:4] = (3.0, -3.0)
+    ped = const_vel_track("p", "pedestrian", 5, 6, 1.0, 0.5, T)
+    return Scene("gaps", 0.1, 10, 30, [gappy, slow, ped], lanes)
+
+
 @pytest.mark.parametrize("kind,K", [("A", 2), ("A", 6), ("B", 1), ("B", 2), ("dense", 2),
-                                    ("relations", 3)])
+                                    ("relations", 3), ("gaps", 2)])
 def test_edge_sets_match_loop_oracle(kind, K):
     if kind == "dense":
         scenes = [dense_overlay(STYLE_A, 41)]
     elif kind == "relations":
         scenes = [_relation_scene()]
+    elif kind == "gaps":
+        scenes = [_gap_scene()]
     else:
         style = STYLE_A if kind == "A" else STYLE_B
         scenes = [gen_scene(style, (43, i), f"s{i}") for i in range(5)]
@@ -535,7 +595,7 @@ def test_edge_sets_match_loop_oracle(kind, K):
             want, lane_per_query = _loop_oracle(g)
             got = dict(g.edges, dec_point=build_decide_point_edges(g, lane_per_query))
             assert sorted(got) == sorted(k for k in want
-                                         if k not in ("query", "reach", "nrb"))
+                                         if k not in ("nodes", "query", "reach", "nrb"))
             for et, e in got.items():
                 src, dst, feat, rel = want[et]
                 for a, b in ((e.src, src), (e.dst, dst), (e.feat[e.row], feat)):
@@ -546,11 +606,20 @@ def test_edge_sets_match_loop_oracle(kind, K):
                     assert e.rel.dtype == rel.dtype and np.array_equal(e.rel[e.row], rel)
             for a, b in zip((g.query_agent, g.query_mode, g.query_pose), want["query"]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            for a, b in zip((g.nrb_owner, g.nrb_pose, g.nrb_radius, g.nrb_circle),
-                            want["nrb"]):
+            for a, b in zip((g.nrb_owner, g.nrb_pose, g.nrb_radius), want["nrb"]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+            agents, lanes, center = want["nodes"]
+            for a, b in zip((g.agent_node_agent, g.agent_node_t, g.agent_pose,
+                             g.agent_vel_local, g.agent_class_id, g.lane_pose), agents + (lanes,)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), sc.id
+            assert len(g.lane_center_points) == len(center) == len(sc.lanes)
+            for a, b in zip(g.lane_center_points, center):
+                assert a.dtype == b.dtype and np.array_equal(a, b), sc.id
             assert g.reachable == want["reach"]
             assert g.goal_rb == {i: i in want["reach"] for i in g.predicted}
+    if kind == "gaps":
+        assert g.n_agent_nodes == 6 + 10 + 10 and len(g.lane_center_points[1]) == 0
+        assert g.agent_pose[6:11, 2].tolist() == [0.0] * 5
     if kind == "relations":
         rel = {(int(s), int(d)): LANE_RELATIONS[r] for s, d, r in
                zip(g.edges["l2l"].src, g.edges["l2l"].dst, g.edges["l2l"].rel)}

@@ -13,12 +13,13 @@ import goalgraph.training as training_mod
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
 from goalgraph.graph import EdgeSet, GraphConfig, build_graph
-from goalgraph.model import Model, ModelConfig, ModePrediction, _local_to_scene, scene_to_local
+from goalgraph.geometry import to_local, to_scene
+from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.synthgen import STYLE_B
 from goalgraph.training import TrainConfig, compute_scene_loss
 
 from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
-from goalgraph.scene import Scene
+from goalgraph.scene import SIDES, Scene
 
 
 def small_model(variant="goal", K=3, seed=0):
@@ -139,10 +140,9 @@ def test_embedding_purity(line_scene):
     g = build_graph(line_scene, m.cfg.K, m.cfg.graph)
     emb = m.embed_nodes(g)["point"].value
     # find two center points with the same seg length and type
-    pts = line_scene.points
-    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-             if pts[i].side == pts[j].side
-             and abs(pts[i].seg_length - pts[j].seg_length) < 1e-12]
+    side, length = line_scene.points["side"], line_scene.points["length"]
+    pairs = [(i, j) for i in range(len(side)) for j in range(i + 1, len(side))
+             if side[i] == side[j] and abs(length[i] - length[j]) < 1e-12]
     assert pairs
     i, j = pairs[0]
     assert np.allclose(emb[i], emb[j], atol=1e-12)
@@ -152,10 +152,10 @@ def test_side_category_changes_embedding(line_scene):
     m = small_model()
     g = build_graph(line_scene, m.cfg.K, m.cfg.graph)
     emb = m.embed_nodes(g)["point"].value
-    pts = line_scene.points
-    left = next(i for i, p in enumerate(pts) if p.side == "left")
-    right = next(i for i, p in enumerate(pts) if p.side == "right"
-                 and abs(pts[i].seg_length - pts[left].seg_length) < 1e-9)
+    side, length = line_scene.points["side"], line_scene.points["length"]
+    left = next(i for i, s in enumerate(side) if SIDES[s] == "left")
+    right = next(i for i, s in enumerate(side) if SIDES[s] == "right"
+                 and abs(length[i] - length[left]) < 1e-9)
     assert not np.allclose(emb[left], emb[right])
 
 
@@ -187,7 +187,7 @@ def test_softmax_arithmetic_oracle():
 def test_local_scene_roundtrip():
     pose = np.array([3.0, -2.0, 0.7])
     pts = np.random.default_rng(0).standard_normal((10, 2)) * 5
-    back = scene_to_local(_local_to_scene(pts, pose), pose)
+    back = to_local(to_scene(pts, pose), pose)
     assert np.allclose(back, pts, atol=1e-9)
 
 

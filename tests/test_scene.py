@@ -6,23 +6,30 @@ import numpy as np
 import pytest
 
 from goalgraph.errors import DataError
+from goalgraph.geometry import Pose2
 from goalgraph.scene import (
+    LANE_TYPES,
+    POINT_DTYPE,
+    SIDES,
     AgentTrack,
     LaneDef,
     Scene,
+    headings,
     load_dataset,
     load_scene,
+    point_segments,
     save_scene,
     scene_from_dict,
     scene_to_dict,
 )
+from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import const_vel_track, make_line_scene, straight_lane
+from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
 
 
 def test_heading_from_velocity():
     tr = const_vel_track("a", "vehicle", 0, 0, 5.0, 0.0, 10)
-    assert np.allclose(tr.headings(), 0.0)
+    assert np.allclose(headings(tr.states), 0.0)
 
 
 def test_heading_carried_when_slow():
@@ -31,14 +38,45 @@ def test_heading_carried_when_slow():
     st[0, 2:4] = (0.0, 3.0)    # moving +y
     st[1:, 2:4] = (0.01, 0.0)  # below the 0.1 m/s confidence threshold
     tr = AgentTrack("a", "vehicle", st)
-    assert np.allclose(tr.headings(), math.pi / 2)
+    assert np.allclose(headings(tr.states), math.pi / 2)
 
 
 def test_heading_default_zero():
     st = np.zeros((3, 5))
     st[:, 4] = 1.0
     tr = AgentTrack("a", "vehicle", st)
-    assert np.allclose(tr.headings(), 0.0)
+    assert np.allclose(headings(tr.states), 0.0)
+
+
+def test_headings_of_stacked_tracks():
+    """Headings of an (agents, T, 5) stack are each track's own: an invalid
+    step carries the last confident heading and never starts one."""
+    st = np.zeros((2, 4, 5))
+    st[:, :, 4] = 1.0
+    st[0, :, 2:4] = (0.0, -2.0)
+    st[1, 0, 4] = 0.0
+    st[1, 0, 2:4] = (1.0, 0.0)   # invalid: not a heading
+    st[1, 2, 2:4] = (-1.0, 0.0)
+    assert headings(st).tolist() == [[-math.pi / 2] * 4, [0.0, 0.0, math.pi, math.pi]]
+
+
+@pytest.mark.parametrize("field", ["centerline", "left_boundary", "right_boundary"])
+def test_lane_rejects_non_finite_polyline(field):
+    lane = straight_lane("L7", 0, 0, 10.0)
+    pts = getattr(lane, field).copy()
+    pts[1, 0] = math.nan
+    polys = {f: getattr(lane, f) for f in ("centerline", "left_boundary", "right_boundary")}
+    with pytest.raises(DataError, match=f"lane L7: non-finite {field}"):
+        LaneDef("L7", "lane", **{**polys, field: pts})
+
+
+def test_agent_rejects_non_finite_state():
+    st = const_vel_track("a9", "vehicle", 0, 0, 1, 0, 5).states
+    st[2, 1] = math.inf
+    with pytest.raises(DataError, match="agent a9: non-finite"):
+        AgentTrack("a9", "vehicle", st)
+    st[2, 4] = 0.0  # an invalid step's values are not read
+    AgentTrack("a9", "vehicle", st)
 
 
 def test_unknown_agent_class():
@@ -82,9 +120,56 @@ def test_scene_rejects_bad_state_length():
 
 def test_derived_points_cover_sides():
     sc = make_line_scene(n_lanes=1, lane_len=10.0)
-    sides = {p.side for p in sc.points}
+    sides = {SIDES[i] for i in sc.points["side"]}
     assert sides == {"left", "right", "center"}
-    assert all(p.seg_length > 0 for p in sc.points)
+    assert (sc.points["length"] > 0).all()
+
+
+def _point_segments_loop(lanes):
+    """The per-segment loop point_segments replaced: one row per non-zero-length
+    segment, its heading normalized by Pose2."""
+    rows = []
+    for li, lane in enumerate(lanes):
+        for side, pts in (("center", lane.centerline),
+                          ("left", lane.left_boundary),
+                          ("right", lane.right_boundary)):
+            diffs = pts[1:] - pts[:-1]
+            mids = 0.5 * (pts[1:] + pts[:-1])
+            lens = np.hypot(diffs[:, 0], diffs[:, 1])
+            for k in range(len(diffs)):
+                if lens[k] <= 0:
+                    continue
+                p = Pose2(mids[k, 0], mids[k, 1], math.atan2(diffs[k, 1], diffs[k, 0]))
+                rows.append(((p.x, p.y, p.heading), float(lens[k]), SIDES.index(side),
+                             LANE_TYPES.index(lane.lane_type), li, k))
+    cols = list(zip(*rows)) or [[]] * 6
+    return {"pose": np.array(cols[0], dtype=float).reshape(-1, 3),
+            **{f: np.array(c, dtype=float if f == "length" else int)
+               for f, c in zip(POINT_DTYPE.names[1:], cols[1:])}}
+
+
+def _odd_lanes():
+    """A lane with a repeated vertex, and an intersection lane along -x whose
+    dy is -0.0 (atan2 gives -pi, which normalizes to pi)."""
+    rep_c = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 0.0], [10.0, 1.0]])
+    back = np.array([[10.0, 0.0], [0.0, -0.0]])
+    return [LaneDef("rep", "lane", rep_c, rep_c + [0.0, 2.0], rep_c - [0.0, 2.0]),
+            LaneDef("back", "intersection", back, back + [0.0, -2.0], back + [0.0, 2.0])]
+
+
+def test_point_segments_match_loop_oracle():
+    lane_sets = ([gen_scene(STYLE_A, (21, i), "a").lanes for i in range(3)]
+                 + [gen_scene(STYLE_B, (22, i), "b").lanes for i in range(3)]
+                 + [dense_overlay(STYLE_A, 41).lanes, _odd_lanes(), []])
+    for lanes in lane_sets:
+        got, want = point_segments(lanes), _point_segments_loop(lanes)
+        assert got.dtype == POINT_DTYPE
+        for f in POINT_DTYPE.names:
+            assert got[f].dtype == want[f].dtype and np.array_equal(got[f], want[f]), f
+    odd = point_segments(_odd_lanes())
+    rep = odd[odd["lane"] == 0]
+    assert rep["seg"][rep["side"] == SIDES.index("center")].tolist() == [0, 2]
+    assert (odd["pose"][odd["lane"] == 1, 2] == math.pi).all()
 
 
 def test_predicted_agents_requires_valid_last_history_step():

@@ -469,17 +469,19 @@ def test_unaugmented_training_keys_graphs_by_dataset_index(monkeypatch, small_mc
     assert len(checked) == 4 and {id(s) for s in checked} == {id(s) for s in scenes}
 
 
-def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg):
+def test_batch_gradient_is_mean_of_scene_gradients(small_mcfg, monkeypatch):
     scenes = [gen_scene(STYLE_A, (9, i), f"s{i}") for i in range(3)]
     tcfg = TrainConfig(seed=4, total_epochs=2, warmup_epochs=1, batch_size=3)
-    grads = {}
+    grads, step = {}, AdamW.step
 
-    def first_epoch(epoch, model):
-        grads.update({n: t.grad.copy() for n, t in model.ps.params.items()
-                      if t.grad is not None})
-        return True
+    def first_step(opt, lr):
+        if not grads:
+            grads.update({n: t.grad.copy() for n, t in opt.ps.params.items()
+                          if t.grad is not None})
+        return step(opt, lr)
 
-    train(scenes, tcfg, small_mcfg, augment=False, callback=first_epoch)
+    monkeypatch.setattr(AdamW, "step", first_step)
+    train(scenes, tcfg, small_mcfg, augment=False)
     ref = Model(small_mcfg, seed=tcfg.seed)
     losses = [compute_scene_loss(ref, ref.forward(s), s, tcfg)[0] for s in scenes]
     losses = [l for l in losses if l is not None]
