@@ -2,16 +2,20 @@
 
 Everything the model trains with runs on this tape: ops record their parents
 and a backward closure, `backward()` walks the graph in reverse topological
-order, and `no_grad()` flips every op onto a bookkeeping-free fast path for
+order and releases each op once its closure has run (one backward per
+forward), and `no_grad()` flips every op onto a bookkeeping-free fast path for
 inference. At the end we cross-check an analytic gradient against central
 finite differences, which is the same machinery the test suite uses on every
 parameter coordinate of a full model.
 """
 
+import weakref
+
 import numpy as np
 
 import goalgraph.autodiff as ad
 from goalgraph import nn
+from goalgraph.errors import StructuralError
 
 
 def main():
@@ -23,12 +27,27 @@ def main():
     loss.backward()
     print(f"d/dx (x^2 + 3x) at x=2: analytic {float(x.grad[0])}, expected {2 * 2 + 3}")
 
-    # 2. the same ops under no_grad: no parents, no backward, just numpy
+    # 2. backward consumes the tape: the ops are freed while the loss lives on,
+    #    the leaf keeps its grad, and a second backward is an error
+    y = ad.mul(x, x)
+    y_ref = weakref.ref(y)
+    loss = ad.sum_all(ad.scalar_mul(y, 3.0))
+    del y
+    x.grad = None
+    loss.backward()
+    print(f"after backward: intermediate freed={y_ref() is None}, loss={float(loss.value)}, "
+          f"x.grad={float(x.grad[0])}")
+    try:
+        loss.backward()
+    except StructuralError as e:
+        print(f"second backward: StructuralError: {e}")
+
+    # 3. the same ops under no_grad: no parents, no backward, just numpy
     with ad.no_grad():
         q = ad.mul(x, x)
     print(f"under no_grad: parents={q._parents}, backward={q._backward}")
 
-    # 3. a small MLP checked coordinate-by-coordinate against finite differences
+    # 4. a small MLP checked coordinate-by-coordinate against finite differences
     ps = nn.ParamStore(seed=0)
     nn.create_mlp(ps, "demo", (4, 8, 1))
     x_in = np.random.default_rng(1).normal(size=(5, 4))

@@ -5,6 +5,12 @@ reverse topological sweep. `no_grad()` disables recording for cheap
 forward-only evaluation (finite differences, inference): every op computes
 the same value either way, and only links it into the tape with grad on.
 Work that only the backward needs is done inside the backward closure.
+
+One backward per forward: `backward()` consumes the tape it sweeps. Once an
+op's closure has run, the op drops its grad and closure, and its parents
+become None, so the tape is freed as the sweep goes; leaves (parameters,
+constants) keep their grads. A later backward that reaches a consumed op
+raises StructuralError.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, StructuralError
 
 _grad_enabled = True
 
@@ -63,14 +69,19 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise StructuralError("backward through a tape that an earlier backward consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:  # an op: run it once, then let it go
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, None, None
 
     # Operator sugar
     def __add__(self, other):
@@ -292,32 +303,6 @@ def gather_rows(a, idx) -> Tensor:
 embedding_lookup = gather_rows
 
 
-def segment_sum(a, seg_ids, num_segments) -> Tensor:
-    """Sum rows of a into num_segments buckets given per-row bucket ids
-    (an id array in any order, or its Segments layout)."""
-    a = _as_tensor(a)
-    seg = segments(seg_ids)
-
-    def bw(g):
-        _accum(a, g[seg.ids])
-
-    return _node(_scatter_add(a.value, seg, num_segments), (a,), bw)
-
-
-def scale_last(a, w) -> Tensor:
-    """Multiply a (..., d) tensor by per-row weights w (...,): a * w[..., None]."""
-    a, w = _as_tensor(a), _as_tensor(w)
-    av, wv = a.value, w.value
-    if av.shape[:-1] != wv.shape:
-        raise ShapeError(f"scale_last: {av.shape} vs weights {wv.shape}")
-
-    def bw(g):
-        _accum(a, g * wv[..., None])
-        _accum(w, (g * av).sum(axis=-1))
-
-    return _node(av * wv[..., None], (a, w), bw)
-
-
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
 
@@ -325,15 +310,6 @@ def sum_all(a) -> Tensor:
         _accum(a, np.full_like(a.value, float(g)))
 
     return _node(a.value.sum(), (a,), bw)
-
-
-def sum_axis(a, axis) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, np.expand_dims(g, axis) * np.ones_like(a.value))
-
-    return _node(a.value.sum(axis=axis), (a,), bw)
 
 
 def mean_all(a) -> Tensor:
@@ -493,9 +469,7 @@ def softmax_grouped(logits, group_ids, num_groups=None) -> Tensor:
         raise IndexError("softmax_grouped: group id out of range")
     x = logits.value
     squeeze = x.ndim == 1
-    x2 = x[:, None] if squeeze else x
-    ex = np.exp(x2 - _reduce(np.maximum, x2, seg)[seg.rank])
-    p = ex / _reduce(np.add, ex, seg)[seg.rank]
+    p = _softmax(x[:, None] if squeeze else x, seg)
 
     def bw(g):
         g2 = g[:, None] if squeeze else g
@@ -503,3 +477,45 @@ def softmax_grouped(logits, group_ids, num_groups=None) -> Tensor:
         _accum(logits, gx[:, 0] if squeeze else gx)
 
     return _node(p[:, 0] if squeeze else p, (logits,), bw)
+
+
+def _softmax(x: np.ndarray, seg: Segments) -> np.ndarray:
+    """Softmax of each column of x (E, H) within each segment of rows."""
+    ex = np.exp(x - _reduce(np.maximum, x, seg)[seg.rank])
+    return ex / _reduce(np.add, ex, seg)[seg.rank]
+
+
+def edge_attention(q, k, v, e, src, dst, row, heads: int) -> Tensor:
+    """Each destination's multi-head attention message over its in-edges.
+
+    Edge i attends from q[dst[i]] to key k[src[i]] + e_i and value v[src[i]] + e_i,
+    where e_i is e[row[i]] (e[i] when row is None); src, dst and row are id
+    arrays or Segments layouts. Rows of q without in-edges get zeros.
+    """
+    q, k, v, e = _as_tensor(q), _as_tensor(k), _as_tensor(v), _as_tensor(e)
+    src, dst = segments(src), segments(dst)
+    n_e, (n_dst, d) = len(dst.ids), q.value.shape
+    d_head = d // heads
+    c = 1.0 / np.sqrt(d_head)
+    ev = e.value if row is None else e.value[row.ids if isinstance(row, Segments) else row]
+    qe = q.value[dst.ids]
+    ke = k.value[src.ids] + ev
+    ve = v.value[src.ids] + ev
+    qh, kh, vh = (a.reshape(n_e, heads, d_head) for a in (qe, ke, ve))
+    p = _softmax((qh * kh).sum(axis=2) * c, dst)  # (E, heads)
+
+    def bw(g):
+        g3 = g[dst.ids].reshape(n_e, heads, d_head)
+        ga = (g3 * vh).sum(axis=-1)
+        gl = p * (ga - _reduce(np.add, p * ga, dst)[dst.rank]) * c
+        gq = (gl[..., None] * kh).reshape(n_e, d)
+        gk = (gl[..., None] * qh).reshape(n_e, d)
+        gv = (g3 * p[..., None]).reshape(n_e, d)
+        _accum(q, _scatter_add(gq, dst, n_dst))
+        _accum(k, _scatter_add(gk, src, k.value.shape[0]))
+        _accum(v, _scatter_add(gv, src, v.value.shape[0]))
+        ge = gk + gv
+        _accum(e, ge if row is None else _scatter_add(ge, segments(row), e.value.shape[0]))
+
+    msg = _scatter_add((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
+    return _node(msg, (q, k, v, e), bw)

@@ -111,37 +111,25 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     skip + FFN path unchanged by attention. edge_src and edge_dst are id
     arrays or their `ad.Segments` layouts; so is edge_row, each edge's row in
     edge_emb when edges share rows (without it, edge_emb has a row per edge).
-    Edge embeddings are projected once per row, then gathered per edge.
+    Edge embeddings are projected once per row; `ad.edge_attention` gathers
+    them per edge.
     Dropout with rate p_drop runs when rng is given.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
         raise ShapeError(f"width {d_h} not divisible by {heads} heads")
-    d_head = d_h // heads
-    n_dst = dst_feats.shape[0]
     edge_src, edge_dst = ad.segments(edge_src), ad.segments(edge_dst)
 
     s = layer_norm(ps, f"{prefix}.ln_src", src_feats)
     d0 = layer_norm(ps, f"{prefix}.ln_dst", dst_feats)
 
-    n_e = len(edge_dst.ids)
-    if n_e:
-        q = ad.gather_rows(affine(ps, f"{prefix}.q", d0), edge_dst)
-        e = affine(ps, f"{prefix}.edge", edge_emb)
-        if edge_row is not None:
-            e = ad.gather_rows(e, edge_row)
-        k = ad.add(ad.gather_rows(affine(ps, f"{prefix}.k", s), edge_src), e)
-        v = ad.add(ad.gather_rows(affine(ps, f"{prefix}.v", s), edge_src), e)
-        qh = ad.reshape(q, (n_e, heads, d_head))
-        kh = ad.reshape(k, (n_e, heads, d_head))
-        vh = ad.reshape(v, (n_e, heads, d_head))
-        logits = ad.scalar_mul(ad.sum_axis(ad.mul(qh, kh), axis=2), 1.0 / math.sqrt(d_head))
-        alpha = ad.softmax_grouped(logits, edge_dst, n_dst)  # (E, heads)
-        weighted = ad.scale_last(vh, alpha)
-        msg = ad.segment_sum(ad.reshape(weighted, (n_e, d_h)), edge_dst, n_dst)
-        attn = ad.add(affine(ps, f"{prefix}.skip", d0), msg)
-    else:
-        attn = affine(ps, f"{prefix}.skip", d0)
+    attn = affine(ps, f"{prefix}.skip", d0)
+    if len(edge_dst.ids):
+        msg = ad.edge_attention(affine(ps, f"{prefix}.q", d0), affine(ps, f"{prefix}.k", s),
+                                affine(ps, f"{prefix}.v", s),
+                                affine(ps, f"{prefix}.edge", edge_emb),
+                                edge_src, edge_dst, edge_row, heads)
+        attn = ad.add(attn, msg)
     x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, rng))
 
     h = layer_norm(ps, f"{prefix}.ln_ffn", x1)

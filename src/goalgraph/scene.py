@@ -89,6 +89,8 @@ class LaneDef:
             if not np.isfinite(arr).all():
                 raise DataError(f"lane {self.id}: non-finite {name} coordinates")
         self.length = polyline_arclength(self.centerline)
+        if self.length == 0:
+            raise DataError(f"lane {self.id}: centerline has zero length")
 
     def midpoint_pose(self) -> Pose2:
         return Pose2(*point_at_arclength(self.centerline, 0.5 * self.length))

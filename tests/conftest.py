@@ -15,6 +15,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+import goalgraph.autodiff as ad
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, gen_scene
 
@@ -30,6 +31,49 @@ def point_to_polyline_distance(xy, pts) -> float:
         t = 0.0 if den < 1e-18 else min(max(float((p - a) @ ab) / den, 0.0), 1.0)
         best = min(best, math.hypot(*(a + t * ab - p)))
     return best
+
+
+# Unfused tape ops, and the attention they compose: the oracle for
+# ad.edge_attention, which computes the same expressions as one op.
+
+def segment_sum(a, seg_ids, num_segments):
+    """Sum rows of a into num_segments buckets by per-row bucket id."""
+    seg = ad.segments(seg_ids)
+    return ad._node(ad._scatter_add(a.value, seg, num_segments), (a,),
+                    lambda g: ad._accum(a, g[seg.ids]))
+
+
+def scale_last(a, w):
+    """a (..., d) times per-row weights w (...,): a * w[..., None]."""
+    av, wv = a.value, w.value
+
+    def bw(g):
+        ad._accum(a, g * wv[..., None])
+        ad._accum(w, (g * av).sum(axis=-1))
+
+    return ad._node(av * wv[..., None], (a, w), bw)
+
+
+def sum_axis(a, axis):
+    return ad._node(a.value.sum(axis=axis), (a,),
+                    lambda g: ad._accum(a, np.expand_dims(g, axis) * np.ones_like(a.value)))
+
+
+def unfused_edge_attention(q, k, v, e, src, dst, row, heads):
+    """ad.edge_attention as one tape op per step: gathers, adds, reshapes,
+    the q.k product, grouped softmax, weighting and the sum into destinations."""
+    src, dst = ad.segments(src), ad.segments(dst)
+    n_e, (n_dst, d) = len(dst.ids), q.shape
+    d_head = d // heads
+    q = ad.gather_rows(q, dst)
+    if row is not None:
+        e = ad.gather_rows(e, row)
+    k = ad.add(ad.gather_rows(k, src), e)
+    v = ad.add(ad.gather_rows(v, src), e)
+    qh, kh, vh = (ad.reshape(t, (n_e, heads, d_head)) for t in (q, k, v))
+    logits = ad.scalar_mul(sum_axis(ad.mul(qh, kh), axis=2), 1.0 / math.sqrt(d_head))
+    alpha = ad.softmax_grouped(logits, dst, n_dst)
+    return segment_sum(ad.reshape(scale_last(vh, alpha), (n_e, d)), dst, n_dst)
 
 
 def straight_lane(lane_id, x0, y0, length, width=3.7, n=None, heading=0.0, **kw):

@@ -1,10 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import goalgraph.autodiff as ad
+from conftest import scale_last, segment_sum, sum_axis
 from goalgraph.autodiff import Tensor
-from goalgraph.errors import ShapeError
+from goalgraph.errors import ShapeError, StructuralError
 
 rng = np.random.default_rng(0)
 
@@ -78,6 +81,8 @@ def test_concat_slice_reshape():
 
 
 def test_gather_segment():
+    """Row gathers (their backward sums rows into segments), and the test
+    oracle's segment_sum against np.add.at."""
     idx = np.array([0, 2, 2, 1])
     check_op(lambda a: ad.sum_all(ad.mul(ad.gather_rows(a, idx), ad.gather_rows(a, idx))), (3, 4))
     check_op(lambda a: ad.sum_all(ad.mul(ad.gather_rows(a, ad.Segments(idx)),
@@ -85,9 +90,9 @@ def test_gather_segment():
     # sorted ids; unsorted ids with empty segments 1 and 3; the layout of those
     unsorted = np.array([2, 0, 2, 0, 2])
     for seg, n in ((np.array([0, 0, 1, 1, 1]), 2), (unsorted, 4), (ad.Segments(unsorted), 4)):
-        check_op(lambda a: ad.sum_all(ad.mul(ad.segment_sum(a, seg, n),
-                                             ad.segment_sum(a, seg, n))), (5, 3))
-        out = ad.segment_sum(tensor((5, 3), seed=4), seg, n).value
+        check_op(lambda a: ad.sum_all(ad.mul(segment_sum(a, seg, n),
+                                             segment_sum(a, seg, n))), (5, 3))
+        out = segment_sum(tensor((5, 3), seed=4), seg, n).value
         ids = seg.ids if isinstance(seg, ad.Segments) else seg
         ref = np.zeros((n, 3))
         np.add.at(ref, ids, tensor((5, 3), seed=4).value)
@@ -95,8 +100,9 @@ def test_gather_segment():
 
 
 def test_scale_last():
+    """The test oracle's per-row weighting of attention values."""
     w = np.array([0.5, 2.0, -1.0])
-    check_op(lambda a: ad.sum_all(ad.mul(ad.scale_last(a, Tensor(w) * Tensor(np.ones(3))),
+    check_op(lambda a: ad.sum_all(ad.mul(scale_last(a, Tensor(w) * Tensor(np.ones(3))),
                                          a)), (3, 4))
 
 
@@ -234,13 +240,70 @@ def test_no_grad_builds_no_tape():
 @settings(max_examples=30)
 @given(st.integers(2, 6), st.integers(1, 5))
 def test_sum_axis_matches_numpy(n, d):
-    """Axis 0 of a matrix, and axis 2 of a 3-D input as attention sums each
-    head's q.k products; values and gradients."""
+    """The test oracle's sum_axis: axis 0 of a matrix, and axis 2 of a 3-D
+    input as attention sums each head's q.k products; values and gradients."""
     x = np.random.default_rng(n * 7 + d).standard_normal((n, d))
-    assert np.allclose(ad.sum_axis(Tensor(x), 0).value, x.sum(axis=0))
+    assert np.allclose(sum_axis(Tensor(x), 0).value, x.sum(axis=0))
     x3 = np.random.default_rng(n * 7 + d + 1).standard_normal((n, 3, d))
-    assert np.allclose(ad.sum_axis(Tensor(x3), 2).value, x3.sum(axis=2))
-    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_axis(a, 0), ad.sum_axis(a, 0))), (n, d),
+    assert np.allclose(sum_axis(Tensor(x3), 2).value, x3.sum(axis=2))
+    check_op(lambda a: ad.sum_all(ad.mul(sum_axis(a, 0), sum_axis(a, 0))), (n, d),
              seed=n * 7 + d)
-    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_axis(a, 2), ad.sum_axis(a, 2))), (n, 3, d),
+    check_op(lambda a: ad.sum_all(ad.mul(sum_axis(a, 2), sum_axis(a, 2))), (n, 3, d),
              seed=n * 7 + d)
+
+
+# Edges with unsorted src and dst ids; destination 1 of 4 has no in-edges,
+# edge rows repeat and row 3 of 4 feeds no edge.
+ATT_SRC = np.array([2, 0, 1, 2, 0, 1])
+ATT_DST = np.array([3, 0, 3, 2, 0, 3])
+ATT_ROW = np.array([2, 0, 2, 1, 1, 0])
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("row", [ATT_ROW, ad.Segments(ATT_ROW), None])
+def test_edge_attention_grad(heads, row):
+    """Gradients on q, k, v and e against central differences, with 1 head
+    and with one head per column."""
+    n_rows = 4 if row is not None else len(ATT_SRC)
+    w = np.random.default_rng(3).standard_normal((4, 4))
+
+    def build(q, k, v, e):
+        out = ad.edge_attention(q, k, v, e, ATT_SRC, ATT_DST, row, heads)
+        return ad.sum_all(ad.mul(out, Tensor(w)))
+    check_op(build, (4, 4), (3, 4), (3, 4), (n_rows, 4), seed=heads)
+    q, k, v, e = (tensor(s, seed=i) for i, s in enumerate([(4, 4), (3, 4), (3, 4), (n_rows, 4)]))
+    build(q, k, v, e).backward()
+    out = ad.edge_attention(q, k, v, e, ATT_SRC, ATT_DST, row, heads).value
+    assert not out[1].any() and not q.grad[1].any()  # no in-edges
+    if row is not None:
+        assert not e.grad[3].any()  # feeds no edge
+
+
+def test_backward_releases_tape():
+    """backward frees each op once its closure has run, while the loss is
+    still alive; leaves keep their grads."""
+    x = tensor((3, 2), seed=1)
+    h = ad.mul(x, x)
+    ref = weakref.ref(h)
+    loss = ad.sum_all(h)
+    del h
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None
+    assert loss._parents is None and loss.grad is None
+    assert np.array_equal(x.grad, 2.0 * x.value)
+
+
+def test_second_backward_raises():
+    """One backward per forward: a second sweep of a consumed tape, or a new
+    loss built on one of its ops, raises rather than return no gradient."""
+    x = tensor((3, 2), seed=2)
+    h = ad.mul(x, x)
+    loss = ad.sum_all(h)
+    loss.backward()
+    g = x.grad.copy()
+    with pytest.raises(StructuralError, match="consumed"):
+        loss.backward()
+    with pytest.raises(StructuralError, match="consumed"):
+        ad.sum_all(ad.add(h, x)).backward()
+    assert np.array_equal(x.grad, g)

@@ -289,6 +289,22 @@ def test_non_finite_scenario_value_is_data_error(workdir, tmp_path, command, whe
     assert name in r.stderr and "non-finite" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_zero_length_centerline_is_data_error(workdir, tmp_path):
+    """A lane whose centerline vertices are all one point exits 3 and names
+    the lane, not 4 from the goal stage finding no points on it."""
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    lane = d["lanes"][0]
+    lane["centerline"] = [lane["centerline"][0]] * len(lane["centerline"])
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "scene_00000.json").write_text(json.dumps(d))
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "model.ckpt"),
+                "--data", str(data), "--out", str(tmp_path / "r.csv"))
+    assert r.returncode == 3, r.stderr
+    assert f"lane {lane['id']}: centerline has zero length" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_train_horizon_mismatch(workdir, tmp_path):
     """A model T_f other than the data's future length is a data error
     before the first step, naming the scene and both lengths."""

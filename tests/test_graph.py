@@ -557,13 +557,14 @@ def _relation_scene():
 
 def _gap_scene():
     """An agent with invalid (NaN) history steps, one too slow for a heading
-    until step 5, and a lane between two others whose centerline has no
-    segment of non-zero length."""
+    until step 5, and a short lane between two others whose centerline
+    repeats its first vertex, so one of its two segments has zero length
+    (a centerline of zero length is a data error)."""
     T = 40
     dot = np.array([[20.0, 8.0], [20.0, 8.0]])
     lanes = [straight_lane("L0", 0, 0, 40.0, successors=["L2"]),
-             LaneDef("dot", "intersection", dot, dot + [[-2.0, 2.0], [2.0, 2.0]],
-                     dot + [[-2.0, -2.0], [2.0, -2.0]]),
+             LaneDef("dot", "intersection", np.vstack([dot, [[20.5, 8.0]]]),
+                     dot + [[-2.0, 2.0], [2.0, 2.0]], dot + [[-2.0, -2.0], [2.0, -2.0]]),
              straight_lane("L2", 40, 0, 40.0, predecessors=["L0"])]
     valid = np.ones(T)
     valid[[0, 3, 4, 7]] = 0.0
@@ -618,7 +619,7 @@ def test_edge_sets_match_loop_oracle(kind, K):
             assert g.reachable == want["reach"]
             assert g.goal_rb == {i: i in want["reach"] for i in g.predicted}
     if kind == "gaps":
-        assert g.n_agent_nodes == 6 + 10 + 10 and len(g.lane_center_points[1]) == 0
+        assert g.n_agent_nodes == 6 + 10 + 10 and len(g.lane_center_points[1]) == 1
         assert g.agent_pose[6:11, 2].tolist() == [0.0] * 5
     if kind == "relations":
         rel = {(int(s), int(d)): LANE_RELATIONS[r] for s, d, r in

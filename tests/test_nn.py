@@ -3,6 +3,7 @@ import pytest
 
 import goalgraph.autodiff as ad
 import goalgraph.nn as nn
+from conftest import unfused_edge_attention
 from goalgraph.autodiff import Tensor
 from goalgraph.graph import EdgeSet
 from goalgraph.nn import ParamStore
@@ -150,6 +151,31 @@ def test_gal_edge_rows_match_per_edge_embeddings():
     assert np.array_equal(outs[0], outs[1])
     assert np.allclose(grads[0], grads[1], rtol=1e-12, atol=0.0)
     assert not grads[0][2].any()  # row 2 feeds no edge
+
+
+@pytest.mark.parametrize("heads", [1, 2, 8])
+def test_gal_matches_unfused_attention(monkeypatch, heads):
+    """The layer with the fused edge-attention op equals the layer with its
+    unfused composition bit for bit: the output with grad on and under
+    no_grad, and every parameter and input gradient."""
+    results = []
+    for op in (ad.edge_attention, unfused_edge_attention):
+        monkeypatch.setattr(ad, "edge_attention", op)
+        ps, src, dst, fe, edges = _gal_setup(n_src=4, n_dst=3)
+        edges = make_edges([3, 0, 2, 0, 3, 1], [2, 0, 2, 2, 0, 2])  # dst 1 has no in-edges
+        row = np.array([1, 0, 1, 3, 0, 1])  # row 2 feeds no edge
+
+        def layer():
+            return nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst, fe,
+                                            heads=heads, edge_row=row)
+        with ad.no_grad():
+            plain = layer().value
+        out = layer()
+        ad.sum_all(ad.mul(out, out)).backward()
+        results.append([plain, out.value, src.grad, dst.grad, fe.grad]
+                       + [ps[n].grad for n in ps.names()])
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 def test_gal_singleton_edge_weight_one():

@@ -70,6 +70,16 @@ def test_lane_rejects_non_finite_polyline(field):
         LaneDef("L7", "lane", **{**polys, field: pts})
 
 
+def test_lane_rejects_zero_length_centerline():
+    """A centerline whose vertices are all one point has no direction or
+    goal points; it is a data error naming the lane."""
+    lane = straight_lane("L7", 0, 0, 10.0, n=2)
+    with pytest.raises(DataError, match="lane L7: centerline has zero length"):
+        LaneDef("L7", "lane", [[20, 8], [20, 8]], lane.left_boundary, lane.right_boundary)
+    # a repeated vertex inside a centerline of non-zero length is fine
+    LaneDef("L8", "lane", [[0, 0], [0, 0], [5, 0]], lane.left_boundary, lane.right_boundary)
+
+
 def test_agent_rejects_non_finite_state():
     st = const_vel_track("a9", "vehicle", 0, 0, 1, 0, 5).states
     st[2, 1] = math.inf

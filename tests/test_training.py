@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -359,6 +360,34 @@ def test_parameters_stay_tape_leaves(synth_scene, small_mcfg):
         loss.backward()
         assert all(t._parents == () and t._backward is None for t in m.ps.params.values())
         assert sum(t.grad is not None for t in m.ps.params.values()) > 0
+
+
+def test_backward_memory_bounded_by_tape(synth_scene):
+    """backward frees the tape as it sweeps it: at d_h=16, its peak stays
+    within 1.25x the memory the forward tape holds, and it leaves at most
+    0.1x of it behind while the loss is still alive. A sweep that keeps every
+    op's grad and closure until the loss goes peaks and holds about 2x."""
+    m = Model(ModelConfig(d_h=16, heads=4, K=3, ffn_hidden=32, dropout=0.0), seed=0)
+    with ad.no_grad():
+        g = m.forward(synth_scene).graph
+
+    def scene_loss():
+        return compute_scene_loss(m, m.forward(synth_scene, graph=g), synth_scene,
+                                  TrainConfig(seed=0))[0]
+    scene_loss().backward()  # the parameter grads exist, as for later scenes of a batch
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = scene_loss()
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tape, (peak, tape)
+    assert held <= 0.1 * tape, (held, tape)
+    assert np.isfinite(loss.value)
 
 
 def test_gradient_isolation_single_agent():
