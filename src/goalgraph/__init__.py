@@ -14,7 +14,6 @@ from .graph import (
     build_graph,
     nrb_goal_candidates,
     reachable_lanes,
-    relative_edge_feature,
 )
 from .metrics import MetricsReport, evaluate
 from .model import Model, ModelConfig, ModePrediction
@@ -24,10 +23,9 @@ from .training import TrainConfig, train
 
 __all__ = [
     "Pose2", "GraphConfig", "HeteroGraph", "build_graph", "nrb_goal_candidates",
-    "reachable_lanes", "relative_edge_feature", "MetricsReport", "evaluate",
-    "Model", "ModelConfig", "ModePrediction", "AgentTrack", "LaneDef", "Scene",
-    "load_scene", "save_scene", "STYLE_A", "STYLE_B", "gen_dataset",
-    "gen_scene", "TrainConfig", "train",
+    "reachable_lanes", "MetricsReport", "evaluate", "Model", "ModelConfig",
+    "ModePrediction", "AgentTrack", "LaneDef", "Scene", "load_scene", "save_scene",
+    "STYLE_A", "STYLE_B", "gen_dataset", "gen_scene", "TrainConfig", "train",
 ]
 
 __version__ = "0.1.0"

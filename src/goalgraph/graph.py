@@ -9,8 +9,8 @@ import numpy as np
 
 from .autodiff import Segments
 from .config import Config
-from .errors import ConfigError, InvalidInputError, StructuralError
-from .geometry import Pose2, points_in_polygon, polyline_distances, to_local
+from .errors import ConfigError, StructuralError
+from .geometry import points_in_polygon, polyline_distances, to_local
 from .scene import AGENT_CLASSES, LANE_TYPES, POINT_DTYPE, SIDES, Scene, headings
 
 LANE_RELATIONS = ("none", "successor", "predecessor", "left-neighbor", "right-neighbor")
@@ -36,19 +36,9 @@ class GraphConfig(Config):
     seed_lane_radius: float = 50.0
 
 
-def relative_edge_feature(pose_m: Pose2, pose_n: Pose2, dt=None):
-    """Edge feature (sin a, cos a, sin phi, cos phi, d, dt) of n seen from frame m."""
-    for p in (pose_m, pose_n):
-        if not all(math.isfinite(v) for v in (p.x, p.y, p.heading)):
-            raise InvalidInputError("non-finite pose in relative_edge_feature")
-    if dt is not None and not math.isfinite(dt):
-        raise InvalidInputError("non-finite dt in relative_edge_feature")
-    pm, pn = (np.array([[p.x, p.y, p.heading]]) for p in (pose_m, pose_n))
-    return _rel_feat_arrays(pm, pn, None if dt is None else np.array([dt]))[0]
-
-
 def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> np.ndarray:
-    """Vectorized relative_edge_feature; pm, pn are (E, 3) pose arrays."""
+    """Edge features (sin a, cos a, sin phi, cos phi, d, dt) of each pose of
+    pn seen from the frame of the same row of pm, both (E, 3) pose arrays."""
     a = pn[:, 2] - pm[:, 2]
     dx, dy = to_local(pn[:, 0:2], pm).T
     d = np.hypot(dx, dy)
@@ -157,9 +147,11 @@ class HeteroGraph:
     nrb_pose: np.ndarray = None            # (M, 3)
     nrb_radius: np.ndarray = None
 
-    predicted: list = field(default_factory=list)       # agent indices
-    goal_rb: dict = field(default_factory=dict)         # agent idx -> bool (rb goal pipeline)
-    reachable: dict = field(default_factory=dict)       # agent idx -> sorted lane indices
+    # predicted agents: their indices, whether each takes the rb goal pipeline,
+    # and the (predicted agent x lane) mask of the lanes it can reach
+    predicted: list = field(default_factory=list)
+    rb: np.ndarray = None
+    reach: np.ndarray = None
     edges: dict = field(default_factory=dict)
 
     @property
@@ -366,7 +358,7 @@ def _build_query_nodes_and_edges(g: HeteroGraph):
 
 
 def _build_goal_candidates(g: HeteroGraph):
-    """Classify each predicted agent as rb/nrb for goal selection, compute
+    """Classify each predicted agent as rb/nrb for goal selection, mark its
     reachable lanes, generate point-nrb nodes, and build the first-stage
     decide edges (decide-lane for rb, decide-nrb for nrb)."""
     scene = g.scene
@@ -374,16 +366,15 @@ def _build_goal_candidates(g: HeteroGraph):
     owners = g.agent_node_agent[last].tolist()
     rb = [scene.agents[i].road_bound for i in owners]
     seeds = iter(_seed_lanes(scene, g.agent_pose[last[rb], 0:2], g.cfg))
-    reach = np.zeros((len(last), len(scene.lanes)), dtype=bool)
+    g.reach = np.zeros((len(last), len(scene.lanes)), dtype=bool)
     nrb = []
     for k, (n, i) in enumerate(zip(last, owners)):
         lanes = _reach(scene, next(seeds), g.cfg) if rb[k] else None
-        g.goal_rb[i] = bool(lanes)  # False: nrb class or no lane nearby, nrb fallback
         if lanes:
-            g.reachable[i] = lanes
-            reach[k, lanes] = True
-        else:
+            g.reach[k, lanes] = True
+        else:  # an nrb class, or no lane nearby: the nrb fallback
             nrb.append((i, nrb_goal_candidates(scene, i, g.agent_pose[n])))
+    g.rb = g.reach.any(axis=1)
     g.nrb_owner = np.repeat(np.array([i for i, _ in nrb], dtype=int), NRB_TOTAL)
     g.nrb_pose, g.nrb_radius = (np.concatenate([empty] + [c[j] for _, c in nrb])
                                 for j, empty in enumerate((np.zeros((0, 3)), np.zeros(0))))
@@ -391,7 +382,7 @@ def _build_goal_candidates(g: HeteroGraph):
     # (agent-query, decide, lane)
     q0 = _mode0(g)
     g.edges["dec_lane"] = _edge_set(g.query_pose, g.lane_pose,
-                                    np.nonzero(np.repeat(reach, g.K, axis=0)), same=(q0, None))
+                                    np.nonzero(np.repeat(g.reach, g.K, axis=0)), same=(q0, None))
     # (agent-query, decide, point-nrb)
     g.edges["dec_nrb"] = _edge_set(g.query_pose, g.nrb_pose,
                                    np.nonzero(g.query_agent[:, None] == g.nrb_owner[None, :]),

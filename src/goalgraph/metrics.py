@@ -17,13 +17,13 @@ LANE_EPS = 0.1        # boundary tolerance absorbing polygonization error
 METRICS = ("minADE", "minFDE", "b_minFDE", "minMR", "missRateTopK_2")
 
 
-def agent_metrics(preds_k: list, gt_scene: np.ndarray, K: int, literal: bool = False):
+def agent_metrics(preds_k: list, gt_scene: np.ndarray, K: int):
     """(minADE, minFDE, brier-minFDE, miss) of one agent's K highest-scoring
     modes (a tie keeps mode order), all from one (K, T_f) distance array.
 
     The Brier penalty is (1 - s)^2 for the score s of the minFDE mode (the
-    higher score on a tie); literal=True uses (1 - s^2) instead. A miss is
-    every top-K mode having some waypoint further than 2 m from GT.
+    higher score on a tie). A miss is every top-K mode having some waypoint
+    further than 2 m from GT.
     """
     for p in preds_k:
         if p.traj_scene.shape != gt_scene.shape:
@@ -33,8 +33,7 @@ def agent_metrics(preds_k: list, gt_scene: np.ndarray, K: int, literal: bool = F
     dist = np.hypot(diff[..., 0], diff[..., 1])
     fde = dist[:, -1]
     best = min(range(len(top)), key=lambda i: (fde[i], -preds_k[top[i]].score))
-    s = preds_k[top[best]].score
-    penalty = (1.0 - s * s) if literal else (1.0 - s) ** 2
+    penalty = (1.0 - preds_k[top[best]].score) ** 2
     miss = not (dist <= MISS_THRESHOLD).all(axis=1).any()
     return float(dist.mean(axis=1).min()), float(fde[best]), float(fde[best]) + penalty, miss
 
@@ -78,7 +77,7 @@ class MetricsReport:
                 "ORR": self.ORR, "per_class": self.per_class}
 
 
-def evaluate(model, dataset: list, ks=(1, 6), brier_literal: bool = False) -> MetricsReport:
+def evaluate(model, dataset: list, ks=(1, 6)) -> MetricsReport:
     """Aggregate all metrics over a dataset; deterministic. ORR counts every
     mode of the road-bound agents, with one lane test per scene. A k above
     the model's K uses all its modes; a k below 1 is a ConfigError."""
@@ -103,7 +102,7 @@ def evaluate(model, dataset: list, ks=(1, 6), brier_literal: bool = False) -> Me
             rep.n_agents += 1
             cls_acc = per_class.setdefault(agent.agent_class, {k: ([], []) for k in ks})
             for k in ks:
-                ade, fde, bfde, miss = agent_metrics(preds_k, gt, k, brier_literal)
+                ade, fde, bfde, miss = agent_metrics(preds_k, gt, k)
                 row = (ade, fde, bfde, float(fde > MISS_THRESHOLD), float(miss))
                 for m, v in zip(METRICS, row):
                     acc[m, k].append(v)

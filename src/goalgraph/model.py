@@ -72,12 +72,26 @@ class ModePrediction:
 
 @dataclass
 class ForwardResult:
-    """Forward-pass handles needed for loss construction and prediction."""
+    """The forward pass's outputs, one row per query (K per predicted agent,
+    agent-major), and the tape handles the loss needs.
+
+    score is normalised over each agent's K modes, lane is -1 where no lane
+    was selected (nrb queries and the baseline), and the goal arrays (point
+    to goal_scene) stay None for the baseline."""
 
     graph: HeteroGraph
     query_feats: Tensor
     enc: dict
-    preds: list
+    score: np.ndarray | None = None
+    lane: np.ndarray | None = None
+    point: np.ndarray | None = None
+    point_pose: np.ndarray | None = None
+    offset: np.ndarray | None = None
+    goal_local: np.ndarray | None = None
+    goal_scene: np.ndarray | None = None
+    mu: np.ndarray | None = None
+    b: np.ndarray | None = None
+    traj_scene: np.ndarray | None = None
     lane_edges: EdgeSet | None = None
     lane_scores: Tensor | None = None
     nrb_edges: EdgeSet | None = None
@@ -86,6 +100,23 @@ class ForwardResult:
     base_scores: Tensor | None = None
     base_mu: Tensor | None = None
     base_b: Tensor | None = None
+
+
+def mode_predictions(fr: ForwardResult) -> list:
+    """The forward pass's rows as ModePredictions, K per predicted agent."""
+    g = fr.graph
+    preds = []
+    for qi, (a_idx, k) in enumerate(zip(g.query_agent.tolist(), g.query_mode.tolist())):
+        li = int(fr.lane[qi])
+        goal = {} if fr.point is None else dict(
+            selected_point_idx=int(fr.point[qi]), selected_point_pose=fr.point_pose[qi],
+            goal_offset=fr.offset[qi], goal_scene=fr.goal_scene[qi], goal_local=fr.goal_local[qi])
+        preds.append(ModePrediction(
+            agent_id=g.scene.agents[a_idx].id, agent_idx=a_idx, mode=k, score=float(fr.score[qi]),
+            traj_mu_local=fr.mu[qi], traj_b=fr.b[qi], traj_scene=fr.traj_scene[qi],
+            selected_lane_id=None if li < 0 else g.scene.lanes[li].id,
+            selected_lane_idx=None if li < 0 else li, **goal))
+    return preds
 
 
 def _mean_and_scale(raw: Tensor, T_f: int):
@@ -264,14 +295,17 @@ class Model:
         return ad.softmax_grouped(logits, by_src, n_groups), fe
 
     @staticmethod
-    def argmax_per_group(scores: np.ndarray, groups: np.ndarray) -> dict:
-        """First (lowest edge position) maximum per group; deterministic."""
+    def argmax_per_group(scores: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+        """Position of each group's first (lowest edge position) maximum, by
+        group id in range(n_groups); -1 for a group without edges."""
         groups = np.asarray(groups)
         order = np.lexsort((-np.asarray(scores), groups))  # stable: ties keep position order
         g = groups[order]
         first = np.ones(len(g), dtype=bool)
         first[1:] = g[1:] != g[:-1]
-        return dict(zip(g[first].tolist(), order[first].tolist()))
+        best = np.full(n_groups, -1)
+        best[g[first]] = order[first]
+        return best
 
     def regress_offset(self, grp: str, q_feats, cand_feats, fe: Tensor,
                        edges: EdgeSet, positions: np.ndarray) -> Tensor:
@@ -324,24 +358,24 @@ class Model:
         eemb = self.embed_edges(g)
         enc = self.encode(g, feats, eemb, rng)
         q = self.decode_queries(g, enc, feats["query"], eemb, rng)
-        fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
+        fr = ForwardResult(graph=g, query_feats=q, enc=enc)
         if g.n_queries == 0:
             return fr
         if self.cfg.variant == "goal":
             self._forward_goal(fr)
         else:
             self._forward_baseline(fr)
+        fr.traj_scene = to_scene(fr.mu, g.query_pose[:, None, :])
         return fr
 
     def _forward_goal(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
         K, T_f, n = self.cfg.K, self.cfg.T_f, g.n_queries
-        rb = np.array([g.goal_rb[a] for a in g.query_agent.tolist()], dtype=bool)
-        # per-query outputs; a score is the product of its stage probabilities,
-        # and lane_idx stays -1 for nrb queries
-        score, lane_idx, point_idx = np.ones(n), np.full(n, -1), np.zeros(n, dtype=int)
-        point_pose, offset, goal_local = np.zeros((n, 3)), np.zeros((n, 2)), np.zeros((n, 2))
-        mu, b = np.zeros((n, T_f, 2)), np.zeros((n, T_f, 2))
+        rb = np.repeat(g.rb, K)
+        # a score is the product of its stage probabilities
+        score, fr.lane, fr.point = np.ones(n), np.full(n, -1), np.zeros(n, dtype=int)
+        fr.point_pose, fr.offset = np.zeros((n, 3)), np.zeros((n, 2))
+        fr.goal_local, fr.mu, fr.b = np.zeros((n, 2)), np.zeros((n, T_f, 2)), np.zeros((n, T_f, 2))
         for grp, queries in (("rb", np.nonzero(rb)[0]), ("nrb", np.nonzero(~rb)[0])):
             if not len(queries):
                 continue
@@ -349,66 +383,38 @@ class Model:
                 fr.lane_edges = g.edges["dec_lane"]
                 fr.lane_scores, _ = self.score_decide_edges("lane", "dec_lane", q, fr.enc["lane"],
                                                             fr.lane_edges, n)
-                best = self.argmax_per_group(fr.lane_scores.value, fr.lane_edges.src)
-                lane_pos = np.array([best[qi] for qi in queries], dtype=int)
-                lane_idx[queries] = fr.lane_edges.dst[lane_pos]
+                lane_pos = self.argmax_per_group(fr.lane_scores.value, fr.lane_edges.src,
+                                                 n)[queries]
+                fr.lane[queries] = fr.lane_edges.dst[lane_pos]
                 score[queries] = fr.lane_scores.value[lane_pos]
                 edges = build_decide_point_edges(g, dict(zip(queries.tolist(),
-                                                             lane_idx[queries].tolist())))
+                                                             fr.lane[queries].tolist())))
                 scores, fe = self.score_decide_edges("point", "dec_point", q, fr.enc["point"],
                                                      edges, n)
             else:
                 edges = fr.nrb_edges = g.edges["dec_nrb"]
                 scores, fe = self.score_decide_edges("nrb", "dec_nrb", q, fr.enc["nrb"], edges, n)
                 fr.nrb_scores, fr.nrb_fe = scores, fe
-            best = self.argmax_per_group(scores.value, edges.src)
-            positions = np.array([best[qi] for qi in queries], dtype=int)
+            positions = self.argmax_per_group(scores.value, edges.src, n)[queries]
             score[queries] *= scores.value[positions]
-            point_idx[queries] = edges.dst[positions]
+            fr.point[queries] = edges.dst[positions]
             pose, off, gl, m, s = self.goal_head(grp, fr, fe, edges, positions, queries)
-            point_pose[queries], offset[queries], goal_local[queries] = pose, off.value, gl.value
-            mu[queries], b[queries] = m.value, s.value
-
-        # assemble predictions, renormalizing scores over the K modes per agent
-        scene = g.scene
-        traj_scene = to_scene(mu, g.query_pose[:, None, :])
-        goal_scene = to_scene(goal_local, g.query_pose)
-        for base in range(0, n, K):
-            modes = slice(base, base + K)
-            norm = score[modes] / score[modes].sum()
-            a_idx = int(g.query_agent[base])
-            for k in range(K):
-                qi = base + k
-                li = None if lane_idx[qi] < 0 else int(lane_idx[qi])
-                fr.preds.append(ModePrediction(
-                    agent_id=scene.agents[a_idx].id, agent_idx=a_idx, mode=k,
-                    score=float(norm[k]), traj_mu_local=mu[qi], traj_b=b[qi],
-                    traj_scene=traj_scene[qi],
-                    selected_lane_id=None if li is None else scene.lanes[li].id,
-                    selected_lane_idx=li, selected_point_idx=int(point_idx[qi]),
-                    selected_point_pose=point_pose[qi], goal_offset=offset[qi],
-                    goal_scene=goal_scene[qi], goal_local=goal_local[qi]))
+            fr.point_pose[queries], fr.offset[queries] = pose, off.value
+            fr.goal_local[queries], fr.mu[queries], fr.b[queries] = gl.value, m.value, s.value
+        score = score.reshape(-1, K)
+        fr.score = (score / score.sum(axis=1, keepdims=True)).reshape(n)
+        fr.goal_scene = to_scene(fr.goal_local, g.query_pose)
 
     def _forward_baseline(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
-        cfg = self.cfg
-        T_f, K = cfg.T_f, cfg.K
-        n = g.n_queries
-        mu, b = _mean_and_scale(nn.mlp(self.ps, "base.traj", q, 2), T_f)
+        K, n = self.cfg.K, g.n_queries
+        mu, b = _mean_and_scale(nn.mlp(self.ps, "base.traj", q, 2), self.cfg.T_f)
         logits = ad.reshape(nn.mlp(self.ps, "base.score", q, 2), (n,))
         scores = ad.softmax_grouped(logits, np.arange(n) // K, n // K)
         fr.base_scores, fr.base_mu, fr.base_b = scores, mu, b
-        traj_scene = to_scene(mu.value, g.query_pose[:, None, :])
-        for qi in range(n):
-            a_idx = int(g.query_agent[qi])
-            fr.preds.append(ModePrediction(
-                agent_id=g.scene.agents[a_idx].id, agent_idx=a_idx,
-                mode=int(g.query_mode[qi]), score=float(scores.value[qi]),
-                traj_mu_local=mu.value[qi], traj_b=b.value[qi],
-                traj_scene=traj_scene[qi]))
+        fr.score, fr.lane, fr.mu, fr.b = scores.value, np.full(n, -1), mu.value, b.value
 
     def predict(self, scene: Scene) -> list:
         """Inference: K ModePredictions per predicted agent."""
         with ad.no_grad():
-            return self.forward(scene).preds
-
+            return mode_predictions(self.forward(scene))

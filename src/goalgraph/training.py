@@ -135,49 +135,47 @@ class AdamW:
 # ---------------------------------------------------------------------------
 # winner-takes-all
 
-def select_winner_mode(preds_k: list, gt_endpoint: np.ndarray, lane_xy: np.ndarray,
-                       rb: bool) -> tuple[int, int]:
-    """Hierarchical winner: distance to the selected lane's midpoint (rb only;
-    row i of lane_xy starts with lane i's midpoint, as in HeteroGraph.lane_pose),
-    then to the selected point, then to the regressed goal; residual ties go
-    to the lowest mode index."""
-    gt = np.asarray(gt_endpoint, dtype=float)
-    alive = list(range(len(preds_k)))
-    stage_reached = 1
-
-    def keep_min(dists, stage):
-        nonlocal alive, stage_reached
-        dmin = min(dists[k] for k in alive)
-        alive = [k for k in alive if dists[k] == dmin]
-        stage_reached = stage
-
-    if rb:
-        mid = {k: lane_xy[preds_k[k].selected_lane_idx] for k in alive}
-        keep_min({k: math.hypot(p[0] - gt[0], p[1] - gt[1]) for k, p in mid.items()}, 1)
-    if len(alive) > 1:
-        pt_d = {k: math.hypot(preds_k[k].selected_point_pose[0] - gt[0],
-                              preds_k[k].selected_point_pose[1] - gt[1]) for k in alive}
-        keep_min(pt_d, 2)
-    if len(alive) > 1:
-        goal_d = {k: math.hypot(preds_k[k].goal_scene[0] - gt[0],
-                                preds_k[k].goal_scene[1] - gt[1]) for k in alive}
-        keep_min(goal_d, 3)
-    return min(alive), stage_reached
+def select_winners(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hierarchical winners of M agents from (M, K, S) distances of each
+    agent's K modes to its ground-truth endpoint, one column per goal stage.
+    Each column in turn keeps the modes at its minimum (exact ==); a residual
+    tie goes to the lowest mode. Returns each agent's mode and stage: the
+    first column after which one mode is left, else S."""
+    alive = np.ones(dist.shape[:2], dtype=bool)
+    stage = np.ones(len(dist), dtype=int)
+    for s in range(dist.shape[2]):
+        if s:
+            stage += alive.sum(axis=1) > 1
+        d = np.where(alive, dist[..., s], np.inf)
+        alive &= d == d.min(axis=1, keepdims=True)
+    return alive.argmax(axis=1), stage
 
 
-def select_winner_baseline(preds_k: list, gt_endpoint: np.ndarray) -> int:
-    d = [math.hypot(p.traj_scene[-1, 0] - gt_endpoint[0],
-                    p.traj_scene[-1, 1] - gt_endpoint[1]) for p in preds_k]
-    return int(np.argmin(d))
+def winner_distances(fr: ForwardResult, q: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
+    """(M, K, 3) distances from M agents' (M, 2) ground-truth endpoints to
+    their modes, the (M, K) queries q, at each goal stage: the selected lane's
+    midpoint (row i of HeteroGraph.lane_pose starts with lane i's), the
+    selected point and the goal. A stage that selects nothing reads 0: the
+    lane for nrb agents, lane and point for the baseline, whose goal is its
+    trajectory's endpoint."""
+    gt = np.broadcast_to(endpoints[:, None, :], q.shape + (2,))
+
+    def dist(xy, at):
+        return np.hypot(xy[..., 0] - at[..., 0], xy[..., 1] - at[..., 1])
+
+    d = np.zeros(q.shape + (3,))
+    if fr.point is None:
+        d[..., 2] = dist(fr.traj_scene[q, -1], gt)
+        return d
+    rb = fr.lane[q] >= 0
+    d[rb, 0] = dist(fr.graph.lane_pose[fr.lane[q[rb]]], gt[rb])
+    d[..., 1] = dist(fr.point_pose[q], gt)
+    d[..., 2] = dist(fr.goal_scene[q], gt)
+    return d
 
 
 # ---------------------------------------------------------------------------
 # combined scene loss
-
-def _supervised_agents(scene: Scene, graph) -> list:
-    """Predicted agents with a fully valid future."""
-    return [i for i in graph.predicted if scene.agents[i].valid[scene.t_history:].all()]
-
 
 def nearest_lanes(scene: Scene, points, candidates: list) -> tuple[list, list]:
     """For each of the (P, 2) points, the nearest lane among its own lane
@@ -198,59 +196,62 @@ def _nearest_candidate(edges, cand_pose: np.ndarray, qi: int, xy) -> int:
 
 def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
                        tcfg: TrainConfig):
-    """Winner-takes-all combined loss for one scene. Returns
-    (loss Tensor or None, terms dict, WinnerAssignment)."""
+    """Winner-takes-all combined loss for one scene, over the predicted agents
+    with a fully valid future. Returns (loss Tensor or None, terms dict,
+    WinnerAssignment)."""
+    g, K = fr.graph, model.cfg.K
+    rows = np.array([m for m, i in enumerate(g.predicted)
+                     if scene.agents[i].valid[scene.t_history:].all()], dtype=int)
+    if not len(rows):
+        return None, {}, WinnerAssignment()
+    agents = [g.predicted[m] for m in rows]
+    tracks = np.stack([scene.agents[a].states for a in agents])
+    endpoints = tracks[:, -1, 0:2]
+    modes, stages = select_winners(
+        winner_distances(fr, rows[:, None] * K + np.arange(K), endpoints))
+    assign = WinnerAssignment(dict(zip(agents, modes.tolist())),
+                              dict(zip(agents, stages.tolist())))
+    qs = rows * K + modes  # each agent's winning query
+    gt = to_local(tracks[:, scene.t_history:, 0:2], g.query_pose[qs][:, None, :])
     if model.cfg.variant == "baseline":
-        return _baseline_scene_loss(model, fr, scene, tcfg)
-    g = fr.graph
-    K = model.cfg.K
-    sup = _supervised_agents(scene, g)
-    assign = WinnerAssignment()
-    if not sup:
-        return None, {}, assign
-
-    agent_base = {int(g.query_agent[b]): b for b in range(0, g.n_queries, K)}
-    winners = {"rb": [], "nrb": []}  # winning query per supervised agent, by pipeline
-    for ai in sup:
-        base = agent_base[ai]
-        winner, assign.stages[ai] = select_winner_mode(
-            fr.preds[base:base + K], scene.agents[ai].states[-1, 0:2], g.lane_pose, g.goal_rb[ai])
-        assign.winners[ai] = winner
-        winners["rb" if g.goal_rb[ai] else "nrb"].append(base + winner)
+        l_score = focal_loss_tensor(ad.gather_rows(fr.base_scores, qs),
+                                    tcfg.focal_alpha, tcfg.focal_gamma)
+        l_traj = laplace_nll_tensor(ad.gather_rows(fr.base_mu, qs),
+                                    ad.gather_rows(fr.base_b, qs), gt)
+        terms = {"l_lane": 0.0, "l_point": float(l_score.value), "l_goal": 0.0,
+                 "l_traj": float(l_traj.value)}
+        return ad.add(l_score, ad.scalar_mul(l_traj, tcfg.traj_loss_weight)), terms, assign
 
     losses, lane_p, point_p, goal_terms = [], [], {}, {"l_goal": [], "l_traj": []}
-    for grp, qs in winners.items():
-        if not qs:
+    rb = g.rb[rows]
+    for grp, sel in (("rb", rb), ("nrb", ~rb)):
+        if not sel.any():
             continue
-        qs = np.array(qs, dtype=int)
-        tracks = [scene.agents[a].states for a in g.query_agent[qs].tolist()]
-        endpoints = np.array([st[-1, 0:2] for st in tracks])
+        q, ends = qs[sel], endpoints[sel]
         if grp == "rb":
             # lane target among each winner's reachable lanes; the point stage
             # is teacher-forced on the lane nearest of all
-            pos = [np.nonzero(fr.lane_edges.src == qi)[0] for qi in qs]
+            pos = [np.nonzero(fr.lane_edges.src == qi)[0] for qi in q]
             cands = [fr.lane_edges.dst[p] for p in pos]
-            targets, teacher = nearest_lanes(scene, endpoints, cands)
+            targets, teacher = nearest_lanes(scene, ends, cands)
             # reachable lanes are distinct: one target edge per winner
             lane_pos = np.concatenate([p[c == t] for p, c, t in zip(pos, cands, targets)])
             lane_p.append(ad.gather_rows(fr.lane_scores, lane_pos))
-            edges = build_decide_point_edges(g, dict(zip(qs.tolist(), teacher)))
+            edges = build_decide_point_edges(g, dict(zip(q.tolist(), teacher)))
             scores, fe = model.score_decide_edges("point", "dec_point", fr.query_feats,
                                                   fr.enc["point"], edges, g.n_queries)
             cand_pose = g.point_pose
         else:
             edges, scores, fe, cand_pose = fr.nrb_edges, fr.nrb_scores, fr.nrb_fe, g.nrb_pose
         positions = np.array([_nearest_candidate(edges, cand_pose, qi, xy)
-                              for qi, xy in zip(qs, endpoints)], dtype=int)
+                              for qi, xy in zip(q, ends)], dtype=int)
         point_p[grp] = ad.gather_rows(scores, positions)
-        goal_pose, offset, _, mu, b = model.goal_head(grp, fr, fe, edges, positions, qs)
+        goal_pose, offset, _, mu, b = model.goal_head(grp, fr, fe, edges, positions, q)
 
         # Huber loss on the offset in the goal node's frame, Laplace NLL on the trajectory
-        l_goal = huber_loss_tensor(ad.sub(offset, Tensor(to_local(endpoints, goal_pose))),
+        l_goal = huber_loss_tensor(ad.sub(offset, Tensor(to_local(ends, goal_pose))),
                                    tcfg.huber_delta)
-        gt = to_local(np.stack([st[scene.t_history:, 0:2] for st in tracks]),
-                      g.query_pose[qs][:, None, :])
-        l_traj = laplace_nll_tensor(mu, b, gt)
+        l_traj = laplace_nll_tensor(mu, b, gt[sel])
         losses += [l_goal, ad.scalar_mul(l_traj, tcfg.traj_loss_weight)]
         goal_terms["l_goal"].append(float(l_goal.value))
         goal_terms["l_traj"].append(float(l_traj.value))
@@ -267,35 +268,6 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
             terms[name] = float(losses[-1].value)
     terms.update({k: float(np.mean(v)) for k, v in goal_terms.items()})
     return functools.reduce(ad.add, losses), terms, assign
-
-
-def _baseline_scene_loss(model, fr, scene, tcfg):
-    g = fr.graph
-    K = model.cfg.K
-    sup = _supervised_agents(scene, g)
-    assign = WinnerAssignment()
-    if not sup:
-        return None, {}, assign
-    agent_base = {int(g.query_agent[b]): b for b in range(0, g.n_queries, K)}
-    pts, mus = [], []
-    for ai in sup:
-        base = agent_base[ai]
-        endpoint = scene.agents[ai].states[-1, 0:2]
-        winner = select_winner_baseline(fr.preds[base:base + K], endpoint)
-        assign.winners[ai] = winner
-        assign.stages[ai] = 3
-        qi = base + winner
-        pts.append(ad.gather_rows(fr.base_scores, np.array([qi])))
-        mus.append(qi)
-    qs = np.array(mus, dtype=int)
-    gt = to_local(np.stack([scene.agents[a].states[scene.t_history:, 0:2] for a in sup]),
-                  g.query_pose[qs][:, None, :])
-    l_score = focal_loss_tensor(ad.concat(pts, axis=0), tcfg.focal_alpha, tcfg.focal_gamma)
-    l_traj = laplace_nll_tensor(ad.gather_rows(fr.base_mu, qs), ad.gather_rows(fr.base_b, qs), gt)
-    total = ad.add(l_score, ad.scalar_mul(l_traj, tcfg.traj_loss_weight))
-    terms = {"l_lane": 0.0, "l_point": float(l_score.value), "l_goal": 0.0,
-             "l_traj": float(l_traj.value)}
-    return total, terms, assign
 
 
 # ---------------------------------------------------------------------------

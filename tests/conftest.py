@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built scenes, small model configurations and oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 import goalgraph.autodiff as ad
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, gen_scene
+from goalgraph.training import select_winners, winner_distances
 
 
 def point_to_polyline_distance(xy, pts) -> float:
@@ -158,3 +160,19 @@ def synth_scene():
 def small_mcfg():
     from goalgraph.model import ModelConfig
     return ModelConfig(d_h=32, heads=4, K=3, T_f=30, ffn_hidden=64, dropout=0.0)
+
+
+def winner_of(preds: list, gt, lane_xy, rb: bool = True, goal: bool = True) -> tuple:
+    """(mode, stage) of training.select_winners for one agent whose modes are
+    given as objects with ModePrediction's fields. Row i of lane_xy starts
+    with lane i's midpoint; goal=False scores the modes as the baseline's."""
+    fr = SimpleNamespace(
+        graph=SimpleNamespace(lane_pose=np.asarray(lane_xy, dtype=float)),
+        lane=np.array([p.selected_lane_idx if rb else -1 for p in preds]),
+        point=np.zeros(len(preds), dtype=int) if goal else None,
+        point_pose=np.array([p.selected_point_pose for p in preds]),
+        goal_scene=np.array([p.goal_scene for p in preds]),
+        traj_scene=np.array([p.traj_scene for p in preds]))
+    mode, stage = select_winners(winner_distances(fr, np.arange(len(preds))[None, :],
+                                                  np.asarray(gt, dtype=float)[None, :]))
+    return int(mode[0]), int(stage[0])

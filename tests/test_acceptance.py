@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_line_scene
+from conftest import make_line_scene, winner_of
 
 import goalgraph.autodiff as ad
 from goalgraph import cli, nn
@@ -40,8 +40,6 @@ from goalgraph.training import (
     huber_loss_tensor,
     laplace_nll_tensor,
     lr_schedule,
-    select_winner_baseline,
-    select_winner_mode,
     train,
 )
 from goalgraph.training import Tensor  # re-exported
@@ -145,7 +143,7 @@ def _a2_staged_groups(m, scene, g, tcfg):
         eemb[et] = m.embed_edge(et, g.edges[et])
 
     def tail(q, enc):
-        fr = ForwardResult(graph=g, query_feats=q, enc=enc, preds=[])
+        fr = ForwardResult(graph=g, query_feats=q, enc=enc)
         m._forward_goal(fr)
         return compute_scene_loss(m, fr, scene, tcfg)[0]
 
@@ -401,10 +399,10 @@ def test_a4_oracle_equivalence():
             count_mismatch += miss != o_miss
             count_mismatch += (fde > 2.0) != o_mr
         rb = bool(rng.integers(2))
-        w = select_winner_mode(preds, gt[-1], lane_mid, rb)
+        w = winner_of(preds, gt[-1], lane_mid, rb)
         count_mismatch += w != _oracle_winner(preds, gt[-1], scene, rb)
         d = [math.hypot(*(p.traj_scene[-1] - gt[-1])) for p in preds]
-        count_mismatch += select_winner_baseline(preds, gt[-1]) != d.index(min(d))
+        count_mismatch += winner_of(preds, gt[-1], lane_mid, goal=False)[0] != d.index(min(d))
     ok = worst < 1e-12 and count_mismatch == 0
     record("A4", ok, f"1000 instances, metric err {worst:.1e} < 1e-12, "
                      f"{count_mismatch} count/winner mismatches")

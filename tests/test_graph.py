@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from goalgraph.errors import ConfigError, InvalidInputError
+from goalgraph.errors import ConfigError
 from goalgraph.geometry import Pose2
 from goalgraph.graph import (
     LANE_RELATIONS,
@@ -15,7 +15,6 @@ from goalgraph.graph import (
     build_graph,
     nrb_goal_candidates,
     reachable_lanes,
-    relative_edge_feature,
 )
 from goalgraph.model import Model, ModelConfig
 from goalgraph.scene import AGENT_CLASSES, SIDES, LaneDef, Scene
@@ -28,19 +27,20 @@ ang = st.floats(-math.pi, math.pi)
 coord = st.floats(-500, 500)
 
 
+def rel_feat(pm: Pose2, pn: Pose2, dt=None) -> np.ndarray:
+    """The edge feature of pn seen from pm, through (1, 3) pose arrays."""
+    return _rel((pm.x, pm.y, pm.heading), (pn.x, pn.y, pn.heading),
+                None if dt is None else [dt])[0]
+
+
 def test_rel_feat_identity():
     p = Pose2(3.0, 4.0, 1.0)
-    assert np.allclose(relative_edge_feature(p, p), [0, 1, 0, 1, 0, 0], atol=1e-12)
+    assert np.allclose(rel_feat(p, p), [0, 1, 0, 1, 0, 0], atol=1e-12)
 
 
 def test_rel_feat_axis_aligned():
-    f = relative_edge_feature(Pose2(0, 0, 0), Pose2(1, 0, math.pi / 2), dt=0.1)
+    f = rel_feat(Pose2(0, 0, 0), Pose2(1, 0, math.pi / 2), dt=0.1)
     assert np.allclose(f, [1, 0, 0, 1, 1, 0.1], atol=1e-12)
-
-
-def test_rel_feat_nonfinite():
-    with pytest.raises(InvalidInputError):
-        relative_edge_feature(Pose2(0, 0, 0), Pose2(1, 0, 0), dt=math.inf)
 
 
 @settings(max_examples=60)
@@ -59,9 +59,8 @@ def test_rel_feat_se2_invariant(xm, ym, hm, xn, yn, hn, dx, dy, dth):
     Coincident poses move to coincident poses, both with phi = 0.
     """
     pm, pn = Pose2(xm, ym, hm), Pose2(xn, yn, hn)
-    f0 = relative_edge_feature(pm, pn, dt=0.3)
-    f1 = relative_edge_feature(pm.transform(dx, dy, dth),
-                               pn.transform(dx, dy, dth), dt=0.3)
+    f0 = rel_feat(pm, pn, dt=0.3)
+    f1 = rel_feat(pm.transform(dx, dy, dth), pn.transform(dx, dy, dth), dt=0.3)
     big = max(abs(v) for v in (xm, ym, xn, yn, dx, dy))
     d = math.hypot(xn - xm, yn - ym)
     cond = 16 * np.finfo(float).eps * big / d if d else 0.0
@@ -74,8 +73,8 @@ def test_rel_feat_bearing_fades_near_zero_distance(theta):
     """The bearing has no jump where d crosses 1e-9 m and reads exactly
     (sin, cos) = (0, 1) at d = 0 and at d = 1e-13 m."""
     def feat(d):
-        return relative_edge_feature(Pose2(0.0, 0.0, 0.3),
-                                     Pose2(d * math.cos(theta + 0.3), d * math.sin(theta + 0.3), 1.0))
+        return rel_feat(Pose2(0.0, 0.0, 0.3),
+                        Pose2(d * math.cos(theta + 0.3), d * math.sin(theta + 0.3), 1.0))
 
     lo, hi = feat(1e-9 * (1 - 1e-12)), feat(1e-9 * (1 + 1e-12))
     assert np.abs(lo - hi).max() < 1e-10
@@ -326,7 +325,7 @@ def test_degenerate_scenes(kind):
     for e in g.edges.values():
         assert e.feat[e.row].shape == (e.count, 6)
     assert g.n_queries == 2 * len(g.predicted)
-    assert all(not rb for rb in g.goal_rb.values())
+    assert g.rb.shape == (len(g.predicted),) and not g.rb.any()
     model = Model(ModelConfig(d_h=16, heads=2, K=2, ffn_hidden=32, dropout=0.0))
     preds = model.predict(sc)
     assert len(preds) == n_preds
@@ -616,8 +615,10 @@ def test_edge_sets_match_loop_oracle(kind, K):
             assert len(g.lane_center_points) == len(center) == len(sc.lanes)
             for a, b in zip(g.lane_center_points, center):
                 assert a.dtype == b.dtype and np.array_equal(a, b), sc.id
-            assert g.reachable == want["reach"]
-            assert g.goal_rb == {i: i in want["reach"] for i in g.predicted}
+            assert g.reach.shape == (len(g.predicted), len(sc.lanes))
+            assert {i: np.nonzero(r)[0].tolist() for i, r in zip(g.predicted, g.reach)
+                    if r.any()} == want["reach"]
+            assert g.rb.tolist() == [i in want["reach"] for i in g.predicted]
     if kind == "gaps":
         assert g.n_agent_nodes == 6 + 10 + 10 and len(g.lane_center_points[1]) == 1
         assert g.agent_pose[6:11, 2].tolist() == [0.0] * 5

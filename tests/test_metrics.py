@@ -56,13 +56,11 @@ def _oracle_miss_top2(preds, gt, K):
                for p in _oracle_topk(preds, K))
 
 
-def _oracle_brier(preds, gt, K, literal=False):
+def _oracle_brier(preds, gt, K):
     top = _oracle_topk(preds, K)
     fdes = [np.linalg.norm(p.traj_scene[-1] - gt[-1]) for p in top]
     best = min(range(len(top)), key=lambda i: (fdes[i], -top[i].score))
-    s = top[best].score
-    pen = (1.0 - s * s) if literal else (1.0 - s) ** 2
-    return fdes[best] + pen
+    return fdes[best] + (1.0 - top[best].score) ** 2
 
 
 def test_perfect_prediction_zero():
@@ -83,8 +81,6 @@ def test_brier_half_score():
     gt = np.zeros((4, 2))
     preds = [mk(0, np.tile([1.0, 0.0], (4, 1)), 0.5)]
     assert agent_metrics(preds, gt, 1)[2] == pytest.approx(1.25, abs=1e-12)
-    # literal (paper-printed) form: 1 + (1 - 0.25) = 1.75
-    assert agent_metrics(preds, gt, 1, literal=True)[2] == pytest.approx(1.75, abs=1e-12)
 
 
 def test_miss_threshold_exact():
@@ -123,8 +119,6 @@ def test_metrics_match_oracles_1000():
         assert fde == pytest.approx(_oracle_fde(preds, gt, k_eval), abs=1e-12)
         assert miss == _oracle_miss_top2(preds, gt, k_eval)
         assert bfde == pytest.approx(_oracle_brier(preds, gt, k_eval), abs=1e-12)
-        assert agent_metrics(preds, gt, k_eval, literal=True)[2] == pytest.approx(
-            _oracle_brier(preds, gt, k_eval, literal=True), abs=1e-12)
 
 
 def test_metrics_monotone_in_k():
@@ -270,12 +264,11 @@ def _pm_miss_top2(preds_k, gt, K):
     return True
 
 
-def _pm_brier(preds_k, gt, K, literal):
+def _pm_brier(preds_k, gt, K):
     top = _pm_top_k(preds_k, K)
     fdes = [float(np.hypot(*(p.traj_scene[-1] - gt[-1]))) for p in top]
     best = min(range(len(top)), key=lambda i: (fdes[i], -top[i].score))
-    s = top[best].score
-    return fdes[best] + ((1.0 - s * s) if literal else (1.0 - s) ** 2)
+    return fdes[best] + (1.0 - top[best].score) ** 2
 
 
 def _pm_offroad(traj, lane_polys, eps=0.1):
@@ -286,7 +279,7 @@ def _pm_offroad(traj, lane_polys, eps=0.1):
     return not covered.all()
 
 
-def _pm_report(dataset, preds_per_scene, ks, literal):
+def _pm_report(dataset, preds_per_scene, ks):
     """evaluate()'s to_dict(), one metric function call per agent and K and
     one lane test per road-bound mode."""
     acc = {k: {"ade": [], "fde": [], "bfde": [], "mr": [], "miss": []} for k in ks}
@@ -305,7 +298,7 @@ def _pm_report(dataset, preds_per_scene, ks, literal):
             cls = per_class.setdefault(agent.agent_class, {k: {"ade": [], "fde": []} for k in ks})
             for k in ks:
                 ade, fde = _pm_min_ade(pk, gt, k), _pm_min_fde(pk, gt, k)
-                for name, v in (("ade", ade), ("fde", fde), ("bfde", _pm_brier(pk, gt, k, literal)),
+                for name, v in (("ade", ade), ("fde", fde), ("bfde", _pm_brier(pk, gt, k)),
                                 ("mr", 1.0 if fde > MISS_THRESHOLD else 0.0),
                                 ("miss", 1.0 if _pm_miss_top2(pk, gt, k) else 0.0)):
                     acc[k][name].append(v)
@@ -374,9 +367,7 @@ def test_evaluate_matches_per_mode_oracle(kind):
     preds = [model.predict(s) for s in scenes]
     replay = _Replay({s.id: p for s, p in zip(scenes, preds)})
     ks = (1, 3, 6)
-    for literal in (False, True):
-        assert evaluate(replay, scenes, ks, literal).to_dict() == \
-            _pm_report(scenes, preds, ks, literal), literal
+    assert evaluate(replay, scenes, ks).to_dict() == _pm_report(scenes, preds, ks)
 
 
 def test_trajectory_offroad_stacked_matches_per_trajectory():

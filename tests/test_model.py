@@ -14,7 +14,7 @@ from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
 from goalgraph.graph import EdgeSet, GraphConfig, build_graph
 from goalgraph.geometry import to_local, to_scene
-from goalgraph.model import Model, ModelConfig, ModePrediction
+from goalgraph.model import Model, ModelConfig, ModePrediction, mode_predictions
 from goalgraph.synthgen import STYLE_B
 from goalgraph.training import TrainConfig, compute_scene_loss
 
@@ -168,7 +168,7 @@ def test_forward_rejects_graph_built_for_other_K(line_scene, graph_K):
     g = build_graph(line_scene, graph_K, m.cfg.graph)
     with pytest.raises(ConfigError, match="K=3"):
         m.forward(line_scene, graph=g)
-    assert len(m.forward(line_scene, graph=build_graph(line_scene, 3, m.cfg.graph)).preds) == 3
+    assert len(m.forward(line_scene, graph=build_graph(line_scene, 3, m.cfg.graph)).score) == 3
 
 
 def test_mode_queries_differ(line_scene):
@@ -237,7 +237,7 @@ def test_predict_equals_taped_forward(synth_scene, variant):
     m = small_model(variant=variant, K=3)
     for sc in (synth_scene, make_line_scene(n_vehicles=2, n_peds=1)):
         fast = m.predict(sc)
-        taped = m.forward(sc).preds
+        taped = mode_predictions(m.forward(sc))
         assert len(fast) == len(taped) > 0
         for a, b in zip(fast, taped):
             assert a.score == b.score
@@ -252,10 +252,11 @@ def test_predict_equals_taped_forward(synth_scene, variant):
 def test_argmax_tie_break_first_position():
     scores = np.array([0.25, 0.25, 0.25, 0.25, 0.4, 0.6])
     groups = np.array([0, 0, 0, 0, 1, 1])
-    sel = Model.argmax_per_group(scores, groups)
+    sel = Model.argmax_per_group(scores, groups, 3)
     # group 0 ties everywhere -> first edge position wins (edges are built in
-    # ascending candidate order, so this is the lowest candidate id)
-    assert sel == {0: 0, 1: 5}
+    # ascending candidate order, so this is the lowest candidate id); group 2
+    # has no edges
+    assert sel.tolist() == [0, 5, -1]
 
 
 def test_argmax_per_group_matches_loop():
@@ -263,11 +264,11 @@ def test_argmax_per_group_matches_loop():
     for _ in range(50):
         groups = r.integers(0, 6, size=int(r.integers(1, 40)))
         scores = r.integers(0, 4, size=len(groups)) / 4.0  # many ties
-        ref = {}
+        ref = [-1] * 6
         for pos, gid in enumerate(groups.tolist()):
-            if gid not in ref or scores[pos] > scores[ref[gid]]:
+            if ref[gid] < 0 or scores[pos] > scores[ref[gid]]:
                 ref[gid] = pos
-        assert Model.argmax_per_group(scores, groups) == ref
+        assert Model.argmax_per_group(scores, groups, 6).tolist() == ref
 
 
 def test_completion_cumsum_semantics():
@@ -288,7 +289,7 @@ def _per_edge(e: EdgeSet) -> EdgeSet:
 def _run_forward_and_loss(m, scene, g):
     """Untaped predictions, then the taped training loss and every gradient."""
     with ad.no_grad():
-        preds = m.forward(scene, graph=g).preds
+        preds = mode_predictions(m.forward(scene, graph=g))
     m.ps.zero_grad()
     fr = m.forward(scene, rng=np.random.default_rng(0), graph=g)
     loss = compute_scene_loss(m, fr, scene, TrainConfig())[0]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goalgraph.autodiff as ad
+import goalgraph.model as model_mod
 import goalgraph.nn as nn
 import goalgraph.training as training
 from goalgraph.autodiff import Tensor
@@ -30,12 +31,11 @@ from goalgraph.training import (
     lr_schedule,
     nearest_lanes,
     save_model,
-    select_winner_baseline,
-    select_winner_mode,
+    select_winners,
     train,
 )
 
-from conftest import dense_overlay, make_line_scene, point_to_polyline_distance
+from conftest import dense_overlay, make_line_scene, point_to_polyline_distance, winner_of
 
 
 # --- the taped losses training runs, against closed forms ----------------------
@@ -161,7 +161,7 @@ def _mk_pred(mode, lane_idx, point_xy, goal_xy, endpoint=None):
 
 
 def _lane_mid(scene):
-    """Each lane's midpoint, the rows select_winner_mode reads."""
+    """Each lane's midpoint, the rows the lane stage's distances read."""
     return np.array([[m.x, m.y] for m in (lane.midpoint_pose() for lane in scene.lanes)])
 
 
@@ -185,25 +185,22 @@ def test_winner_distinct_lanes_stage1(line_scene):
     preds = [_mk_pred(0, 1, (80, 0), (80, 0)),
              _mk_pred(1, 0, (50, 0), (50, 0)),
              _mk_pred(2, 2, (140, 0), (140, 0))]
-    mode, stage = select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True)
-    assert (mode, stage) == (1, 1)
+    assert winner_of(preds, gt, _lane_mid(line_scene)) == (1, 1)
 
 
 def test_winner_identical_modes_tie(line_scene):
     preds = [_mk_pred(k, 0, (50, 0), (50, 0)) for k in range(3)]
-    mode, stage = select_winner_mode(preds, np.array([55.0, 0.0]), _lane_mid(line_scene),
-                                     rb=True)
-    assert mode == 0
+    assert winner_of(preds, np.array([55.0, 0.0]), _lane_mid(line_scene)) == (0, 3)
 
 
 def test_winner_stage_progression(line_scene):
     gt = np.array([55.0, 0.0])
     # same lane, different points -> stage 2
     preds = [_mk_pred(0, 0, (40, 0), (40, 0)), _mk_pred(1, 0, (54, 0), (54, 0))]
-    assert select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True) == (1, 2)
+    assert winner_of(preds, gt, _lane_mid(line_scene)) == (1, 2)
     # same lane + same point, different goals -> stage 3
     preds = [_mk_pred(0, 0, (50, 0), (48, 0)), _mk_pred(1, 0, (50, 0), (54.5, 0))]
-    assert select_winner_mode(preds, gt, _lane_mid(line_scene), rb=True) == (1, 3)
+    assert winner_of(preds, gt, _lane_mid(line_scene)) == (1, 3)
 
 
 def test_winner_matches_oracle_random(line_scene):
@@ -223,7 +220,7 @@ def test_winner_matches_oracle_random(line_scene):
                                 preds[0].goal_scene)
         gt = rng.uniform(0, 180, 2) * [1, 0.05]
         rb = bool(rng.random() < 0.8)
-        got, _ = select_winner_mode(preds, gt, _lane_mid(line_scene), rb=rb)
+        got, _ = winner_of(preds, gt, _lane_mid(line_scene), rb=rb)
         assert got == _winner_oracle(preds, gt, line_scene, rb)
 
 
@@ -231,7 +228,19 @@ def test_winner_baseline_endpoint():
     preds = [_mk_pred(0, None, (0, 0), (0, 0), endpoint=(10, 0)),
              _mk_pred(1, None, (0, 0), (0, 0), endpoint=(5, 0)),
              _mk_pred(2, None, (0, 0), (0, 0), endpoint=(7, 0))]
-    assert select_winner_baseline(preds, np.array([4.0, 0.0])) == 1
+    assert winner_of(preds, np.array([4.0, 0.0]), np.zeros((0, 2)), rb=False, goal=False) == (1, 3)
+
+
+def test_select_winners_stage_rule():
+    """Rows are agents: each column keeps the modes at its minimum, and the
+    stage is the first column after which one mode is left."""
+    d = np.array([[[0, 5, 1], [0, 4, 9]],   # nrb, lane column 0: the point decides
+                  [[2, 5, 1], [1, 5, 1]],   # the lane decides
+                  [[1, 5, 1], [1, 5, 1]]],  # a residual tie goes to the lowest mode
+                 dtype=float)
+    modes, stages = select_winners(d)
+    assert modes.tolist() == [1, 1, 0] and stages.tolist() == [2, 1, 3]
+    assert select_winners(np.zeros((2, 1, 3)))[1].tolist() == [1, 1]  # one mode: stage 1
 
 
 def test_nearest_lane(line_scene):
@@ -344,9 +353,33 @@ def test_forward_and_loss_add_no_attributes(synth_scene, small_mcfg):
     m = Model(small_mcfg, seed=0)
     fr = m.forward(synth_scene)
     loss, _, assign = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
-    assert loss is not None and any(fr.graph.goal_rb[a] for a in assign.winners)
+    g = fr.graph
+    assert loss is not None and any(g.rb[g.predicted.index(a)] for a in assign.winners)
     assert [set(vars(lane)) for lane in synth_scene.lanes] == before
     assert set(vars(fr.graph)) <= set(HeteroGraph.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("variant", ["goal", "baseline"])
+def test_training_forward_builds_no_mode_predictions(synth_scene, small_mcfg, variant,
+                                                    monkeypatch):
+    """A training step (taped forward, loss, backward) keeps the predictions
+    as arrays; only predict builds ModePredictions, K per predicted agent."""
+    m = Model(replace(small_mcfg, variant=variant), seed=0)
+
+    def forbidden(**fields):
+        raise AssertionError("a ModePrediction built outside predict")
+
+    monkeypatch.setattr(model_mod, "ModePrediction", forbidden)
+    fr = m.forward(synth_scene, rng=np.random.default_rng(0))
+    loss, _, assign = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
+    loss.backward()
+    assert assign.winners
+    built = []
+    monkeypatch.setattr(model_mod, "ModePrediction",
+                        lambda **fields: built.append(ModePrediction(**fields)) or built[-1])
+    preds = m.predict(synth_scene)
+    assert len(preds) == len(built) == m.cfg.K * len(synth_scene.predicted_agents()) > 0
+    assert all(p is b for p, b in zip(preds, built))
 
 
 def test_parameters_stay_tape_leaves(synth_scene, small_mcfg):
