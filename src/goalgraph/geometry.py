@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,21 +64,29 @@ def polyline_arclength(pts: np.ndarray) -> float:
     return float(polyline_lengths(np.asarray(pts, dtype=float)).sum())
 
 
-def point_at_arclength(pts: np.ndarray, s: float) -> tuple[float, float, float]:
-    """Interpolate (x, y, tangent heading) at arc length s along a polyline."""
+def point_at_arclength(pts: np.ndarray, s) -> np.ndarray:
+    """(x, y, tangent heading) at each arc length s along a polyline, as an
+    array of shape np.shape(s) + (3,); s clamps to [0, length].
+
+    The polyline's segment table is built once per call; each s is then placed
+    by bisection and interpolated in float arithmetic, so that one s costs no
+    more than a scalar routine."""
     pts = np.asarray(pts, dtype=float)
-    seg = polyline_lengths(pts)
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    s = min(max(s, 0.0), cum[-1])
-    # tolerant segment pick: when s sits on a vertex (up to float noise from
-    # rigid transforms), always take the segment after it
-    i = int(np.searchsorted(cum, s + 1e-9 * max(cum[-1], 1.0), side="right") - 1)
-    i = min(i, len(seg) - 1)
-    t = 0.0 if seg[i] < 1e-12 else (s - cum[i]) / seg[i]
-    p = pts[i] + t * (pts[i + 1] - pts[i])
-    d = pts[i + 1] - pts[i]
-    heading = math.atan2(d[1], d[0]) if seg[i] > 1e-12 else 0.0
-    return float(p[0]), float(p[1]), heading
+    d = pts[1:] - pts[:-1]
+    seg = np.hypot(d[:, 0], d[:, 1])
+    ends = seg.cumsum().tolist()  # arc length at the end of each segment
+    last, tol = len(ends) - 1, 1e-9 * max(ends[-1], 1.0)
+    seg, d, pts = seg.tolist(), d.tolist(), pts.tolist()
+    out = []
+    for sk in np.ravel(s).tolist():
+        sk = min(max(sk, 0.0), ends[-1])
+        # tolerant segment pick: when s sits on a vertex (up to float noise from
+        # rigid transforms), always take the segment after it
+        i = min(bisect.bisect_right(ends, sk + tol), last)
+        (x, y), (dx, dy), n = pts[i], d[i], seg[i]
+        t = 0.0 if n < 1e-12 else (sk - (ends[i - 1] if i else 0.0)) / n
+        out.append((x + t * dx, y + t * dy, math.atan2(dy, dx) if n > 1e-12 else 0.0))
+    return np.array(out).reshape(np.shape(s) + (3,))
 
 
 def polyline_distances(points, polylines: list) -> np.ndarray:

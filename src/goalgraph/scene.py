@@ -93,7 +93,7 @@ class LaneDef:
             raise DataError(f"lane {self.id}: centerline has zero length")
 
     def midpoint_pose(self) -> Pose2:
-        return Pose2(*point_at_arclength(self.centerline, 0.5 * self.length))
+        return Pose2(*point_at_arclength(self.centerline, 0.5 * self.length).tolist())
 
     def polygon(self) -> np.ndarray:
         """Lane polygon: left boundary followed by reversed right boundary."""
@@ -206,8 +206,7 @@ def scene_to_dict(scene: Scene) -> dict:
         "t_future": scene.t_future,
         "agents": [
             {"id": a.id, "class": a.agent_class,
-             "states": [[float(x), float(y), float(vx), float(vy), bool(v > 0.5)]
-                        for x, y, vx, vy, v in a.states]}
+             "states": [[x, y, vx, vy, v > 0.5] for x, y, vx, vy, v in a.states.tolist()]}
             for a in scene.agents
         ],
         "lanes": [
@@ -239,14 +238,14 @@ def scene_from_dict(d: dict) -> Scene:
         ]
         return Scene(d["id"], float(d["dt"]), int(d["t_history"]), int(d["t_future"]),
                      agents, lanes)
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"malformed scenario dict: {e!r}") from e
 
 
 def save_scene(scene: Scene, path: str) -> None:
+    # one json.dumps call goes through the C encoder; json.dump never does
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(scene_to_dict(scene), f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
 
 
 def load_scene(path: str) -> Scene:
@@ -255,6 +254,8 @@ def load_scene(path: str) -> Scene:
             d = json.load(f)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start})") from e
     except OSError as e:
         raise DataError(f"{path}: {e.strerror}") from e
     return scene_from_dict(d)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,31 +142,25 @@ def gen_map(style: MapStyle, rng: np.random.Generator) -> list:
     return b.lanes
 
 
-def _lane_by_id(lanes, lid):
-    for l in lanes:
-        if l.id == lid:
-            return l
-    raise KeyError(lid)
-
-
 def gen_agents(lanes: list, style: MapStyle, rng: np.random.Generator,
                t_history: int, t_future: int, dt: float) -> list:
     """Vehicles follow centerlines (futures stay on-lane); pedestrians take
     noisy walks near, but off, the lanes."""
     T = t_history + t_future
+    by_id = {l.id: l for l in lanes}
     agents = []
     n_veh = int(rng.integers(1, 5))
     for vi in range(n_veh):
-        lane = lanes[int(rng.integers(0, len(lanes)))]
-        s = float(rng.uniform(0.0, 0.5 * lane.length))
+        cur = lanes[int(rng.integers(0, len(lanes)))]
+        s = float(rng.uniform(0.0, 0.5 * cur.length))
         v = float(rng.uniform(style.speed_min, style.speed_max))
-        states = np.zeros((T, 5))
-        cur = lane
-        for t in range(T):
-            x, y, h = point_at_arclength(cur.centerline, s)
-            states[t] = (x, y, v * math.cos(h), v * math.sin(h), 1.0)
+        # the walk records (lane, s) and v per step; poses come after, per lane visit
+        path, speed = [], []
+        for _ in range(T):
+            path.append((cur.id, s))
+            speed.append(v)
             # smooth speed profile inside the style's range
-            v = float(np.clip(v + rng.uniform(-0.2, 0.2), style.speed_min, style.speed_max))
+            v = min(max(v + rng.uniform(-0.2, 0.2), style.speed_min), style.speed_max)
             s += v * dt
             while s > cur.length:
                 if not cur.successors:
@@ -173,29 +169,35 @@ def gen_agents(lanes: list, style: MapStyle, rng: np.random.Generator,
                     break
                 s -= cur.length
                 nxt = cur.successors[int(rng.integers(0, len(cur.successors)))]
-                cur = _lane_by_id(lanes, nxt)
+                cur = by_id[nxt]
+        xyh = np.concatenate([point_at_arclength(by_id[lid].centerline, [arc for _, arc in visit])
+                              for lid, visit in itertools.groupby(path, key=itemgetter(0))])
+        h, speed = xyh[:, 2].tolist(), np.array(speed)
+        states = np.column_stack([xyh[:, :2], speed * list(map(math.cos, h)),
+                                  speed * list(map(math.sin, h)), np.ones(T)])
         cls = "truck" if rng.random() < 0.15 else "vehicle"
         agents.append(AgentTrack(f"veh{vi}", cls, states))
     n_ped = int(rng.integers(0, 3))
     for pi in range(n_ped):
         lane = lanes[int(rng.integers(0, len(lanes)))]
-        x0, y0, h = point_at_arclength(lane.centerline, float(rng.uniform(0, lane.length)))
+        x0, y0, h = point_at_arclength(lane.centerline,
+                                       float(rng.uniform(0, lane.length))).tolist()
         side = 1 if rng.random() < 0.5 else -1
         off = rng.uniform(4.0, 9.0)
         x = x0 + side * off * -math.sin(h)
         y = y0 + side * off * math.cos(h)
         walk_h = float(rng.uniform(-math.pi, math.pi))
         speed = float(rng.uniform(0.5, 2.0))
-        states = np.zeros((T, 5))
+        rows = []
         for t in range(T):
             vx, vy = speed * math.cos(walk_h), speed * math.sin(walk_h)
-            states[t] = (x, y, vx, vy, 1.0)
+            rows.append((x, y, vx, vy, 1.0))
             x += vx * dt
             y += vy * dt
             if t % 10 == 9:  # piecewise-straight: re-aim every second
                 walk_h = normalize_angle(walk_h + float(rng.uniform(-0.8, 0.8)))
-                speed = float(np.clip(speed + rng.uniform(-0.3, 0.3), 0.3, 2.0))
-        agents.append(AgentTrack(f"ped{pi}", "pedestrian", states))
+                speed = min(max(speed + rng.uniform(-0.3, 0.3), 0.3), 2.0)
+        agents.append(AgentTrack(f"ped{pi}", "pedestrian", rows))
     return agents
 
 

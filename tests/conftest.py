@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built scenes, small model configurations and oracles."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -17,8 +18,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 import goalgraph.autodiff as ad
+from goalgraph.geometry import normalize_angle
 from goalgraph.scene import AgentTrack, LaneDef, Scene
-from goalgraph.synthgen import STYLE_A, gen_scene
+from goalgraph.synthgen import STYLE_A, gen_map, gen_scene
 from goalgraph.training import select_winners, winner_distances
 
 
@@ -76,6 +78,120 @@ def unfused_edge_attention(q, k, v, e, src, dst, row, heads):
     logits = ad.scalar_mul(sum_axis(ad.mul(qh, kh), axis=2), 1.0 / math.sqrt(d_head))
     alpha = ad.softmax_grouped(logits, dst, n_dst)
     return segment_sum(ad.reshape(scale_last(vh, alpha), (n_e, d)), dst, n_dst)
+
+
+# The per-step scene generator and the json.dump scenario writer: the oracles
+# for synthgen.gen_agents, which interpolates each lane visit in one call, and
+# for scene.save_scene, which writes through one json.dumps call.
+
+def point_at_arclength_scalar(pts, s: float) -> tuple:
+    """Interpolate (x, y, tangent heading) at one arc length s along a polyline."""
+    pts = np.asarray(pts, dtype=float)
+    seg = np.hypot(*(pts[1:] - pts[:-1]).T)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    s = min(max(s, 0.0), cum[-1])
+    i = int(np.searchsorted(cum, s + 1e-9 * max(cum[-1], 1.0), side="right") - 1)
+    i = min(i, len(seg) - 1)
+    t = 0.0 if seg[i] < 1e-12 else (s - cum[i]) / seg[i]
+    p = pts[i] + t * (pts[i + 1] - pts[i])
+    d = pts[i + 1] - pts[i]
+    heading = math.atan2(d[1], d[0]) if seg[i] > 1e-12 else 0.0
+    return float(p[0]), float(p[1]), heading
+
+
+def gen_agents_per_step(lanes, style, rng, t_history, t_future, dt) -> list:
+    """synthgen.gen_agents with one point_at_arclength_scalar call per vehicle step."""
+    T = t_history + t_future
+    agents = []
+    for vi in range(int(rng.integers(1, 5))):
+        lane = lanes[int(rng.integers(0, len(lanes)))]
+        s = float(rng.uniform(0.0, 0.5 * lane.length))
+        v = float(rng.uniform(style.speed_min, style.speed_max))
+        states = np.zeros((T, 5))
+        cur = lane
+        for t in range(T):
+            x, y, h = point_at_arclength_scalar(cur.centerline, s)
+            states[t] = (x, y, v * math.cos(h), v * math.sin(h), 1.0)
+            v = float(np.clip(v + rng.uniform(-0.2, 0.2), style.speed_min, style.speed_max))
+            s += v * dt
+            while s > cur.length:
+                if not cur.successors:
+                    s = cur.length
+                    v = 0.0
+                    break
+                s -= cur.length
+                nxt = cur.successors[int(rng.integers(0, len(cur.successors)))]
+                cur = next(l for l in lanes if l.id == nxt)
+        cls = "truck" if rng.random() < 0.15 else "vehicle"
+        agents.append(AgentTrack(f"veh{vi}", cls, states))
+    for pi in range(int(rng.integers(0, 3))):
+        lane = lanes[int(rng.integers(0, len(lanes)))]
+        x0, y0, h = point_at_arclength_scalar(lane.centerline, float(rng.uniform(0, lane.length)))
+        side = 1 if rng.random() < 0.5 else -1
+        off = rng.uniform(4.0, 9.0)
+        x = x0 + side * off * -math.sin(h)
+        y = y0 + side * off * math.cos(h)
+        walk_h = float(rng.uniform(-math.pi, math.pi))
+        speed = float(rng.uniform(0.5, 2.0))
+        states = np.zeros((T, 5))
+        for t in range(T):
+            vx, vy = speed * math.cos(walk_h), speed * math.sin(walk_h)
+            states[t] = (x, y, vx, vy, 1.0)
+            x += vx * dt
+            y += vy * dt
+            if t % 10 == 9:
+                walk_h = normalize_angle(walk_h + float(rng.uniform(-0.8, 0.8)))
+                speed = float(np.clip(speed + rng.uniform(-0.3, 0.3), 0.3, 2.0))
+        agents.append(AgentTrack(f"ped{pi}", "pedestrian", states))
+    return agents
+
+
+def gen_scene_per_step(style, seed_pair, scene_id, t_history=10, t_future=30, dt=0.1):
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    lanes = gen_map(style, rng)
+    agents = gen_agents_per_step(lanes, style, rng, t_history, t_future, dt)
+    return Scene(scene_id, dt, t_history, t_future, agents, lanes)
+
+
+def scene_json_dump(scene, f) -> None:
+    """The scenario file of a scene, one value at a time through json.dump."""
+    d = {"id": scene.id, "dt": scene.dt, "t_history": scene.t_history,
+         "t_future": scene.t_future,
+         "agents": [{"id": a.id, "class": a.agent_class,
+                     "states": [[float(x), float(y), float(vx), float(vy), bool(v > 0.5)]
+                                for x, y, vx, vy, v in a.states]} for a in scene.agents],
+         "lanes": [{"id": l.id, "type": l.lane_type, "centerline": l.centerline.tolist(),
+                    "left_boundary": l.left_boundary.tolist(),
+                    "right_boundary": l.right_boundary.tolist(),
+                    "successors": list(l.successors), "predecessors": list(l.predecessors),
+                    "left_neighbor": l.left_neighbor, "right_neighbor": l.right_neighbor}
+                   for l in scene.lanes]}
+    json.dump(d, f, sort_keys=True)
+    f.write("\n")
+
+
+# malformed scenario files that load_scene must turn into a DataError
+MALFORMED = {"state-abc": ("agents", 0, "states", 3, 1),
+             "centerline-abc": ("lanes", 0, "centerline", 1, 0),
+             "dt-abc": ("dt",),
+             "not-utf8": None}
+
+
+def write_malformed_scene(path, d: dict, kind: str) -> None:
+    """Write the scenario dict d to path with the fault MALFORMED[kind]: "abc"
+    at a path of keys, or (None) a Latin-1 byte that is not UTF-8."""
+    where = MALFORMED[kind]
+    if where is None:
+        d = {**d, "id": "sc\u00e9ne"}
+        path.write_bytes(json.dumps(d, ensure_ascii=False).encode("latin-1"))
+        return
+    d = json.loads(json.dumps(d))
+    *keys, last = where
+    node = d
+    for key in keys:
+        node = node[key]
+    node[last] = "abc"
+    path.write_text(json.dumps(d))
 
 
 def straight_lane(lane_id, x0, y0, length, width=3.7, n=None, heading=0.0, **kw):

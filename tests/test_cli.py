@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import MALFORMED, write_malformed_scene
+
 MCFG = {"d_h": 32, "heads": 4, "K": 3, "ffn_hidden": 64}
 TCFG = {"total_epochs": 2, "warmup_epochs": 1, "batch_size": 4, "seed": 3}
 
@@ -303,6 +305,19 @@ def test_zero_length_centerline_is_data_error(workdir, tmp_path):
     assert r.returncode == 3, r.stderr
     assert f"lane {lane['id']}: centerline has zero length" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_train_malformed_scenario_is_data_error(workdir, tmp_path, kind):
+    """train on a directory holding a scenario file with a non-numeric value,
+    or one that is not UTF-8, exits 3 with a one-line message."""
+    data = tmp_path / "data"
+    data.mkdir()
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    write_malformed_scene(data / "scene_00000.json", d, kind)
+    r = run_cli("train", "--data", str(data), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: data:") and "Traceback" not in r.stderr
 
 
 def test_train_horizon_mismatch(workdir, tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import point_at_arclength_scalar
+
 from goalgraph.errors import InvalidInputError
 from goalgraph.geometry import (
     Pose2,
@@ -66,6 +68,49 @@ def test_point_at_arclength_clamps():
     pts = np.array([[0.0, 0.0], [10.0, 0.0]])
     x, y, _ = point_at_arclength(pts, 99.0)
     assert (x, y) == pytest.approx((10.0, 0.0))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_point_at_arclength_matches_scalar_oracle(seed):
+    """Every (x, y, heading) equals, bit for bit, the scalar routine's: on
+    each vertex plus or minus 1e-12 of float noise and minus the vertex
+    tolerance, below 0 and beyond the length (both clamp), and along a
+    polyline with zero-length segments and one shorter than 1e-12 m."""
+    rng = np.random.default_rng(seed)
+    pts = np.cumsum(rng.normal(size=(12, 2)) * 3.0, axis=0)
+    pts[4] = pts[3]      # a zero-length segment inside
+    pts[7] = pts[6] + [-7e-14, 7e-14]
+    pts[-1] = pts[-2]    # and a zero-length one at the end
+    cum = np.concatenate(([0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))))
+    s = np.concatenate([cum, cum + 1e-12, cum - 1e-12, [-5.0, -1e-12, cum[-1] + 7.0],
+                        rng.uniform(0.0, cum[-1], 40), cum - 1e-9 * max(cum[-1], 1.0)])
+    got = point_at_arclength(pts, s)
+    assert got.shape == (len(s), 3)
+    want = [point_at_arclength_scalar(pts, v) for v in s.tolist()]
+    assert (_bits(got) == _bits(want)).all()
+    # s = -5 and s = length + 7 clamp onto the end vertices
+    n = 3 * len(cum)
+    assert got[n, :2].tolist() == pts[0].tolist()
+    assert got[n + 2, :2].tolist() == pts[-1].tolist()
+
+
+def test_point_at_arclength_vertex_noise_takes_next_segment():
+    """On a corner, s a hair below the vertex still gives the heading of the
+    segment after it."""
+    pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+    h = point_at_arclength(pts, [10.0 - 1e-12, 10.0, 10.0 + 1e-12])[:, 2]
+    assert h.tolist() == [math.pi / 2] * 3
+
+
+def test_point_at_arclength_shapes():
+    pts = np.array([[0.0, 0.0], [10.0, 0.0]])
+    assert point_at_arclength(pts, 5.0).shape == (3,)
+    assert point_at_arclength(pts, np.full((2, 3), 5.0)).shape == (2, 3, 3)
+    assert point_at_arclength(pts, []).shape == (0, 3)
 
 
 def test_point_to_polyline_distance():

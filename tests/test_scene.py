@@ -24,7 +24,14 @@ from goalgraph.scene import (
 )
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import const_vel_track, dense_overlay, make_line_scene, straight_lane
+from conftest import (
+    MALFORMED,
+    const_vel_track,
+    dense_overlay,
+    make_line_scene,
+    straight_lane,
+    write_malformed_scene,
+)
 
 
 def test_heading_from_velocity():
@@ -213,6 +220,16 @@ def test_load_scene_parse_error_reports_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"id": "x",\n  broken\n}')
     with pytest.raises(DataError, match="line"):
+        load_scene(str(p))
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_load_scene_malformed_value_is_data_error(line_scene, tmp_path, kind):
+    """A non-numeric value in a state row, a lane coordinate or dt, and a file
+    that is not UTF-8, each raise DataError, not ValueError or UnicodeDecodeError."""
+    p = tmp_path / "scene.json"
+    write_malformed_scene(p, scene_to_dict(line_scene), kind)
+    with pytest.raises(DataError, match="abc" if kind.endswith("abc") else "not UTF-8"):
         load_scene(str(p))
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from goalgraph.errors import ConfigError
 from goalgraph.metrics import trajectory_offroad
-from goalgraph.scene import load_dataset
+from goalgraph.scene import load_dataset, save_scene
 from goalgraph.synthgen import (
     STYLE_A,
     STYLE_B,
@@ -14,6 +15,8 @@ from goalgraph.synthgen import (
     gen_map,
     gen_scene,
 )
+
+from conftest import gen_scene_per_step, scene_json_dump
 
 
 def test_styles_differ():
@@ -131,3 +134,21 @@ def test_style_curvature_statistic():
 
     ca, cb = mean_curv(STYLE_A, 30), mean_curv(STYLE_B, 30)
     assert cb > 2.0 * ca
+
+
+@pytest.mark.parametrize("style", [STYLE_A, STYLE_B], ids=["A", "B"])
+def test_gen_scene_matches_per_step_oracle(style, tmp_path):
+    """Over 1,000 seeds, every track equals, bit for bit, that of the per-step
+    generator, and save_scene writes the bytes of the json.dump writer."""
+    path = str(tmp_path / "scene.json")
+    for i in range(1000):
+        got = gen_scene(style, (5, i), f"s{i}")
+        want = gen_scene_per_step(style, (5, i), f"s{i}")
+        assert [a.agent_class for a in got.agents] == [a.agent_class for a in want.agents]
+        for a, b in zip(got.agents, want.agents):
+            assert np.array_equal(a.states.view(np.int64), b.states.view(np.int64)), (i, a.id)
+        save_scene(got, path)
+        oracle = io.StringIO()
+        scene_json_dump(want, oracle)
+        with open(path, "rb") as f:
+            assert f.read() == oracle.getvalue().encode("utf-8"), i
