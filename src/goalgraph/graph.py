@@ -9,7 +9,7 @@ import numpy as np
 
 from .autodiff import Segments
 from .config import Config
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError
 from .geometry import points_in_polygon, polyline_distances, to_local
 from .scene import AGENT_CLASSES, LANE_TYPES, POINT_DTYPE, SIDES, Scene, headings
 
@@ -389,15 +389,12 @@ def _build_goal_candidates(g: HeteroGraph):
                                    same=(q0, None))
 
 
-def build_decide_point_edges(g: HeteroGraph, lane_per_query: dict) -> EdgeSet:
+def build_decide_point_edges(g: HeteroGraph, queries: np.ndarray, lanes: np.ndarray) -> EdgeSet:
     """(agent-query, decide, point) edges to the center segments of each
-    query's selected (or teacher-forced) lane; lane_per_query maps query id
-    to lane index."""
-    qs = sorted(lane_per_query)
-    pts = [g.lane_center_points[lane_per_query[q]] for q in qs]
-    for q, p in zip(qs, pts):
-        if len(p) == 0:
-            raise StructuralError(f"lane {lane_per_query[q]} has no center point segments")
-    src = np.repeat(np.array(qs, dtype=int), [len(p) for p in pts])
+    query's selected (or teacher-forced) lane: queries holds ascending query
+    ids and lanes the lane index of each. Every lane has a center segment,
+    as LaneDef rejects a centerline of zero length."""
+    pts = [g.lane_center_points[lane] for lane in lanes.tolist()]
     dst = np.concatenate([np.zeros(0, dtype=int)] + pts)
-    return _edge_set(g.query_pose, g.point_pose, (src, dst), same=(_mode0(g), None))
+    return _edge_set(g.query_pose, g.point_pose, (np.repeat(queries, [len(p) for p in pts]), dst),
+                     same=(_mode0(g), None))

@@ -92,9 +92,7 @@ class ForwardResult:
     mu: np.ndarray | None = None
     b: np.ndarray | None = None
     traj_scene: np.ndarray | None = None
-    lane_edges: EdgeSet | None = None
     lane_scores: Tensor | None = None
-    nrb_edges: EdgeSet | None = None
     nrb_scores: Tensor | None = None
     nrb_fe: Tensor | None = None
     base_scores: Tensor | None = None
@@ -380,19 +378,17 @@ class Model:
             if not len(queries):
                 continue
             if grp == "rb":  # lane stage, then the point stage on the argmax lane
-                fr.lane_edges = g.edges["dec_lane"]
+                lanes = g.edges["dec_lane"]
                 fr.lane_scores, _ = self.score_decide_edges("lane", "dec_lane", q, fr.enc["lane"],
-                                                            fr.lane_edges, n)
-                lane_pos = self.argmax_per_group(fr.lane_scores.value, fr.lane_edges.src,
-                                                 n)[queries]
-                fr.lane[queries] = fr.lane_edges.dst[lane_pos]
+                                                            lanes, n)
+                lane_pos = self.argmax_per_group(fr.lane_scores.value, lanes.src, n)[queries]
+                fr.lane[queries] = lanes.dst[lane_pos]
                 score[queries] = fr.lane_scores.value[lane_pos]
-                edges = build_decide_point_edges(g, dict(zip(queries.tolist(),
-                                                             fr.lane[queries].tolist())))
+                edges = build_decide_point_edges(g, queries, fr.lane[queries])
                 scores, fe = self.score_decide_edges("point", "dec_point", q, fr.enc["point"],
                                                      edges, n)
             else:
-                edges = fr.nrb_edges = g.edges["dec_nrb"]
+                edges = g.edges["dec_nrb"]
                 scores, fe = self.score_decide_edges("nrb", "dec_nrb", q, fr.enc["nrb"], edges, n)
                 fr.nrb_scores, fr.nrb_fe = scores, fe
             positions = self.argmax_per_group(scores.value, edges.src, n)[queries]

@@ -31,6 +31,17 @@ POINT_DTYPE = np.dtype([("pose", float, (3,)), ("length", float), ("side", int),
                         ("type", int), ("lane", int), ("seg", int)])
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """values as a float array. Anything but numbers (a JSON string, even
+    "1.5", which float conversion would parse) is a DataError naming the
+    first such value."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        bad = (v for v in np.array(values, dtype=object).flat if not isinstance(v, (int, float)))
+        raise DataError(f"{what} must be numbers, got {next(bad, arr.dtype)!r}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass
 class AgentTrack:
     """One traffic participant with T_h + T_f states in the scene frame.
@@ -44,7 +55,7 @@ class AgentTrack:
     states: np.ndarray
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
+        self.states = _float_array(self.states, f"agent {self.id}: states")
         if self.agent_class not in AGENT_CLASSES:
             raise DataError(f"unknown agent class {self.agent_class!r}")
         if self.states.ndim != 2 or self.states.shape[1] != 5:
@@ -76,14 +87,11 @@ class LaneDef:
     right_neighbor: str | None = None
 
     def __post_init__(self):
-        self.centerline = np.asarray(self.centerline, dtype=float)
-        self.left_boundary = np.asarray(self.left_boundary, dtype=float)
-        self.right_boundary = np.asarray(self.right_boundary, dtype=float)
         if self.lane_type not in LANE_TYPES:
             raise DataError(f"unknown lane type {self.lane_type!r}")
-        for name, arr in (("centerline", self.centerline),
-                          ("left_boundary", self.left_boundary),
-                          ("right_boundary", self.right_boundary)):
+        for name in ("centerline", "left_boundary", "right_boundary"):
+            arr = _float_array(getattr(self, name), f"lane {self.id}: {name}")
+            setattr(self, name, arr)
             if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
                 raise DataError(f"lane {self.id}: {name} must be (N>=2, 2)")
             if not np.isfinite(arr).all():
@@ -258,7 +266,10 @@ def load_scene(path: str) -> Scene:
         raise DataError(f"{path}: not UTF-8 text (byte {e.start})") from e
     except OSError as e:
         raise DataError(f"{path}: {e.strerror}") from e
-    return scene_from_dict(d)
+    try:
+        return scene_from_dict(d)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def load_dataset(directory: str) -> list:

@@ -177,21 +177,15 @@ def winner_distances(fr: ForwardResult, q: np.ndarray, endpoints: np.ndarray) ->
 # ---------------------------------------------------------------------------
 # combined scene loss
 
-def nearest_lanes(scene: Scene, points, candidates: list) -> tuple[list, list]:
-    """For each of the (P, 2) points, the nearest lane among its own lane
-    indices in `candidates`, and the nearest among all lanes; a tie goes to
-    the lane listed first."""
-    d = polyline_distances(points, [lane.centerline for lane in scene.lanes])
-    near = [int(c[np.argmin(row[c])]) for row, c in zip(d, map(np.asarray, candidates))]
-    return near, np.argmin(d, axis=1).tolist()
-
-
-def _nearest_candidate(edges, cand_pose: np.ndarray, qi: int, xy) -> int:
-    """Edge position of query qi's decide edge whose candidate lies nearest
-    to xy; a tie goes to the first edge."""
-    pos = np.nonzero(edges.src == qi)[0]
-    cand_xy = cand_pose[edges.dst[pos], 0:2]
-    return pos[int(np.argmin(np.hypot(cand_xy[:, 0] - xy[0], cand_xy[:, 1] - xy[1])))]
+def nearest_decide_edges(edges, q: np.ndarray, dist) -> np.ndarray:
+    """Edge position of each winning query's decide edge whose candidate lies
+    nearest its ground-truth endpoint, by Model.argmax_per_group, so a tie
+    goes to the first edge. q holds the ascending winning queries, and
+    dist(w, c) the distances from winners q[w] to candidates c."""
+    w = np.searchsorted(q, edges.src)
+    pos = np.nonzero(q[np.minimum(w, len(q) - 1)] == edges.src)[0]
+    w = w[pos]
+    return pos[Model.argmax_per_group(-dist(w, edges.dst[pos]), w, len(q))]
 
 
 def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
@@ -231,20 +225,17 @@ def compute_scene_loss(model: Model, fr: ForwardResult, scene: Scene,
         if grp == "rb":
             # lane target among each winner's reachable lanes; the point stage
             # is teacher-forced on the lane nearest of all
-            pos = [np.nonzero(fr.lane_edges.src == qi)[0] for qi in q]
-            cands = [fr.lane_edges.dst[p] for p in pos]
-            targets, teacher = nearest_lanes(scene, ends, cands)
-            # reachable lanes are distinct: one target edge per winner
-            lane_pos = np.concatenate([p[c == t] for p, c, t in zip(pos, cands, targets)])
-            lane_p.append(ad.gather_rows(fr.lane_scores, lane_pos))
-            edges = build_decide_point_edges(g, dict(zip(q.tolist(), teacher)))
+            d = polyline_distances(ends, [lane.centerline for lane in scene.lanes])
+            lane_p.append(ad.gather_rows(fr.lane_scores, nearest_decide_edges(
+                g.edges["dec_lane"], q, lambda w, c: d[w, c])))
+            edges = build_decide_point_edges(g, q, np.argmin(d, axis=1))
             scores, fe = model.score_decide_edges("point", "dec_point", fr.query_feats,
                                                   fr.enc["point"], edges, g.n_queries)
             cand_pose = g.point_pose
         else:
-            edges, scores, fe, cand_pose = fr.nrb_edges, fr.nrb_scores, fr.nrb_fe, g.nrb_pose
-        positions = np.array([_nearest_candidate(edges, cand_pose, qi, xy)
-                              for qi, xy in zip(q, ends)], dtype=int)
+            edges, scores, fe, cand_pose = g.edges["dec_nrb"], fr.nrb_scores, fr.nrb_fe, g.nrb_pose
+        positions = nearest_decide_edges(edges, q, lambda w, c: np.hypot(
+            cand_pose[c, 0] - ends[w, 0], cand_pose[c, 1] - ends[w, 1]))
         point_p[grp] = ad.gather_rows(scores, positions)
         goal_pose, offset, _, mu, b = model.goal_head(grp, fr, fe, edges, positions, q)
 

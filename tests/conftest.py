@@ -18,7 +18,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 import goalgraph.autodiff as ad
-from goalgraph.geometry import normalize_angle
+from goalgraph.geometry import normalize_angle, polyline_distances
+from goalgraph.graph import build_decide_point_edges
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, gen_map, gen_scene
 from goalgraph.training import select_winners, winner_distances
@@ -35,6 +36,51 @@ def point_to_polyline_distance(xy, pts) -> float:
         t = 0.0 if den < 1e-18 else min(max(float((p - a) @ ab) / den, 0.0), 1.0)
         best = min(best, math.hypot(*(a + t * ab - p)))
     return best
+
+
+# The loss's stage targets picked one winner at a time: the oracle for
+# training.nearest_decide_edges, which picks them all with
+# Model.argmax_per_group.
+
+def nearest_lanes(scene, points, candidates: list) -> tuple:
+    """For each of the (P, 2) points, the nearest lane among its own lane
+    indices in `candidates`, and the nearest among all lanes; a tie goes to
+    the lane listed first."""
+    d = polyline_distances(points, [lane.centerline for lane in scene.lanes])
+    near = [int(c[np.argmin(row[c])]) for row, c in zip(d, map(np.asarray, candidates))]
+    return near, np.argmin(d, axis=1).tolist()
+
+
+def nearest_candidate(edges, cand_pose, qi: int, xy) -> int:
+    """Edge position of query qi's decide edge whose candidate lies nearest
+    to xy; a tie goes to the first edge."""
+    pos = np.nonzero(edges.src == qi)[0]
+    cand_xy = cand_pose[edges.dst[pos], 0:2]
+    return int(pos[np.argmin(np.hypot(cand_xy[:, 0] - xy[0], cand_xy[:, 1] - xy[1]))])
+
+
+def stage_targets_loop(g, scene, q, ends) -> dict:
+    """The loss's teacher targets for the ascending winning queries q, whose
+    ground-truth endpoints are the rows of ends, one winner at a time. For
+    road-bound winners: "lane", the position of the decide-lane edge to the
+    nearest reachable lane; "teacher", the nearest lane of all; "point", the
+    position of the decide-point edge (built on the teacher lanes) to the
+    nearest center segment. For the others: "nrb", the position of the
+    decide-nrb edge to the nearest ring candidate."""
+    rb = g.rb[q // g.K]
+    out = {"lane": [], "teacher": [], "point": [], "nrb": []}
+    if rb.any():
+        lane_edges = g.edges["dec_lane"]
+        pos = [np.nonzero(lane_edges.src == qi)[0] for qi in q[rb]]
+        cands = [lane_edges.dst[p] for p in pos]
+        targets, out["teacher"] = nearest_lanes(scene, ends[rb], cands)
+        out["lane"] = [int(p[c == t][0]) for p, c, t in zip(pos, cands, targets)]
+        points = build_decide_point_edges(g, q[rb], np.array(out["teacher"]))
+        out["point"] = [nearest_candidate(points, g.point_pose, qi, xy)
+                        for qi, xy in zip(q[rb], ends[rb])]
+    out["nrb"] = [nearest_candidate(g.edges["dec_nrb"], g.nrb_pose, qi, xy)
+                  for qi, xy in zip(q[~rb], ends[~rb])]
+    return out
 
 
 # Unfused tape ops, and the attention they compose: the oracle for

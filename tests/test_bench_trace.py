@@ -20,6 +20,6 @@ def test_traced_short_run_counts_hooked_stages():
     names = ([f"model.argmax_per_group.{p}_calls" for p in ("train", "predict")]
              + [f"model.score.{s}.{p}_calls" for s in ("lane", "point", "nrb")
                 for p in ("train", "predict")]
-             + ["training.loss_calls"])
+             + ["training.loss_calls", "graph.decide_point_calls"])
     calls = {n: last["metrics"][n]["value"] for n in names}
     assert all(v > 0 for v in calls.values()), calls

@@ -320,6 +320,23 @@ def test_train_malformed_scenario_is_data_error(workdir, tmp_path, kind):
     assert r.stderr.startswith("error: data:") and "Traceback" not in r.stderr
 
 
+def test_train_malformed_value_names_its_file(workdir, tmp_path):
+    """A malformed value in the second of three scenario files exits 3 with a
+    message that names that file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(3):
+        name = f"scene_{i:05d}.json"
+        d = json.loads((workdir / "data" / name).read_text())
+        if i == 1:
+            write_malformed_scene(data / name, d, "state-abc")
+        else:
+            (data / name).write_text(json.dumps(d))
+    r = run_cli("train", "--data", str(data), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    assert f"{data / 'scene_00001.json'}: agent " in r.stderr and "'abc'" in r.stderr
+
+
 def test_train_horizon_mismatch(workdir, tmp_path):
     """A model T_f other than the data's future length is a data error
     before the first step, naming the scene and both lengths."""

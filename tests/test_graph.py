@@ -262,7 +262,7 @@ def test_decide_point_edges_center_only(line_scene):
     g = build_graph(line_scene, K=1)
     pts = line_scene.points
     n_center = int(((pts["lane"] == 0) & (pts["side"] == SIDES.index("center"))).sum())
-    e = build_decide_point_edges(g, {0: 0})
+    e = build_decide_point_edges(g, np.array([0]), np.array([0]))
     assert e.count == n_center
 
 
@@ -344,8 +344,8 @@ def test_query_side_sets_share_rows_across_modes(K):
               + [dense_overlay(STYLE_B, 41, tiles=4), make_line_scene(n_vehicles=2, n_peds=2)])
     for sc in scenes:
         g = build_graph(sc, K=K)
-        lane = {q: (7 * int(a) + 3) % len(sc.lanes) for q, a in enumerate(g.query_agent)}
-        sets = dict(g.edges, dec_point=build_decide_point_edges(g, lane))
+        lane = (7 * g.query_agent + 3) % len(sc.lanes)
+        sets = dict(g.edges, dec_point=build_decide_point_edges(g, np.arange(g.n_queries), lane))
         for et, e in sets.items():
             assert e.row.shape == (e.count,) and len(e.feat) <= e.count
             first = np.sort(np.unique(e.row, return_index=True)[1])
@@ -524,13 +524,12 @@ def _loop_oracle(g):
                 ss.append(q), dd.append(c)
     put("dec_nrb", ss, dd, qp, npose)
 
-    # decide-point edges to one lane (with center segments) per query,
-    # queries inserted out of order
+    # decide-point edges to one lane (with center segments) per query
     pts, center = scene.points, SIDES.index("center")
     ok = sorted(set(pts["lane"][pts["side"] == center].tolist()))
-    lane_per_query = {q: ok[(7 * q + 3) % len(ok)] for q in reversed(range(len(qa)))}
+    lane_per_query = np.array([ok[(7 * q + 3) % len(ok)] for q in range(len(qa))], dtype=int)
     ss, dd = [], []
-    for q in sorted(lane_per_query):
+    for q in range(len(qa)):
         segs = sorted((pts["seg"][n], n) for n in range(len(pts))
                       if pts["lane"][n] == lane_per_query[q] and pts["side"][n] == center)
         for _, n in segs:
@@ -593,7 +592,8 @@ def test_edge_sets_match_loop_oracle(kind, K):
         for sc in scenes:
             g = build_graph(sc, K=K, cfg=cfg)
             want, lane_per_query = _loop_oracle(g)
-            got = dict(g.edges, dec_point=build_decide_point_edges(g, lane_per_query))
+            got = dict(g.edges, dec_point=build_decide_point_edges(
+                g, np.arange(len(lane_per_query)), lane_per_query))
             assert sorted(got) == sorted(k for k in want
                                          if k not in ("nodes", "query", "reach", "nrb"))
             for et, e in got.items():

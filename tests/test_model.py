@@ -316,7 +316,8 @@ def test_shared_edge_rows_match_per_edge_reference(kind, variant, monkeypatch):
     with monkeypatch.context() as mp:
         for mod in (model_mod, training_mod):  # teacher-forced and predicted point stages
             mp.setattr(mod, "build_decide_point_edges",
-                       lambda gr, lanes: _per_edge(graph_mod.build_decide_point_edges(gr, lanes)))
+                       lambda gr, qs, lanes: _per_edge(
+                           graph_mod.build_decide_point_edges(gr, qs, lanes)))
         want = _run_forward_and_loss(m, scene, ref)
 
     (preds, loss, grads), (preds_ref, loss_ref, grads_ref) = shared, want

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,34 @@ def test_load_scene_malformed_value_is_data_error(line_scene, tmp_path, kind):
     write_malformed_scene(p, scene_to_dict(line_scene), kind)
     with pytest.raises(DataError, match="abc" if kind.endswith("abc") else "not UTF-8"):
         load_scene(str(p))
+
+
+@pytest.mark.parametrize("where", [("agents", 0, "states", 3, 1),
+                                   ("lanes", 0, "centerline", 1, 0)], ids=["state", "centerline"])
+def test_load_scene_quoted_number_is_data_error(line_scene, tmp_path, where):
+    """A number written as a JSON string, a state value or a centerline
+    coordinate "1.5", is a DataError naming the file and the string; float
+    conversion alone would parse it."""
+    d = scene_to_dict(line_scene)
+    *keys, last = where
+    node = d
+    for key in keys:
+        node = node[key]
+    node[last] = "1.5"
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: .* must be numbers, got '1.5'$"):
+        load_scene(str(p))
+
+
+def test_tracks_and_lanes_reject_non_numbers():
+    with pytest.raises(DataError, match="agent a: states must be numbers, got '2'"):
+        AgentTrack("a", "vehicle", [[0.0, 1.0, "2", 0.0, 1.0]])
+    with pytest.raises(DataError, match="lane L: centerline must be numbers, got None"):
+        LaneDef("L", "lane", [[0, 0], [1, None]], [[0, 1], [1, 1]], [[0, -1], [1, -1]])
+    st = np.zeros((3, 5))
+    assert AgentTrack("a", "vehicle", st).states is st
+    assert AgentTrack("a", "vehicle", st.astype(int).tolist()).states.dtype == float
 
 
 def test_load_dataset_skips_manifests(line_scene, tmp_path):

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import goalgraph.training as training
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ConfigError
 from goalgraph.geometry import polyline_distances
-from goalgraph.graph import HeteroGraph, reachable_lanes
+from goalgraph.graph import HeteroGraph, build_graph, reachable_lanes
 from goalgraph.model import Model, ModelConfig, ModePrediction
 from goalgraph.scene import AgentTrack, LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
@@ -29,13 +30,23 @@ from goalgraph.training import (
     laplace_nll_tensor,
     load_model,
     lr_schedule,
-    nearest_lanes,
+    nearest_decide_edges,
     save_model,
     select_winners,
     train,
 )
 
-from conftest import dense_overlay, make_line_scene, point_to_polyline_distance, winner_of
+from conftest import (
+    const_vel_track,
+    dense_overlay,
+    make_line_scene,
+    nearest_candidate,
+    nearest_lanes,
+    point_to_polyline_distance,
+    stage_targets_loop,
+    straight_lane,
+    winner_of,
+)
 
 
 # --- the taped losses training runs, against closed forms ----------------------
@@ -243,12 +254,23 @@ def test_select_winners_stage_rule():
     assert select_winners(np.zeros((2, 1, 3)))[1].tolist() == [1, 1]  # one mode: stage 1
 
 
+def nearest_lanes_by_rule(scene, points, candidates: list) -> list:
+    """nearest_decide_edges over edges from point i to each lane index in
+    candidates[i], keyed by the points' distances to the centerlines."""
+    d = polyline_distances(points, [lane.centerline for lane in scene.lanes])
+    e = SimpleNamespace(src=np.repeat(np.arange(len(candidates)), list(map(len, candidates))),
+                        dst=np.concatenate([np.asarray(c, dtype=int) for c in candidates]))
+    return e.dst[nearest_decide_edges(e, np.arange(len(candidates)),
+                                      lambda w, c: d[w, c])].tolist()
+
+
 def test_nearest_lane(line_scene):
-    assert nearest_lanes(line_scene, [(65.0, 1.0)], [[0, 2]]) == ([0], [1])
+    assert nearest_lanes_by_rule(line_scene, [(65.0, 1.0)], [[0, 2]]) == [0]
+    assert nearest_lanes_by_rule(line_scene, [(65.0, 1.0)], [[0, 1, 2]]) == [1]
 
 
 def _nearest_lane_loop(scene, xy, candidates):
-    """The per-lane loop the loss used before nearest_lanes: the oracle."""
+    """The nearest of the candidate lanes, one lane at a time: the oracle."""
     best, best_d = None, math.inf
     for i in candidates:
         d = point_to_polyline_distance(xy, scene.lanes[i].centerline)
@@ -273,9 +295,10 @@ def test_nearest_lanes_matches_loop(kind):
             for xy in np.vstack([a.states[::4, 0:2], a.states[-1:, 0:2]]):
                 points.append(xy)
                 cands.append(cand)
-        expected = ([_nearest_lane_loop(s, xy, c) for xy, c in zip(points, cands)],
-                    [_nearest_lane_loop(s, xy, every) for xy in points])
-        assert nearest_lanes(s, np.array(points), cands) == expected
+        points = np.array(points)
+        for c in (cands, [every] * len(points)):
+            expected = [_nearest_lane_loop(s, xy, ci) for xy, ci in zip(points, c)]
+            assert nearest_lanes_by_rule(s, points, c) == expected
         n += len(points)
     assert n >= 40
 
@@ -286,6 +309,81 @@ def test_nearest_lanes_exact_tie_goes_first(line_scene):
     assert d[0] == d[1]
     assert _nearest_lane_loop(line_scene, xy, [1, 0]) == 1
     assert nearest_lanes(line_scene, [xy, xy], [[1, 0], [0, 1]]) == ([1, 0], [0, 0])
+    assert nearest_lanes_by_rule(line_scene, [xy, xy], [[1, 0], [0, 1]]) == [1, 0]
+    assert nearest_lanes_by_rule(line_scene, [xy, xy], [[0, 1, 2]] * 2) == [0, 0]
+
+
+def test_nearest_decide_edges_tie_goes_to_first_edge():
+    """Edges of winners and of other queries interleave; each winner gets
+    its nearest candidate's edge, the first of an exact tie."""
+    cand = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                     [0.0, -1.0, 0.0]])
+    ends = np.array([[0.0, 0.0], [2.0, 0.0]])
+    edges = SimpleNamespace(src=np.array([5, 3, 4, 5, 3, 5, 3, 5]),
+                            dst=np.array([0, 1, 3, 3, 2, 4, 0, 1]))
+    q = np.array([3, 5])
+
+    def dist(w, c):
+        return np.hypot(cand[c, 0] - ends[w, 0], cand[c, 1] - ends[w, 1])
+
+    # query 3: candidates 1, 2 and 0 lie 1 m away -> edge 1;
+    # query 5: candidates 0 and 3 lie 1 m away -> edge 0
+    assert nearest_decide_edges(edges, q, dist).tolist() == [1, 0]
+    assert [nearest_candidate(edges, cand, qi, xy) for qi, xy in zip(q, ends)] == [1, 0]
+
+
+def _drift_scene():
+    """A vehicle drifting off its lane: its endpoint lies nearest an
+    unconnected oncoming lane, so its teacher lane is not a reachable one."""
+    lanes = [straight_lane("east", 0.0, 0.0, 120.0),
+             straight_lane("west", 120.0, 3.5, 120.0, heading=math.pi)]
+    agents = [const_vel_track("veh", "vehicle", 2.0, 0.0, 10.0, 0.8, 40),
+              const_vel_track("ped", "pedestrian", 5.0, 8.0, 1.0, 0.5, 40)]
+    return Scene("drift", 0.1, 10, 30, agents, lanes)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "dense", "drift"])
+def test_loss_stage_targets_match_loop_oracle(kind, small_mcfg, monkeypatch):
+    """The loss's lane, teacher lane, point and ring targets are those of the
+    per-winner loops."""
+    if kind == "dense":
+        scenes = [dense_overlay(STYLE_A, 31), dense_overlay(STYLE_B, 41, tiles=4)]
+    elif kind == "drift":
+        scenes = [_drift_scene()]
+    else:
+        style = STYLE_A if kind == "A" else STYLE_B
+        scenes = [gen_scene(style, (44, i), f"s{i}") for i in range(6)]
+    calls, build = {}, training.build_decide_point_edges
+
+    def spy_nearest(edges, q, dist):  # g: the graph of the scene in the loop below
+        pos = nearest_decide_edges(edges, q, dist)
+        stage = {id(e): et for et, e in g.edges.items()}.get(id(edges), "dec_point")
+        calls[stage.removeprefix("dec_")] = pos.tolist()
+        return pos
+
+    def spy_build(g_, q, lanes):
+        calls["teacher"] = lanes.tolist()
+        return build(g_, q, lanes)
+
+    monkeypatch.setattr(training, "nearest_decide_edges", spy_nearest)
+    monkeypatch.setattr(training, "build_decide_point_edges", spy_build)
+    m = Model(small_mcfg, seed=4)
+    counts = dict.fromkeys(("lane", "point", "nrb"), 0)
+    for s in scenes:
+        g = build_graph(s, m.cfg.K, m.cfg.graph)
+        calls.clear()
+        with ad.no_grad():
+            _, _, assign = compute_scene_loss(m, m.forward(s, graph=g), s, TrainConfig())
+        got = {"lane": [], "teacher": [], "point": [], "nrb": [], **calls}
+        q = np.sort([g.predicted.index(a) * m.cfg.K + k for a, k in assign.winners.items()])
+        ends = np.array([s.agents[g.query_agent[qi]].states[-1, 0:2] for qi in q])
+        want = stage_targets_loop(g, s, q, ends)
+        assert got == want, s.id
+        if kind == "drift":
+            assert want["teacher"] == [1] and g.edges["dec_lane"].dst.tolist() == [0] * m.cfg.K
+        for k in counts:
+            counts[k] += len(want[k])
+    assert min(counts.values()) > 0, counts
 
 
 # --- augmentation -------------------------------------------------------------
