@@ -49,11 +49,11 @@ def main():
 
     # 4. a small MLP checked coordinate-by-coordinate against finite differences
     ps = nn.ParamStore(seed=0)
-    nn.create_mlp(ps, "demo", (4, 8, 1))
+    nn.create_mlp(ps, "demo", 4, 8, 1)
     x_in = np.random.default_rng(1).normal(size=(5, 4))
 
     def f():
-        out = nn.mlp(ps, "demo", ad.Tensor(x_in), 2)
+        out = nn.mlp(ps, "demo", ad.Tensor(x_in))
         return ad.sum_all(ad.mul(out, out))
 
     rep = nn.grad_check(f, ps, h=1e-5, tol=1e-4)

@@ -42,15 +42,14 @@ def no_grad():
 class Tensor:
     """A node in the computation tape."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "name", "__weakref__")
+    __slots__ = ("value", "grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, value, name=None):
+    def __init__(self, value):
         """A leaf: a parameter or a constant. Op outputs come from `_node`."""
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = ()
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):
@@ -83,22 +82,6 @@ class Tensor:
                     node._backward(node.grad)
                 node.grad, node._backward, node._parents = None, None, None
 
-    # Operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -111,7 +94,7 @@ class Segments:
     `order` sorts the rows by segment (stably), `starts` is where each
     non-empty segment begins in that order, `present` holds those segments'
     ids and `rank` each row's position in `present`. Graph edge sets build
-    theirs once; the ops accept a raw id array as well and lay it out per call.
+    the layouts of their src and dst ids once.
     """
 
     __slots__ = ("ids", "order", "starts", "present", "rank")
@@ -126,10 +109,6 @@ class Segments:
         self.present = s[self.starts]
         self.rank = np.empty(len(s), dtype=int)
         self.rank[self.order] = np.cumsum(first) - 1
-
-
-def segments(ids) -> Segments:
-    return ids if isinstance(ids, Segments) else Segments(ids)
 
 
 def _reduce(ufunc, x: np.ndarray, seg: Segments) -> np.ndarray:
@@ -150,7 +129,6 @@ def _node(value, parents, backward) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.value = value if type(value) is np.ndarray else np.asarray(value, dtype=np.float64)
     t.grad = None
-    t.name = None
     if _grad_enabled:
         t._parents, t._backward = parents, backward
     else:
@@ -169,13 +147,12 @@ def _accum(t: Tensor, g: np.ndarray):
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.value, b.value
-    if av.shape != bv.shape and not (av.ndim == 2 and bv.ndim == 1
-                                     and av.shape[1] == bv.shape[0]):
+    if av.shape != bv.shape:
         raise ShapeError(f"add: incompatible shapes {av.shape} and {bv.shape}")
 
     def bw(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=0) if bv.ndim < g.ndim else g)
+        _accum(b, g)
 
     return _node(av + bv, (a, b), bw)
 
@@ -289,14 +266,14 @@ def slice_rows(a, lo, hi) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Rows a[idx]; idx is an index array or a Segments layout of one."""
+    """Rows a[idx] of an index array idx."""
     a = _as_tensor(a)
-    ids = idx.ids if isinstance(idx, Segments) else np.asarray(idx, dtype=int)
+    idx = np.asarray(idx, dtype=int)
 
     def bw(g):
-        _accum(a, _scatter_add(g, segments(idx), a.value.shape[0]))
+        _accum(a, _scatter_add(g, Segments(idx), a.value.shape[0]))
 
-    return _node(a.value[ids], (a,), bw)
+    return _node(a.value[idx], (a,), bw)
 
 
 # embedding lookup is a row gather from a learnable table
@@ -326,19 +303,22 @@ def cumsum_axis(a, axis) -> Tensor:
     return _node(np.cumsum(a.value, axis=axis), (a,), bw)
 
 
-def leaky_relu(a, slope: float = 0.01) -> Tensor:
-    """max(x, slope * x), for 0 <= slope <= 1."""
+LEAKY_SLOPE = 0.01
+
+
+def leaky_relu(a) -> Tensor:
+    """max(x, LEAKY_SLOPE * x)."""
     a = _as_tensor(a)
     av = a.value
     # max() into one buffer avoids a branchy per-element select
-    out = av * slope
+    out = av * LEAKY_SLOPE
     np.maximum(av, out, out=out)
     if kink_monitor is not None:
         kink_monitor.append(av >= 0.0)
 
     def bw(g):
         mask = (av >= 0.0).astype(np.float64)
-        np.maximum(mask, slope, out=mask)
+        np.maximum(mask, LEAKY_SLOPE, out=mask)
         _accum(a, g * mask)
 
     return _node(out, (a,), bw)
@@ -417,7 +397,10 @@ def softplus(a) -> Tensor:
     return _node(np.logaddexp(0.0, a.value), (a,), bw)
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a, gain, bias) -> Tensor:
     """Row-wise layer normalization over the last axis with learnable gain/bias."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     av = a.value
@@ -426,7 +409,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"layer_norm: gain/bias {gain.value.shape}/{bias.value.shape} vs width {d}")
     diff = av - av.sum(axis=-1, keepdims=True) / d
     var = (diff * diff).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = diff * inv
 
     def bw(g):
@@ -452,31 +435,24 @@ def dropout(a, p: float, rng: np.random.Generator | None = None) -> Tensor:
     return _node(a.value * keep, (a,), bw)
 
 
-def softmax_grouped(logits, group_ids, num_groups=None) -> Tensor:
-    """Softmax normalized independently within each group of rows.
-
-    logits: (E,) or (E, H); group_ids: (E,) ints in any order, or their
-    Segments layout. With 2D logits the grouping applies per column. Each
-    group's max is subtracted before exp, so no group underflows to 0/0.
+def softmax_grouped(logits, seg: Segments, num_groups: int) -> Tensor:
+    """Softmax of the (E,) logits normalized independently within each group:
+    seg is the Segments layout of the rows' group ids in range(num_groups).
+    Each group's max is subtracted before exp, so no group underflows to 0/0.
     """
     logits = _as_tensor(logits)
-    seg = segments(group_ids)
     if len(seg.ids) != logits.value.shape[0]:
         raise ShapeError(f"softmax_grouped: {len(seg.ids)} group ids for {logits.value.shape[0]} logits")
-    if num_groups is None:
-        num_groups = int(seg.present[-1]) + 1 if len(seg.present) else 0
     if len(seg.present) and (seg.present[0] < 0 or seg.present[-1] >= num_groups):
         raise IndexError("softmax_grouped: group id out of range")
-    x = logits.value
-    squeeze = x.ndim == 1
-    p = _softmax(x[:, None] if squeeze else x, seg)
+    p = _softmax(logits.value[:, None], seg)
 
     def bw(g):
-        g2 = g[:, None] if squeeze else g
+        g2 = g[:, None]
         gx = p * (g2 - _reduce(np.add, p * g2, seg)[seg.rank])
-        _accum(logits, gx[:, 0] if squeeze else gx)
+        _accum(logits, gx[:, 0])
 
-    return _node(p[:, 0] if squeeze else p, (logits,), bw)
+    return _node(p[:, 0], (logits,), bw)
 
 
 def _softmax(x: np.ndarray, seg: Segments) -> np.ndarray:
@@ -488,16 +464,15 @@ def _softmax(x: np.ndarray, seg: Segments) -> np.ndarray:
 def edge_attention(q, k, v, e, src, dst, row, heads: int) -> Tensor:
     """Each destination's multi-head attention message over its in-edges.
 
-    Edge i attends from q[dst[i]] to key k[src[i]] + e_i and value v[src[i]] + e_i,
-    where e_i is e[row[i]] (e[i] when row is None); src, dst and row are id
-    arrays or Segments layouts. Rows of q without in-edges get zeros.
+    Edge i attends from q[dst[i]] to key k[src[i]] + e[row[i]] and value
+    v[src[i]] + e[row[i]]; src and dst are the Segments layouts of the edges'
+    id arrays, row an id array. Rows of q without in-edges get zeros.
     """
     q, k, v, e = _as_tensor(q), _as_tensor(k), _as_tensor(v), _as_tensor(e)
-    src, dst = segments(src), segments(dst)
     n_e, (n_dst, d) = len(dst.ids), q.value.shape
     d_head = d // heads
     c = 1.0 / np.sqrt(d_head)
-    ev = e.value if row is None else e.value[row.ids if isinstance(row, Segments) else row]
+    ev = e.value[row]
     qe = q.value[dst.ids]
     ke = k.value[src.ids] + ev
     ve = v.value[src.ids] + ev
@@ -514,8 +489,7 @@ def edge_attention(q, k, v, e, src, dst, row, heads: int) -> Tensor:
         _accum(q, _scatter_add(gq, dst, n_dst))
         _accum(k, _scatter_add(gk, src, k.value.shape[0]))
         _accum(v, _scatter_add(gv, src, v.value.shape[0]))
-        ge = gk + gv
-        _accum(e, ge if row is None else _scatter_add(ge, segments(row), e.value.shape[0]))
+        _accum(e, _scatter_add(gk + gv, Segments(row), e.value.shape[0]))
 
     msg = _scatter_add((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
     return _node(msg, (q, k, v, e), bw)

@@ -57,21 +57,20 @@ def _near(pa: np.ndarray, pb: np.ndarray, radius: float) -> np.ndarray:
 
 @dataclass
 class EdgeSet:
-    """Edges src[i] -> dst[i]. feat (and rel) hold one row per distinct edge
-    feature, and row[i] is edge i's row in them; without row, one per edge."""
+    """Edges src[i] -> dst[i]. feat (and rel, None for an edge type without
+    relations) hold one row per distinct edge feature, and row[i] is edge i's
+    row in them."""
 
     src: np.ndarray
     dst: np.ndarray
     feat: np.ndarray
-    rel: np.ndarray | None = None
-    row: np.ndarray | None = None
+    rel: np.ndarray | None
+    row: np.ndarray
     # segment layouts of src and dst, for the grouped softmax and sums over edges
     by_src: Segments = field(init=False, repr=False, compare=False)
     by_dst: Segments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.row is None:
-            self.row = np.arange(len(self.src))
         self.by_src, self.by_dst = Segments(self.src), Segments(self.dst)
 
     @property

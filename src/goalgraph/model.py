@@ -150,27 +150,27 @@ class Model:
         d = cfg.d_h
 
         # node embeddings
-        nn.create_mlp(ps, "emb.agent.cont", [2, d, d])
+        nn.create_mlp(ps, "emb.agent.cont", 2, d, d)
         ps.create("emb.agent.table", (len(AGENT_CLASSES), d), "embedding")
-        nn.create_mlp(ps, "emb.agent.out", [d, d, d])
-        nn.create_mlp(ps, "emb.lane.cont", [1, d, d])
+        nn.create_mlp(ps, "emb.agent.out", d, d, d)
+        nn.create_mlp(ps, "emb.lane.cont", 1, d, d)
         ps.create("emb.lane.table", (len(LANE_TYPES), d), "embedding")
-        nn.create_mlp(ps, "emb.lane.out", [d, d, d])
-        nn.create_mlp(ps, "emb.point.cont", [1, d, d])
+        nn.create_mlp(ps, "emb.lane.out", d, d, d)
+        nn.create_mlp(ps, "emb.point.cont", 1, d, d)
         ps.create("emb.point.type_table", (len(LANE_TYPES), d), "embedding")
         ps.create("emb.point.side_table", (len(SIDES), d), "embedding")
-        nn.create_mlp(ps, "emb.point.out", [d, d, d])
+        nn.create_mlp(ps, "emb.point.out", d, d, d)
         ps.create("emb.query.shared", (1, d), "embedding")
         ps.create("emb.query.mode", (cfg.K, d), "embedding")
 
         etypes = EDGE_TYPES
         if cfg.variant == "goal":
-            nn.create_mlp(ps, "emb.nrb.cont", [1, d, d])
-            nn.create_mlp(ps, "emb.nrb.out", [d, d, d])
+            nn.create_mlp(ps, "emb.nrb.cont", 1, d, d)
+            nn.create_mlp(ps, "emb.nrb.out", d, d, d)
             etypes = EDGE_TYPES + DECIDE_EDGE_TYPES
         for et in etypes:
-            nn.create_mlp(ps, f"emb.edge.{et}.cont", [6, d, d])
-            nn.create_mlp(ps, f"emb.edge.{et}.out", [d, d, d])
+            nn.create_mlp(ps, f"emb.edge.{et}.cont", 6, d, d)
+            nn.create_mlp(ps, f"emb.edge.{et}.out", d, d, d)
         ps.create("emb.edge.l2l.rel_table", (len(LANE_RELATIONS), d), "embedding")
 
         # encoder: map-block once, agent-block twice
@@ -183,14 +183,14 @@ class Model:
 
         if cfg.variant == "goal":
             for stage in ("lane", "point", "nrb"):
-                nn.create_mlp(ps, f"score.{stage}.mlp", [3 * d, d, d])
+                nn.create_mlp(ps, f"score.{stage}.mlp", 3 * d, d, d)
                 nn.create_affine(ps, f"score.{stage}.out", d, 1)
             for grp in ("rb", "nrb"):
-                nn.create_mlp(ps, f"off.{grp}", [3 * d, d, 2])
-                nn.create_mlp(ps, f"traj.{grp}", [d + 2, d, 4 * cfg.T_f])
+                nn.create_mlp(ps, f"off.{grp}", 3 * d, d, 2)
+                nn.create_mlp(ps, f"traj.{grp}", d + 2, d, 4 * cfg.T_f)
         else:
-            nn.create_mlp(ps, "base.traj", [d, d, 4 * cfg.T_f])
-            nn.create_mlp(ps, "base.score", [d, d, 1])
+            nn.create_mlp(ps, "base.traj", d, d, 4 * cfg.T_f)
+            nn.create_mlp(ps, "base.score", d, d, 1)
 
     # ------------------------------------------------------------------
     # embeddings
@@ -198,30 +198,30 @@ class Model:
     def embed_edge(self, etype: str, edges: EdgeSet) -> Tensor:
         """Embeddings of the set's distinct feature rows (edges.feat)."""
         ps = self.ps
-        x = nn.mlp(ps, f"emb.edge.{etype}.cont", Tensor(edges.feat), 2)
+        x = nn.mlp(ps, f"emb.edge.{etype}.cont", Tensor(edges.feat))
         if edges.rel is not None:
             x = ad.add(x, ad.embedding_lookup(ps[f"emb.edge.{etype}.rel_table"], edges.rel))
-        return nn.mlp(ps, f"emb.edge.{etype}.out", x, 2)
+        return nn.mlp(ps, f"emb.edge.{etype}.out", x)
 
     def embed_nodes(self, g: HeteroGraph) -> dict:
         ps = self.ps
         out = {}
-        a = nn.mlp(ps, "emb.agent.cont", Tensor(g.agent_vel_local), 2)
+        a = nn.mlp(ps, "emb.agent.cont", Tensor(g.agent_vel_local))
         a = ad.add(a, ad.embedding_lookup(ps["emb.agent.table"], g.agent_class_id))
-        out["agent"] = nn.mlp(ps, "emb.agent.out", a, 2)
+        out["agent"] = nn.mlp(ps, "emb.agent.out", a)
 
-        l = nn.mlp(ps, "emb.lane.cont", Tensor(g.lane_length[:, None]), 2)
+        l = nn.mlp(ps, "emb.lane.cont", Tensor(g.lane_length[:, None]))
         l = ad.add(l, ad.embedding_lookup(ps["emb.lane.table"], g.lane_type_id))
-        out["lane"] = nn.mlp(ps, "emb.lane.out", l, 2)
+        out["lane"] = nn.mlp(ps, "emb.lane.out", l)
 
-        p = nn.mlp(ps, "emb.point.cont", Tensor(g.point_seg_length[:, None]), 2)
+        p = nn.mlp(ps, "emb.point.cont", Tensor(g.point_seg_length[:, None]))
         p = ad.add(p, ad.embedding_lookup(ps["emb.point.type_table"], g.point_type_id))
         p = ad.add(p, ad.embedding_lookup(ps["emb.point.side_table"], g.point_side_id))
-        out["point"] = nn.mlp(ps, "emb.point.out", p, 2)
+        out["point"] = nn.mlp(ps, "emb.point.out", p)
 
         if self.cfg.variant == "goal" and len(g.nrb_pose):
-            nr = nn.mlp(ps, "emb.nrb.cont", Tensor(g.nrb_radius[:, None]), 2)
-            out["nrb"] = nn.mlp(ps, "emb.nrb.out", nr, 2)
+            nr = nn.mlp(ps, "emb.nrb.cont", Tensor(g.nrb_radius[:, None]))
+            out["nrb"] = nn.mlp(ps, "emb.nrb.out", nr)
         else:
             out["nrb"] = Tensor(np.zeros((0, self.cfg.d_h)))
 
@@ -239,10 +239,8 @@ class Model:
         return {et: self.embed_edge(et, g.edges[et]) for et in EDGE_TYPES}
 
     def _gal(self, prefix, src, dst, g: HeteroGraph, eemb: dict, etype, rng):
-        edges = g.edges[etype]
-        return nn.graph_attention_layer(self.ps, prefix, src, dst, edges.by_src, edges.by_dst,
-                                        eemb[etype], heads=self.cfg.heads,
-                                        p_drop=self.cfg.dropout, rng=rng, edge_row=edges.row)
+        return nn.graph_attention_layer(self.ps, prefix, src, dst, g.edges[etype], eemb[etype],
+                                        self.cfg.heads, self.cfg.dropout, rng)
 
     def encode(self, g: HeteroGraph, feats: dict, eemb: dict, rng=None) -> dict:
         lane = self._gal("enc.map.p2l", feats["point"], feats["lane"], g, eemb, "p2l", rng)
@@ -312,11 +310,11 @@ class Model:
         fi = ad.gather_rows(q_feats, edges.src[positions])
         fj = ad.gather_rows(cand_feats, edges.dst[positions])
         fij = ad.gather_rows(fe, edges.row[positions])
-        return nn.mlp(self.ps, f"off.{grp}", ad.concat([fi, fj, fij], axis=1), 2)
+        return nn.mlp(self.ps, f"off.{grp}", ad.concat([fi, fj, fij], axis=1))
 
     def complete_trajectory(self, grp: str, q_rows: Tensor, goal_local: Tensor):
         """Group-specific head: cumulative-sum means and softplus scales."""
-        raw = nn.mlp(self.ps, f"traj.{grp}", ad.concat([q_rows, goal_local], axis=1), 2)
+        raw = nn.mlp(self.ps, f"traj.{grp}", ad.concat([q_rows, goal_local], axis=1))
         return _mean_and_scale(raw, self.cfg.T_f)
 
     def goal_local_tensor(self, offset: Tensor, goal_pose: np.ndarray,
@@ -404,9 +402,9 @@ class Model:
     def _forward_baseline(self, fr: ForwardResult):
         g, q = fr.graph, fr.query_feats
         K, n = self.cfg.K, g.n_queries
-        mu, b = _mean_and_scale(nn.mlp(self.ps, "base.traj", q, 2), self.cfg.T_f)
-        logits = ad.reshape(nn.mlp(self.ps, "base.score", q, 2), (n,))
-        scores = ad.softmax_grouped(logits, np.arange(n) // K, n // K)
+        mu, b = _mean_and_scale(nn.mlp(self.ps, "base.traj", q), self.cfg.T_f)
+        logits = ad.reshape(nn.mlp(self.ps, "base.score", q), (n,))
+        scores = ad.softmax_grouped(logits, ad.Segments(np.arange(n) // K), n // K)
         fr.base_scores, fr.base_mu, fr.base_b = scores, mu, b
         fr.score, fr.lane, fr.mu, fr.b = scores.value, np.full(n, -1), mu.value, b.value
 

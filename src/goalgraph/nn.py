@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
+from .graph import EdgeSet
 
 CKPT_HEADER = "goalgraph-ckpt v1"
 
@@ -39,16 +40,13 @@ class ParamStore:
             value = self.rng.normal(0.0, 0.02, size=shape)
         else:
             raise ConfigError(f"unknown init {init!r}")
-        t = Tensor(value, name=name)
+        t = Tensor(value)
         self.params[name] = t
         self.decay[name] = decay
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name):
-        return name in self.params
 
     def zero_grad(self):
         for t in self.params.values():
@@ -67,19 +65,14 @@ def affine(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return ad.affine(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
 
 
-def create_mlp(ps: ParamStore, prefix: str, dims):
-    """dims: [d_in, hidden..., d_out]."""
-    for i in range(len(dims) - 1):
-        create_affine(ps, f"{prefix}.l{i}", dims[i], dims[i + 1])
+def create_mlp(ps: ParamStore, prefix: str, d_in: int, d_hidden: int, d_out: int):
+    create_affine(ps, f"{prefix}.l0", d_in, d_hidden)
+    create_affine(ps, f"{prefix}.l1", d_hidden, d_out)
 
 
-def mlp(ps: ParamStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
-    """Affine -> LeakyReLU -> ... -> affine (no activation after the last)."""
-    for i in range(n_layers):
-        x = affine(ps, f"{prefix}.l{i}", x)
-        if i < n_layers - 1:
-            x = ad.leaky_relu(x)
-    return x
+def mlp(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
+    """Affine -> LeakyReLU -> affine."""
+    return affine(ps, f"{prefix}.l1", ad.leaky_relu(affine(ps, f"{prefix}.l0", x)))
 
 
 def create_layer_norm(ps: ParamStore, prefix: str, d: int):
@@ -97,38 +90,35 @@ def create_graph_attention_layer(ps: ParamStore, prefix: str, d_h: int, ffn_hidd
     create_layer_norm(ps, f"{prefix}.ln_src", d_h)
     create_layer_norm(ps, f"{prefix}.ln_dst", d_h)
     create_layer_norm(ps, f"{prefix}.ln_ffn", d_h)
-    create_mlp(ps, f"{prefix}.ffn", [d_h, ffn_hidden, d_h])
+    create_mlp(ps, f"{prefix}.ffn", d_h, ffn_hidden, d_h)
 
 
 def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
-                          dst_feats: Tensor, edge_src, edge_dst, edge_emb: Tensor,
-                          heads: int = 8, p_drop: float = 0.0, rng=None, edge_row=None) -> Tensor:
+                          dst_feats: Tensor, edges: EdgeSet, edge_emb: Tensor,
+                          heads: int, p_drop: float, rng) -> Tensor:
     """Transformer-style attention over graph edges, then a residual FFN.
 
     Per head: query from dst, key and value from src with the projected edge
     embedding added to both; attention softmax runs over each destination
     node's in-edges. Destinations without in-edges pass through the
-    skip + FFN path unchanged by attention. edge_src and edge_dst are id
-    arrays or their `ad.Segments` layouts; so is edge_row, each edge's row in
-    edge_emb when edges share rows (without it, edge_emb has a row per edge).
-    Edge embeddings are projected once per row; `ad.edge_attention` gathers
-    them per edge.
-    Dropout with rate p_drop runs when rng is given.
+    skip + FFN path unchanged by attention. edge_emb holds one row per
+    distinct edge feature row, edges.row[i] being edge i's; each row is
+    projected once and `ad.edge_attention` gathers it per edge.
+    Dropout with rate p_drop runs when rng is not None.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
         raise ShapeError(f"width {d_h} not divisible by {heads} heads")
-    edge_src, edge_dst = ad.segments(edge_src), ad.segments(edge_dst)
 
     s = layer_norm(ps, f"{prefix}.ln_src", src_feats)
     d0 = layer_norm(ps, f"{prefix}.ln_dst", dst_feats)
 
     attn = affine(ps, f"{prefix}.skip", d0)
-    if len(edge_dst.ids):
+    if edges.count:
         msg = ad.edge_attention(affine(ps, f"{prefix}.q", d0), affine(ps, f"{prefix}.k", s),
                                 affine(ps, f"{prefix}.v", s),
                                 affine(ps, f"{prefix}.edge", edge_emb),
-                                edge_src, edge_dst, edge_row, heads)
+                                edges.by_src, edges.by_dst, edges.row, heads)
         attn = ad.add(attn, msg)
     x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, rng))
 
@@ -175,7 +165,7 @@ def load_checkpoint(path: str) -> ParamStore:
             size = int(np.prod(rec["shape"])) if rec["shape"] else 1
             arr = np.frombuffer(blob, dtype="<f8", count=size,
                                 offset=rec["offset"]).reshape(rec["shape"]).copy()
-            t = Tensor(arr, name=rec["name"])
+            t = Tensor(arr)
             ps.params[rec["name"]] = t
             ps.decay[rec["name"]] = rec["decay"]
     except OSError as e:

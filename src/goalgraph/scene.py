@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -121,6 +122,14 @@ class Scene:
     points: np.ndarray = field(init=False, repr=False, compare=False)  # POINT_DTYPE rows
 
     def __post_init__(self):
+        if (not isinstance(self.dt, numbers.Real) or isinstance(self.dt, bool)
+                or not math.isfinite(self.dt) or self.dt <= 0):
+            raise DataError(f"dt must be a finite number above 0, got {self.dt!r}")
+        for name in ("t_history", "t_future"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {v!r}")
+        self.dt, self.t_history, self.t_future = float(self.dt), int(self.t_history), int(self.t_future)
         lane_ids = {l.id for l in self.lanes}
         for lane in self.lanes:
             for ref in lane.successors + lane.predecessors:
@@ -135,10 +144,6 @@ class Scene:
                 raise DataError(f"agent {a.id}: expected {T} states, got {len(a.states)}")
         self.points = point_segments(self.lanes)
         self.lane_index = {l.id: i for i, l in enumerate(self.lanes)}
-
-    @property
-    def t_total(self) -> int:
-        return self.t_history + self.t_future
 
     def predicted_agents(self) -> list:
         """Indices of agents valid at the last observed step."""
@@ -231,11 +236,18 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _flag(v, agent_id) -> float:
+    """A state's validity flag, a JSON bool or number, as 1.0 or 0.0."""
+    if not isinstance(v, (int, float)):
+        raise DataError(f"agent {agent_id}: validity flag must be a bool or a number, got {v!r}")
+    return 1.0 if v else 0.0
+
+
 def scene_from_dict(d: dict) -> Scene:
     try:
         agents = [
             AgentTrack(a["id"], a["class"],
-                       [[s[0], s[1], s[2], s[3], 1.0 if s[4] else 0.0] for s in a["states"]])
+                       [[s[0], s[1], s[2], s[3], _flag(s[4], a["id"])] for s in a["states"]])
             for a in d["agents"]
         ]
         lanes = [
@@ -244,8 +256,7 @@ def scene_from_dict(d: dict) -> Scene:
                     l.get("left_neighbor"), l.get("right_neighbor"))
             for l in d["lanes"]
         ]
-        return Scene(d["id"], float(d["dt"]), int(d["t_history"]), int(d["t_future"]),
-                     agents, lanes)
+        return Scene(d["id"], d["dt"], d["t_history"], d["t_future"], agents, lanes)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"malformed scenario dict: {e!r}") from e
 

@@ -88,7 +88,7 @@ def stage_targets_loop(g, scene, q, ends) -> dict:
 
 def segment_sum(a, seg_ids, num_segments):
     """Sum rows of a into num_segments buckets by per-row bucket id."""
-    seg = ad.segments(seg_ids)
+    seg = ad.Segments(seg_ids)
     return ad._node(ad._scatter_add(a.value, seg, num_segments), (a,),
                     lambda g: ad._accum(a, g[seg.ids]))
 
@@ -111,19 +111,20 @@ def sum_axis(a, axis):
 
 def unfused_edge_attention(q, k, v, e, src, dst, row, heads):
     """ad.edge_attention as one tape op per step: gathers, adds, reshapes,
-    the q.k product, grouped softmax, weighting and the sum into destinations."""
-    src, dst = ad.segments(src), ad.segments(dst)
+    the q.k product, a grouped softmax per head, weighting and the sum into
+    destinations. Arguments as ad.edge_attention's."""
     n_e, (n_dst, d) = len(dst.ids), q.shape
     d_head = d // heads
-    q = ad.gather_rows(q, dst)
-    if row is not None:
-        e = ad.gather_rows(e, row)
-    k = ad.add(ad.gather_rows(k, src), e)
-    v = ad.add(ad.gather_rows(v, src), e)
+    q = ad.gather_rows(q, dst.ids)
+    e = ad.gather_rows(e, row)
+    k = ad.add(ad.gather_rows(k, src.ids), e)
+    v = ad.add(ad.gather_rows(v, src.ids), e)
     qh, kh, vh = (ad.reshape(t, (n_e, heads, d_head)) for t in (q, k, v))
     logits = ad.scalar_mul(sum_axis(ad.mul(qh, kh), axis=2), 1.0 / math.sqrt(d_head))
-    alpha = ad.softmax_grouped(logits, dst, n_dst)
-    return segment_sum(ad.reshape(scale_last(vh, alpha), (n_e, d)), dst, n_dst)
+    heads_p = [ad.softmax_grouped(ad.reshape(ad.slice_cols(logits, h, h + 1), (n_e,)), dst, n_dst)
+               for h in range(heads)]
+    alpha = ad.concat([ad.reshape(p, (n_e, 1)) for p in heads_p], axis=1)
+    return segment_sum(ad.reshape(scale_last(vh, alpha), (n_e, d)), dst.ids, n_dst)
 
 
 # The per-step scene generator and the json.dump scenario writer: the oracles

@@ -283,7 +283,7 @@ def test_a3_loss_identities():
         gid = rng.integers(0, n_groups, size=int(rng.integers(n_groups, 40)))
         gid = np.sort(gid)
         logits = rng.normal(0, 5, size=len(gid))
-        s = ad.softmax_grouped(Tensor(logits), gid).value
+        s = ad.softmax_grouped(Tensor(logits), ad.Segments(gid), n_groups).value
         sums = np.bincount(gid, weights=s, minlength=n_groups)
         present = np.bincount(gid, minlength=n_groups) > 0
         worst_sum = max(worst_sum, float(np.abs(sums[present] - 1.0).max()))

@@ -23,3 +23,6 @@ def test_traced_short_run_counts_hooked_stages():
              + ["training.loss_calls", "graph.decide_point_calls"])
     calls = {n: last["metrics"][n]["value"] for n in names}
     assert all(v > 0 for v in calls.values()), calls
+    # the tracer names each attention layer's span by its prefix argument
+    gal = {n: m["value"] for n, m in last["metrics"].items() if n.startswith("nn.gal.")}
+    assert len(gal) == 32 and all(v > 0 for v in gal.values()), gal

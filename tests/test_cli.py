@@ -291,6 +291,20 @@ def test_non_finite_scenario_value_is_data_error(workdir, tmp_path, command, whe
     assert name in r.stderr and "non-finite" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_nan_dt_is_data_error(workdir, tmp_path):
+    """A scenario file whose dt is NaN exits 3 and names the file and dt,
+    where it used to evaluate non-finite trajectories."""
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    d["dt"] = float("nan")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "scene_00000.json").write_text(json.dumps(d))
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "model.ckpt"),
+                "--data", str(data), "--out", str(tmp_path / "r.csv"))
+    assert r.returncode == 3, r.stderr
+    assert "scene_00000.json: dt must be" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_zero_length_centerline_is_data_error(workdir, tmp_path):
     """A lane whose centerline vertices are all one point exits 3 and names
     the lane, not 4 from the goal stage finding no points on it."""

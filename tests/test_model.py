@@ -180,7 +180,7 @@ def test_mode_queries_differ(line_scene):
 
 def test_softmax_arithmetic_oracle():
     # logits {2, 0, 0} -> scores {0.787, 0.107, 0.107}
-    out = ad.softmax_grouped(Tensor(np.array([2.0, 0.0, 0.0])), np.zeros(3, int))
+    out = ad.softmax_grouped(Tensor(np.array([2.0, 0.0, 0.0])), ad.Segments(np.zeros(3, int)), 1)
     assert np.allclose(out.value, [0.787, 0.107, 0.107], atol=1e-3)
 
 
@@ -283,7 +283,8 @@ def test_completion_cumsum_semantics():
 
 def _per_edge(e: EdgeSet) -> EdgeSet:
     """The set with its own feature row for every edge."""
-    return EdgeSet(e.src, e.dst, e.feat[e.row], None if e.rel is None else e.rel[e.row])
+    return EdgeSet(e.src, e.dst, e.feat[e.row], None if e.rel is None else e.rel[e.row],
+                   np.arange(e.count))
 
 
 def _run_forward_and_loss(m, scene, g):

@@ -9,10 +9,12 @@ from goalgraph.graph import EdgeSet
 from goalgraph.nn import ParamStore
 
 
-def make_edges(src, dst, E=None):
-    src = np.asarray(src)
-    dst = np.asarray(dst)
-    return EdgeSet(src, dst, np.zeros((len(src), 6)), None)
+def make_edges(src, dst, row=None):
+    """Edges src -> dst, with one embedding row per edge unless row is given."""
+    src = np.asarray(src, dtype=int)
+    dst = np.asarray(dst, dtype=int)
+    return EdgeSet(src, dst, np.zeros((len(src), 6)), None,
+                   np.arange(len(src)) if row is None else np.asarray(row))
 
 
 def test_param_store_unique_names():
@@ -43,10 +45,10 @@ def test_param_store_seeded_determinism():
 
 def test_mlp_zero_weights_zero_output():
     ps = ParamStore(seed=0)
-    nn.create_mlp(ps, "m", [4, 8, 2])
+    nn.create_mlp(ps, "m", 4, 8, 2)
     for name in ps.names():
         ps.params[name].value[:] = 0.0
-    out = nn.mlp(ps, "m", Tensor(np.random.default_rng(0).standard_normal((3, 4))), 2)
+    out = nn.mlp(ps, "m", Tensor(np.random.default_rng(0).standard_normal((3, 4))))
     assert np.all(out.value == 0)
 
 
@@ -61,9 +63,9 @@ def test_affine_identity():
 
 def test_mlp_matches_matrix_oracle():
     ps = ParamStore(seed=3)
-    nn.create_mlp(ps, "m", [4, 8, 2])
+    nn.create_mlp(ps, "m", 4, 8, 2)
     x = np.random.default_rng(2).standard_normal((6, 4))
-    out = nn.mlp(ps, "m", Tensor(x), 2).value
+    out = nn.mlp(ps, "m", Tensor(x)).value
     h = x @ ps["m.l0.W"].value + ps["m.l0.b"].value
     h = np.where(h > 0, h, 0.01 * h)
     oracle = h @ ps["m.l1.W"].value + ps["m.l1.b"].value
@@ -71,8 +73,7 @@ def test_mlp_matches_matrix_oracle():
 
 
 def gal(ps, src, dst, edges, fe, heads=2):
-    return nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst,
-                                    fe, heads=heads, p_drop=0.0)
+    return nn.graph_attention_layer(ps, "g", src, dst, edges, fe, heads, 0.0, None)
 
 
 def _gal_setup(seed=0, d_h=8, heads=2, n_src=3, n_dst=2):
@@ -135,15 +136,16 @@ def test_gal_matches_dense_oracle():
 
 
 def test_gal_edge_rows_match_per_edge_embeddings():
-    """With edge_row, each edge embedding row is projected once and gathered
-    per edge: the output of one embedding row per edge, and the same gradient."""
+    """With shared edge rows, each edge embedding row is projected once and
+    gathered per edge: the output of one embedding row per edge, and the same
+    gradient."""
     ps, src, dst, fe, edges = _gal_setup()
     rows = np.array([1, 0, 1, 3])
+    shared_edges = make_edges(edges.src, edges.dst, rows)
     outs, grads = [], []
     for shared in (True, False):
         fe.grad = None
-        out = (nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst, fe, heads=2,
-                                        edge_row=rows) if shared
+        out = (gal(ps, src, dst, shared_edges, fe) if shared
                else gal(ps, src, dst, edges, ad.gather_rows(fe, rows)))
         ad.sum_all(ad.mul(out, out)).backward()
         outs.append(out.value)
@@ -162,12 +164,11 @@ def test_gal_matches_unfused_attention(monkeypatch, heads):
     for op in (ad.edge_attention, unfused_edge_attention):
         monkeypatch.setattr(ad, "edge_attention", op)
         ps, src, dst, fe, edges = _gal_setup(n_src=4, n_dst=3)
-        edges = make_edges([3, 0, 2, 0, 3, 1], [2, 0, 2, 2, 0, 2])  # dst 1 has no in-edges
-        row = np.array([1, 0, 1, 3, 0, 1])  # row 2 feeds no edge
+        # dst 1 has no in-edges, and row 2 feeds no edge
+        edges = make_edges([3, 0, 2, 0, 3, 1], [2, 0, 2, 2, 0, 2], [1, 0, 1, 3, 0, 1])
 
         def layer():
-            return nn.graph_attention_layer(ps, "g", src, dst, edges.src, edges.dst, fe,
-                                            heads=heads, edge_row=row)
+            return gal(ps, src, dst, edges, fe, heads)
         with ad.no_grad():
             plain = layer().value
         out = layer()
@@ -202,8 +203,7 @@ def test_gal_edge_permutation_equivariance():
     ps, src, dst, fe, edges = _gal_setup()
     out0 = gal(ps, src, dst, edges, fe).value
     perm = np.array([3, 1, 0, 2])
-    edges_p = EdgeSet(edges.src[perm], edges.dst[perm],
-                      edges.feat[perm], None)
+    edges_p = make_edges(edges.src[perm], edges.dst[perm])
     out1 = gal(ps, src, dst, edges_p, ad.gather_rows(fe, perm)).value
     assert np.allclose(out0, out1, atol=1e-12)
 
@@ -217,7 +217,7 @@ def test_gal_gradients_flow():
 
 def test_checkpoint_roundtrip(tmp_path):
     ps = ParamStore(seed=4)
-    nn.create_mlp(ps, "m", [4, 8, 2])
+    nn.create_mlp(ps, "m", 4, 8, 2)
     nn.create_layer_norm(ps, "n", 8)
     path = str(tmp_path / "x.ckpt")
     nn.save_checkpoint(ps, path)
@@ -294,16 +294,16 @@ def test_grad_check_scoring_head():
     """Small scoring-style head: concat + MLP + grouped softmax + focal-ish loss."""
     d = 6
     ps = ParamStore(seed=5)
-    nn.create_mlp(ps, "m", [3 * d, d, d])
+    nn.create_mlp(ps, "m", 3 * d, d, d)
     nn.create_affine(ps, "o", d, 1)
     r = np.random.default_rng(8)
     fi, fj, fe = (r.standard_normal((5, d)) for _ in range(3))
-    groups = np.array([0, 0, 0, 1, 1])
+    groups = ad.Segments(np.array([0, 0, 0, 1, 1]))
 
     def f():
-        h = nn.mlp(ps, "m", ad.concat([Tensor(fi), Tensor(fj), Tensor(fe)], axis=1), 2)
+        h = nn.mlp(ps, "m", ad.concat([Tensor(fi), Tensor(fj), Tensor(fe)], axis=1))
         logit = nn.affine(ps, "o", h)
-        s = ad.softmax_grouped(ad.reshape(logit, (5,)), groups)
+        s = ad.softmax_grouped(ad.reshape(logit, (5,)), groups, 2)
         p_t = ad.gather_rows(ad.reshape(s, (5, 1)), np.array([0, 3]))
         return ad.sum_all(ad.scalar_mul(ad.log(p_t), -1.0))
 

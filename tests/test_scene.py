@@ -23,7 +23,7 @@ from goalgraph.scene import (
     scene_from_dict,
     scene_to_dict,
 )
-from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
+from goalgraph.synthgen import STYLE_A, STYLE_B, gen_dataset, gen_scene
 
 from conftest import (
     MALFORMED,
@@ -121,6 +121,34 @@ def test_lane_polygon_orientation():
     # left boundary then reversed right boundary forms a simple quad
     assert np.allclose(poly[0], [0.0, 2.0])
     assert np.allclose(poly[-1], [0.0, -2.0])
+
+
+# (key, value, the start of the DataError's message after the file name)
+BAD_HEADERS = [("dt", "0.1", "dt must be"), ("t_history", "10", "t_history must be"),
+               ("t_history", 10.7, "t_history must be"), ("dt", True, "dt must be"),
+               ("dt", -0.1, "dt must be"), ("dt", 0, "dt must be"),
+               ("dt", float("nan"), "dt must be"), ("t_future", True, "t_future must be"),
+               ("t_future", 0, "t_future must be"), ("flag", "no", "agent ")]
+
+
+@pytest.mark.parametrize("key,value,msg", BAD_HEADERS,
+                         ids=[f"{k}={v!r}" for k, v, _ in BAD_HEADERS])
+def test_load_scene_bad_header_or_flag_is_data_error(tmp_path, key, value, msg):
+    """dt must be a finite number above 0, t_history and t_future integers
+    >= 1, none of them a bool or a string, and a state's validity flag a bool
+    or a number. Anything else in a generated file is a DataError naming the
+    file, not a scene that loads (a quoted "0.1" used to parse, "no" to count
+    as valid, and a NaN dt to predict non-finite trajectories)."""
+    gen_dataset("A", 1, 0, str(tmp_path))
+    p = tmp_path / "scene_00000.json"
+    d = json.loads(p.read_text())
+    if key == "flag":
+        d["agents"][0]["states"][0][4] = value
+    else:
+        d[key] = value
+    p.write_text(json.dumps(d))
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: {msg}"):
+        load_scene(str(p))
 
 
 def test_scene_rejects_bad_connectivity():

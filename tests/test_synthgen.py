@@ -100,6 +100,24 @@ def test_dataset_files_and_determinism(tmp_path):
     assert len(load_dataset(d1)) == 4
 
 
+def test_dataset_loads_as_generated(tmp_path):
+    """Every file gen_dataset writes loads to the scene it was written from:
+    the same header values and types, states and lane polylines."""
+    gen_dataset("B", 3, 7, str(tmp_path))
+    for i, got in enumerate(load_dataset(str(tmp_path))):
+        want = gen_scene(STYLE_B, (7, i), f"B_7_{i:05d}")
+        assert (got.id, got.dt, got.t_history, got.t_future) == \
+            (want.id, want.dt, want.t_history, want.t_future)
+        assert (type(got.dt), type(got.t_history), type(got.t_future)) == (float, int, int)
+        for a, b in zip(got.agents, want.agents, strict=True):
+            assert (a.id, a.agent_class) == (b.id, b.agent_class)
+            assert np.array_equal(a.states, b.states)
+        for a, b in zip(got.lanes, want.lanes, strict=True):
+            assert a.id == b.id and a.successors == b.successors
+            for f in ("centerline", "left_boundary", "right_boundary"):
+                assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
 def test_dataset_manifest_lists_scenes(tmp_path):
     out = str(tmp_path / "d")
     gen_dataset("B", 3, 5, out)
