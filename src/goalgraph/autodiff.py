@@ -4,7 +4,9 @@ Each Tensor records its parents and a backward closure; `backward()` runs a
 reverse topological sweep. `no_grad()` disables recording for cheap
 forward-only evaluation (finite differences, inference): every op computes
 the same value either way, and only links it into the tape with grad on.
-Work that only the backward needs is done inside the backward closure.
+Work that only the backward needs is done inside the backward closure, and
+an op keeps only the arrays its backward reads: a parent's value is read
+from the parent, and a mask is kept as bools.
 
 One backward per forward: `backward()` consumes the tape it sweeps. Once an
 op's closure has run, the op drops its grad and closure, and its parents
@@ -23,8 +25,9 @@ from .errors import ShapeError, StructuralError
 
 _grad_enabled = True
 
-# When not None, leaky_relu appends sign masks of its pre-activations here
-# (used by grad_check to detect kink crossings between perturbed runs).
+# When not None, each LeakyReLU op appends the sign mask of its
+# pre-activation here (used by grad_check to detect kink crossings between
+# perturbed runs).
 kink_monitor = None
 
 
@@ -93,8 +96,8 @@ class Segments:
 
     `order` sorts the rows by segment (stably), `starts` is where each
     non-empty segment begins in that order, `present` holds those segments'
-    ids and `rank` each row's position in `present`. Graph edge sets build
-    the layouts of their src and dst ids once.
+    ids and `rank` each row's position in `present`. An EdgeLayout builds
+    the layouts of an edge set's ids once.
     """
 
     __slots__ = ("ids", "order", "starts", "present", "rank")
@@ -111,6 +114,31 @@ class Segments:
         self.rank[self.order] = np.cumsum(first) - 1
 
 
+class EdgeLayout:
+    """The layouts of an edge set that edge_attention and edge_sum_leaky
+    read, built once per set from its src, dst and feature-row id arrays.
+
+    `by_src`, `by_dst` and `by_row` are the Segments of those ids.
+    edge_attention works in destination order (by_dst.order), where each
+    destination's in-edges are one run of rows: `dst_sorted` is the Segments
+    of the destination ids in that order, `src_by_dst` and `row_by_dst` the
+    edges' src and row ids in it, and `to_src` and `to_row` the positions in
+    it of the edges in by_src's and by_row's orders.
+    """
+
+    __slots__ = ("by_src", "by_dst", "by_row", "dst_sorted", "src_by_dst", "row_by_dst",
+                 "to_src", "to_row")
+
+    def __init__(self, src, dst, row):
+        self.by_src, self.by_dst, self.by_row = Segments(src), Segments(dst), Segments(row)
+        order = self.by_dst.order
+        self.dst_sorted = Segments(self.by_dst.ids[order])
+        self.src_by_dst, self.row_by_dst = self.by_src.ids[order], self.by_row.ids[order]
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        self.to_src, self.to_row = at[self.by_src.order], at[self.by_row.order]
+
+
 def _reduce(ufunc, x: np.ndarray, seg: Segments) -> np.ndarray:
     """ufunc-reduce the rows of x within each present segment."""
     return ufunc.reduceat(x[seg.order], seg.starts, axis=0)
@@ -118,8 +146,13 @@ def _reduce(ufunc, x: np.ndarray, seg: Segments) -> np.ndarray:
 
 def _scatter_add(x: np.ndarray, seg: Segments, n_rows: int) -> np.ndarray:
     """Sum the rows of x into n_rows buckets by segment id."""
+    return _scatter_sorted(x[seg.order], seg, n_rows)
+
+
+def _scatter_sorted(x: np.ndarray, seg: Segments, n_rows: int) -> np.ndarray:
+    """_scatter_add of rows that are already in seg's order."""
     out = np.zeros((n_rows,) + x.shape[1:])
-    out[seg.present] = _reduce(np.add, x, seg)
+    out[seg.present] = np.add.reduceat(x, seg.starts, axis=0)
     return out
 
 
@@ -208,18 +241,57 @@ def matmul(a, b) -> Tensor:
 def affine(x, w, b) -> Tensor:
     """Fused x @ w + b with b broadcast over rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xv, wv, bv = x.value, w.value, b.value
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
-        raise ShapeError(f"affine: incompatible shapes {xv.shape}, {wv.shape}, {bv.shape}")
-    out_val = xv @ wv
-    out_val += bv
 
     def bw(g):
-        _accum(x, g @ wv.T)
-        _accum(w, xv.T @ g)
-        _accum(b, g.sum(axis=0))
+        _affine_backward(x, w, b, g)
 
-    return _node(out_val, (x, w, b), bw)
+    return _node(_affine_value(x, w, b, "affine"), (x, w, b), bw)
+
+
+def _affine_value(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
+        raise ShapeError(f"{op}: incompatible shapes {xv.shape}, {wv.shape}, {bv.shape}")
+    out = xv @ wv
+    out += bv
+    return out
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray):
+    _accum(x, g @ w.value.T)
+    _accum(w, x.value.T @ g)
+    _accum(b, g.sum(axis=0))
+
+
+LEAKY_SLOPE = 0.01
+
+
+def _leaky(pre: np.ndarray):
+    """max(pre, LEAKY_SLOPE * pre), written over pre, and the bool mask of
+    pre >= 0 that the backward needs; the mask also goes to kink_monitor."""
+    pos = pre >= 0.0
+    if kink_monitor is not None:
+        kink_monitor.append(pos)
+    # max() into one buffer avoids a branchy per-element select
+    np.maximum(pre, pre * LEAKY_SLOPE, out=pre)
+    return pre, pos
+
+
+def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    # the same bits as g times a (1, LEAKY_SLOPE) float mask
+    return np.where(pos, g, g * LEAKY_SLOPE)
+
+
+def affine_leaky(x, w, b) -> Tensor:
+    """LeakyReLU(x @ w + b) as one op, which keeps the bool sign mask in
+    place of the pre-activation."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out, pos = _leaky(_affine_value(x, w, b, "affine_leaky"))
+
+    def bw(g):
+        _affine_backward(x, w, b, _leaky_grad(g, pos))
+
+    return _node(out, (x, w, b), bw)
 
 
 def concat(tensors, axis=1) -> Tensor:
@@ -301,27 +373,6 @@ def cumsum_axis(a, axis) -> Tensor:
         _accum(a, np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis))
 
     return _node(np.cumsum(a.value, axis=axis), (a,), bw)
-
-
-LEAKY_SLOPE = 0.01
-
-
-def leaky_relu(a) -> Tensor:
-    """max(x, LEAKY_SLOPE * x)."""
-    a = _as_tensor(a)
-    av = a.value
-    # max() into one buffer avoids a branchy per-element select
-    out = av * LEAKY_SLOPE
-    np.maximum(av, out, out=out)
-    if kink_monitor is not None:
-        kink_monitor.append(av >= 0.0)
-
-    def bw(g):
-        mask = (av >= 0.0).astype(np.float64)
-        np.maximum(mask, LEAKY_SLOPE, out=mask)
-        _accum(a, g * mask)
-
-    return _node(out, (a,), bw)
 
 
 def abs_(a) -> Tensor:
@@ -427,12 +478,12 @@ def dropout(a, p: float, rng: np.random.Generator | None = None) -> Tensor:
     if rng is None or p <= 0.0:
         return _as_tensor(a)
     a = _as_tensor(a)
-    keep = (rng.random(a.value.shape) >= p) / (1.0 - p)
+    kept = rng.random(a.value.shape) >= p  # bools; scaled where they are used
 
     def bw(g):
-        _accum(a, g * keep)
+        _accum(a, g * (kept / (1.0 - p)))
 
-    return _node(a.value * keep, (a,), bw)
+    return _node(a.value * (kept / (1.0 - p)), (a,), bw)
 
 
 def softmax_grouped(logits, seg: Segments, num_groups: int) -> Tensor:
@@ -461,35 +512,64 @@ def _softmax(x: np.ndarray, seg: Segments) -> np.ndarray:
     return ex / _reduce(np.add, ex, seg)[seg.rank]
 
 
-def edge_attention(q, k, v, e, src, dst, row, heads: int) -> Tensor:
+def _edge_rows(qv, kv, vv, ev, edges: EdgeLayout, heads: int):
+    """Each edge's q[dst], k[src] + e[row] and v[src] + e[row], in
+    destination order, each (E, heads, d_head)."""
+    er = ev[edges.row_by_dst]
+    rows = (qv[edges.dst_sorted.ids], kv[edges.src_by_dst] + er, vv[edges.src_by_dst] + er)
+    n_e, d = len(er), qv.shape[1]
+    return (a.reshape(n_e, heads, d // heads) for a in rows)
+
+
+def edge_attention(q, k, v, e, edges: EdgeLayout, heads: int) -> Tensor:
     """Each destination's multi-head attention message over its in-edges.
 
     Edge i attends from q[dst[i]] to key k[src[i]] + e[row[i]] and value
-    v[src[i]] + e[row[i]]; src and dst are the Segments layouts of the edges'
-    id arrays, row an id array. Rows of q without in-edges get zeros.
+    v[src[i]] + e[row[i]], for the ids that the EdgeLayout edges was built
+    from. Rows of q without in-edges get zeros. The op works in destination
+    order and keeps only the (E, heads) softmax weights: its backward
+    gathers the edge rows again from its parents' values.
     """
     q, k, v, e = _as_tensor(q), _as_tensor(k), _as_tensor(v), _as_tensor(e)
+    dst = edges.dst_sorted
     n_e, (n_dst, d) = len(dst.ids), q.value.shape
-    d_head = d // heads
-    c = 1.0 / np.sqrt(d_head)
-    ev = e.value[row]
-    qe = q.value[dst.ids]
-    ke = k.value[src.ids] + ev
-    ve = v.value[src.ids] + ev
-    qh, kh, vh = (a.reshape(n_e, heads, d_head) for a in (qe, ke, ve))
-    p = _softmax((qh * kh).sum(axis=2) * c, dst)  # (E, heads)
+    c = 1.0 / np.sqrt(d // heads)
+    qh, kh, vh = _edge_rows(q.value, k.value, v.value, e.value, edges, heads)
+    p = _softmax((qh * kh).sum(axis=-1) * c, dst)  # (E, heads)
 
     def bw(g):
-        g3 = g[dst.ids].reshape(n_e, heads, d_head)
+        qh, kh, vh = _edge_rows(q.value, k.value, v.value, e.value, edges, heads)
+        g3 = g[dst.ids].reshape(vh.shape)
         ga = (g3 * vh).sum(axis=-1)
         gl = p * (ga - _reduce(np.add, p * ga, dst)[dst.rank]) * c
         gq = (gl[..., None] * kh).reshape(n_e, d)
         gk = (gl[..., None] * qh).reshape(n_e, d)
         gv = (g3 * p[..., None]).reshape(n_e, d)
-        _accum(q, _scatter_add(gq, dst, n_dst))
-        _accum(k, _scatter_add(gk, src, k.value.shape[0]))
-        _accum(v, _scatter_add(gv, src, v.value.shape[0]))
-        _accum(e, _scatter_add(gk + gv, Segments(row), e.value.shape[0]))
+        _accum(q, _scatter_sorted(gq, dst, n_dst))
+        _accum(k, _scatter_sorted(gk[edges.to_src], edges.by_src, k.value.shape[0]))
+        _accum(v, _scatter_sorted(gv[edges.to_src], edges.by_src, v.value.shape[0]))
+        _accum(e, _scatter_sorted((gk + gv)[edges.to_row], edges.by_row, e.value.shape[0]))
 
-    msg = _scatter_add((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
+    msg = _scatter_sorted((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
     return _node(msg, (q, k, v, e), bw)
+
+
+def edge_sum_leaky(hi, hj, hij, edges: EdgeLayout) -> Tensor:
+    """LeakyReLU(hi[s] + hj[t] + hij[r]) for each edge s -> t with feature
+    row r of the EdgeLayout edges, as one op: hi holds one row per source
+    in edges.by_src.present, hj one per destination in edges.by_dst.present
+    and hij one per feature row. The op keeps its bool sign mask; its
+    backward sums the edges' gradients into those rows through the src,
+    dst and row layouts."""
+    hi, hj, hij = _as_tensor(hi), _as_tensor(hj), _as_tensor(hij)
+    pre = hi.value[edges.by_src.rank] + hj.value[edges.by_dst.rank]
+    pre += hij.value[edges.by_row.ids]
+    out, pos = _leaky(pre)
+
+    def bw(g):
+        gp = _leaky_grad(g, pos)
+        _accum(hi, _reduce(np.add, gp, edges.by_src))
+        _accum(hj, _reduce(np.add, gp, edges.by_dst))
+        _accum(hij, _scatter_add(gp, edges.by_row, hij.value.shape[0]))
+
+    return _node(out, (hi, hj, hij), bw)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Segments
+from .autodiff import EdgeLayout
 from .config import Config
 from .errors import ConfigError
 from .geometry import points_in_polygon, polyline_distances, to_local
@@ -66,12 +66,12 @@ class EdgeSet:
     feat: np.ndarray
     rel: np.ndarray | None
     row: np.ndarray
-    # segment layouts of src and dst, for the grouped softmax and sums over edges
-    by_src: Segments = field(init=False, repr=False, compare=False)
-    by_dst: Segments = field(init=False, repr=False, compare=False)
+    # the segment layouts of src, dst and row, for the grouped softmax and
+    # the sums over edges
+    layout: EdgeLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.by_src, self.by_dst = Segments(self.src), Segments(self.dst)
+        self.layout = EdgeLayout(self.src, self.dst, self.row)
 
     @property
     def count(self) -> int:

@@ -270,8 +270,9 @@ class Model:
         The MLP's first layer is linear in the concatenation, so its weight is
         applied in row blocks: the f_i and f_j blocks multiply each distinct
         query and candidate once, and the f_ij block each distinct edge
-        feature row, and are then gathered per edge. Returns the scores and
-        f_ij by distinct row.
+        feature row. One ad.edge_sum_leaky op then gathers and adds them per
+        edge and applies the LeakyReLU. Returns the scores and f_ij by
+        distinct row.
         """
         if edges.count == 0:
             raise StructuralError(f"empty candidate set for stage {stage}")
@@ -279,13 +280,12 @@ class Model:
         ps, pre = self.ps, f"score.{stage}.mlp"
         d = fe.shape[1]
         w = ps[pre + ".l0.W"]
-        by_src, by_dst = edges.by_src, edges.by_dst
+        lay = edges.layout
+        by_src, by_dst = lay.by_src, lay.by_dst
         hi = ad.matmul(ad.gather_rows(q_feats, by_src.present), ad.slice_rows(w, 0, d))
         hj = ad.matmul(ad.gather_rows(cand_feats, by_dst.present), ad.slice_rows(w, d, 2 * d))
         hij = ad.affine(fe, ad.slice_rows(w, 2 * d, 3 * d), ps[pre + ".l0.b"])
-        h = ad.add(ad.add(ad.gather_rows(hi, by_src.rank), ad.gather_rows(hj, by_dst.rank)),
-                   ad.gather_rows(hij, edges.row))
-        hidden = ad.add(nn.affine(ps, pre + ".l1", ad.leaky_relu(h)),
+        hidden = ad.add(nn.affine(ps, pre + ".l1", ad.edge_sum_leaky(hi, hj, hij, lay)),
                         ad.gather_rows(fe, edges.row))
         logits = ad.reshape(nn.affine(ps, f"score.{stage}.out", hidden), (edges.count,))
         return ad.softmax_grouped(logits, by_src, n_groups), fe

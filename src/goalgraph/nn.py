@@ -65,14 +65,18 @@ def affine(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return ad.affine(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
 
 
+def affine_leaky(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
+    return ad.affine_leaky(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
+
+
 def create_mlp(ps: ParamStore, prefix: str, d_in: int, d_hidden: int, d_out: int):
     create_affine(ps, f"{prefix}.l0", d_in, d_hidden)
     create_affine(ps, f"{prefix}.l1", d_hidden, d_out)
 
 
 def mlp(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    """Affine -> LeakyReLU -> affine."""
-    return affine(ps, f"{prefix}.l1", ad.leaky_relu(affine(ps, f"{prefix}.l0", x)))
+    """Affine -> LeakyReLU (one ad.affine_leaky op) -> affine."""
+    return affine(ps, f"{prefix}.l1", affine_leaky(ps, f"{prefix}.l0", x))
 
 
 def create_layer_norm(ps: ParamStore, prefix: str, d: int):
@@ -117,15 +121,13 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     if edges.count:
         msg = ad.edge_attention(affine(ps, f"{prefix}.q", d0), affine(ps, f"{prefix}.k", s),
                                 affine(ps, f"{prefix}.v", s),
-                                affine(ps, f"{prefix}.edge", edge_emb),
-                                edges.by_src, edges.by_dst, edges.row, heads)
+                                affine(ps, f"{prefix}.edge", edge_emb), edges.layout, heads)
         attn = ad.add(attn, msg)
     x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, rng))
 
     h = layer_norm(ps, f"{prefix}.ln_ffn", x1)
-    h = affine(ps, f"{prefix}.ffn.l0", h)
-    h = ad.dropout(ad.leaky_relu(h), p_drop, rng)
-    h = affine(ps, f"{prefix}.ffn.l1", h)
+    h = affine_leaky(ps, f"{prefix}.ffn.l0", h)
+    h = affine(ps, f"{prefix}.ffn.l1", ad.dropout(h, p_drop, rng))
     return ad.add(x1, h)
 
 

@@ -237,10 +237,10 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def _flag(v, agent_id) -> float:
-    """A state's validity flag, a JSON bool or number, as 1.0 or 0.0."""
-    if not isinstance(v, (int, float)):
-        raise DataError(f"agent {agent_id}: validity flag must be a bool or a number, got {v!r}")
-    return 1.0 if v else 0.0
+    """A state's validity flag, JSON true, false, 0 or 1, as 1.0 or 0.0."""
+    if type(v) in (bool, int) and v in (0, 1):
+        return float(v)
+    raise DataError(f"agent {agent_id}: validity flag must be true, false, 0 or 1, got {v!r}")
 
 
 def scene_from_dict(d: dict) -> Scene:

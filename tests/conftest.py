@@ -83,8 +83,12 @@ def stage_targets_loop(g, scene, q, ends) -> dict:
     return out
 
 
-# Unfused tape ops, and the attention they compose: the oracle for
-# ad.edge_attention, which computes the same expressions as one op.
+# Unfused tape ops, and the attention they compose: the oracles for
+# ad.edge_attention, which computes the same expressions as one op. Then the
+# ops as they were before each kept only what its backward needs: the
+# attention op that kept its per-edge q, k and v rows, LeakyReLU on its own
+# node with a float mask, the decide-edge hidden layer as gathers and adds,
+# and dropout with a float mask. The new ops must match them bit for bit.
 
 def segment_sum(a, seg_ids, num_segments):
     """Sum rows of a into num_segments buckets by per-row bucket id."""
@@ -109,10 +113,11 @@ def sum_axis(a, axis):
                     lambda g: ad._accum(a, np.expand_dims(g, axis) * np.ones_like(a.value)))
 
 
-def unfused_edge_attention(q, k, v, e, src, dst, row, heads):
+def unfused_edge_attention(q, k, v, e, edges, heads):
     """ad.edge_attention as one tape op per step: gathers, adds, reshapes,
     the q.k product, a grouped softmax per head, weighting and the sum into
     destinations. Arguments as ad.edge_attention's."""
+    src, dst, row = edges.by_src, edges.by_dst, edges.by_row.ids
     n_e, (n_dst, d) = len(dst.ids), q.shape
     d_head = d // heads
     q = ad.gather_rows(q, dst.ids)
@@ -125,6 +130,69 @@ def unfused_edge_attention(q, k, v, e, src, dst, row, heads):
                for h in range(heads)]
     alpha = ad.concat([ad.reshape(p, (n_e, 1)) for p in heads_p], axis=1)
     return segment_sum(ad.reshape(scale_last(vh, alpha), (n_e, d)), dst.ids, n_dst)
+
+
+def edge_attention_oracle(q, k, v, e, edges, heads):
+    """ad.edge_attention in edge order, keeping the per-edge q, k and v rows
+    for its backward."""
+    src, dst, row = edges.by_src, edges.by_dst, edges.by_row.ids
+    n_e, (n_dst, d) = len(dst.ids), q.value.shape
+    d_head = d // heads
+    c = 1.0 / np.sqrt(d_head)
+    ev = e.value[row]
+    qe = q.value[dst.ids]
+    ke = k.value[src.ids] + ev
+    ve = v.value[src.ids] + ev
+    qh, kh, vh = (a.reshape(n_e, heads, d_head) for a in (qe, ke, ve))
+    p = ad._softmax((qh * kh).sum(axis=2) * c, dst)  # (E, heads)
+
+    def bw(g):
+        g3 = g[dst.ids].reshape(n_e, heads, d_head)
+        ga = (g3 * vh).sum(axis=-1)
+        gl = p * (ga - ad._reduce(np.add, p * ga, dst)[dst.rank]) * c
+        gq = (gl[..., None] * kh).reshape(n_e, d)
+        gk = (gl[..., None] * qh).reshape(n_e, d)
+        gv = (g3 * p[..., None]).reshape(n_e, d)
+        ad._accum(q, ad._scatter_add(gq, dst, n_dst))
+        ad._accum(k, ad._scatter_add(gk, src, k.value.shape[0]))
+        ad._accum(v, ad._scatter_add(gv, src, v.value.shape[0]))
+        ad._accum(e, ad._scatter_add(gk + gv, ad.Segments(row), e.value.shape[0]))
+
+    msg = ad._scatter_add((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
+    return ad._node(msg, (q, k, v, e), bw)
+
+
+def leaky_relu(a):
+    """max(x, LEAKY_SLOPE * x) as its own op, with a float mask in backward."""
+    av = a.value
+    out = av * ad.LEAKY_SLOPE
+    np.maximum(av, out, out=out)
+    if ad.kink_monitor is not None:
+        ad.kink_monitor.append(av >= 0.0)
+
+    def bw(g):
+        mask = (av >= 0.0).astype(np.float64)
+        np.maximum(mask, ad.LEAKY_SLOPE, out=mask)
+        ad._accum(a, g * mask)
+
+    return ad._node(out, (a,), bw)
+
+
+def affine_leaky_oracle(x, w, b):
+    """ad.affine_leaky as an affine op, then a LeakyReLU op."""
+    return leaky_relu(ad.affine(x, w, b))
+
+
+def edge_sum_leaky_oracle(hi, hj, hij, edges):
+    """ad.edge_sum_leaky as three row gathers, two adds and a LeakyReLU."""
+    h = ad.add(ad.gather_rows(hi, edges.by_src.rank), ad.gather_rows(hj, edges.by_dst.rank))
+    return leaky_relu(ad.add(h, ad.gather_rows(hij, edges.by_row.ids)))
+
+
+def dropout_oracle(a, p, rng):
+    """ad.dropout with a float mask of 0 and 1 / (1 - p) kept for backward."""
+    keep = (rng.random(a.value.shape) >= p) / (1.0 - p)
+    return ad._node(a.value * keep, (a,), lambda g: ad._accum(a, g * keep))
 
 
 # The per-step scene generator and the json.dump scenario writer: the oracles

@@ -269,6 +269,32 @@ def test_a2_gradient_correctness():
                      f"{dt:.0f}s < 600s")
 
 
+def test_a2_reaches_the_fused_ops(monkeypatch):
+    """A2's loss runs through every fused op (edge attention, affine +
+    LeakyReLU, the decide-edge hidden node), and each LeakyReLU node reports
+    its sign mask to the kink monitor that grad_check reads."""
+    scene = make_line_scene(t_history=4, t_future=10, n_lanes=1, lane_len=40.0,
+                            n_vehicles=3)
+    mcfg = ModelConfig(d_h=16, heads=4, K=2, T_f=10, ffn_hidden=8, dropout=0.0)
+    m = Model(mcfg, seed=0)
+    names = ("edge_attention", "affine_leaky", "edge_sum_leaky")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, op):
+        def wrapper(*args):
+            calls[name] += 1
+            return op(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    monkeypatch.setattr(ad, "kink_monitor", [])
+    with ad.no_grad():
+        compute_scene_loss(m, m.forward(scene), scene, TrainConfig(seed=0))
+    assert min(calls.values()) > 0, calls
+    assert len(ad.kink_monitor) == calls["affine_leaky"] + calls["edge_sum_leaky"]
+
+
 # ---------------------------------------------------------------------------
 # A3: loss/score identities and the lr schedule
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goalgraph.autodiff as ad
-from conftest import scale_last, segment_sum, sum_axis
+from conftest import (affine_leaky_oracle, dropout_oracle, edge_attention_oracle,
+                      edge_sum_leaky_oracle, scale_last, segment_sum, sum_axis)
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ShapeError, StructuralError
 
@@ -107,7 +108,7 @@ def test_cumsum():
 
 def test_leaky_relu_values_and_grad():
     t = Tensor(np.array([[-1.0, 2.0]]))
-    out = ad.leaky_relu(t)
+    out = ad.affine_leaky(t, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     assert np.allclose(out.value, [[-0.01, 2.0]])
     ad.sum_all(out).backward()
     assert np.allclose(t.grad, [[0.01, 1.0]])
@@ -184,10 +185,11 @@ def test_softmax_grouped_grad():
 
 
 def test_softmax_grouped_multihead_grad():
-    """The per-head softmax inside edge_attention: each head's column equals
-    the grouped softmax of that column alone, bit for bit (the unfused
-    attention oracle relies on it), and sums to 1 within each group even for
-    large logits. test_edge_attention_grad checks its gradient."""
+    """ad._softmax on several columns, as edge_attention calls it with one
+    column per head: each column equals softmax_grouped of that column
+    alone, bit for bit (the unfused attention oracle relies on it), and sums
+    to 1 within each group even for large logits. test_edge_attention_grad
+    checks its gradient."""
     for groups, n in [(np.array([0, 0, 1]), 2)] + SOFTMAX_GROUPINGS:
         seg = ad.Segments(groups)
         x = tensor((len(groups), 4), scale=30.0, seed=6).value
@@ -206,7 +208,7 @@ def test_backward_linearity():
         return ad.sum_all(ad.mul(x, x))
 
     def l2():
-        return ad.sum_all(ad.leaky_relu(x))
+        return ad.sum_all(ad.affine_leaky(x, Tensor(np.eye(3)), Tensor(np.zeros(3))))
 
     ad.add(l1(), l2()).backward()
     g_joint = x.grad.copy()
@@ -258,16 +260,16 @@ def test_edge_attention_grad(heads, row):
     and with one head per column; e with shared rows, and with one row per edge."""
     shared = row is ATT_ROW
     n_rows = 4 if shared else len(ATT_SRC)
-    src, dst = ad.Segments(ATT_SRC), ad.Segments(ATT_DST)
+    edges = ad.EdgeLayout(ATT_SRC, ATT_DST, row)
     w = np.random.default_rng(3).standard_normal((4, 4))
 
     def build(q, k, v, e):
-        out = ad.edge_attention(q, k, v, e, src, dst, row, heads)
+        out = ad.edge_attention(q, k, v, e, edges, heads)
         return ad.sum_all(ad.mul(out, Tensor(w)))
     check_op(build, (4, 4), (3, 4), (3, 4), (n_rows, 4), seed=heads)
     q, k, v, e = (tensor(s, seed=i) for i, s in enumerate([(4, 4), (3, 4), (3, 4), (n_rows, 4)]))
     build(q, k, v, e).backward()
-    out = ad.edge_attention(q, k, v, e, src, dst, row, heads).value
+    out = ad.edge_attention(q, k, v, e, edges, heads).value
     assert not out[1].any() and not q.grad[1].any()  # no in-edges
     if shared:
         assert not e.grad[3].any()  # feeds no edge
@@ -301,3 +303,111 @@ def test_second_backward_raises():
     with pytest.raises(StructuralError, match="consumed"):
         ad.sum_all(ad.add(h, x)).backward()
     assert np.array_equal(x.grad, g)
+
+
+# Bitwise oracle tests: each op that keeps only what its backward needs
+# against the op it replaced (conftest), value and every input gradient.
+# Every case feeds one input twice, and no input's gradient may alias
+# another's.
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def kept_arrays(t) -> list:
+    """The numpy arrays that t's backward closure holds."""
+    cells = [c.cell_contents for c in t._backward.__closure__]
+    return [a for a in cells if isinstance(a, np.ndarray)]
+
+
+def run_both(op, oracle, values, call, twice) -> list:
+    """Asserts that op and its oracle, each on fresh leaves of `values`, give
+    the same bits: the no_grad value, the taped value, every leaf's gradient
+    of sum(out * w) + sum(x * x) for the leaf x = leaves[twice], and the
+    kink masks reported. Returns the arrays op's backward holds."""
+    results, kept = [], None
+    for f in (op, oracle):
+        leaves = [Tensor(v.copy()) for v in values]
+        with ad.no_grad():
+            plain = call(f, leaves).value
+        ad.kink_monitor = masks = []
+        try:
+            out = call(f, leaves)
+        finally:
+            ad.kink_monitor = None
+        kept = kept_arrays(out) if kept is None else kept
+        w = np.random.default_rng(5).standard_normal(out.shape)
+        x = leaves[twice]
+        ad.add(ad.sum_all(ad.mul(out, Tensor(w))), ad.sum_all(ad.mul(x, x))).backward()
+        grads = [t.grad for t in leaves]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[:i])
+        results.append([plain, out.value, *grads, *masks])
+    assert len(results[0]) == len(results[1])
+    for a, b in zip(*results):
+        assert same_bits(a, b)
+    return kept
+
+
+def random_edges(r, n_src, n_dst, n_rows, n_e):
+    """n_e edges in no order, with repeated rows; destination 1 and
+    source 0 have no edges."""
+    src = r.integers(1, n_src, n_e)
+    dst = r.integers(0, n_dst, n_e)
+    dst[dst == 1] = 2
+    return ad.EdgeLayout(src, dst, r.integers(0, n_rows, n_e))
+
+
+@pytest.mark.parametrize("d_head", [1, 2, 4, 16])
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "random"])
+def test_edge_attention_matches_oracle_bitwise(d_head, fixed):
+    """Keys and values come from one tensor, and q feeds a second op."""
+    r = np.random.default_rng(d_head)
+    heads = 3
+    d = heads * d_head
+    if fixed:
+        edges = ad.EdgeLayout(ATT_SRC, ATT_DST, ATT_ROW)
+        n_src, n_dst, n_rows = 3, 4, 4
+    else:
+        n_src, n_dst, n_rows = 9, 12, 10
+        edges = random_edges(r, n_src, n_dst, n_rows, 80)
+    values = [r.standard_normal(s) * 2.0 for s in ((n_dst, d), (n_src, d), (n_rows, d))]
+    kept = run_both(ad.edge_attention, edge_attention_oracle, values,
+                    lambda f, t: f(t[0], t[1], t[1], t[2], edges, heads), twice=0)
+    floats = [a for a in kept if a.dtype == np.float64]
+    assert [a.shape for a in floats] == [(len(edges.by_dst.ids), heads)]  # the softmax weights only
+
+
+def test_affine_leaky_matches_oracle_bitwise():
+    """Column 1 sits on the kink (zero weights and bias); x feeds a second op."""
+    r = np.random.default_rng(1)
+    w, b = r.standard_normal((3, 4)), r.standard_normal(4)
+    w[:, 1], b[1] = 0.0, 0.0
+    values = [r.standard_normal((6, 3)), w, b]
+    kept = run_both(ad.affine_leaky, affine_leaky_oracle, values, lambda f, t: f(*t), twice=0)
+    assert [a.dtype for a in kept] == [np.bool_]
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "random"])
+def test_edge_sum_leaky_matches_oracle_bitwise(fixed):
+    """hi, hj and hij rows by source, destination and feature row; column 0
+    sums to zero on the kink. hj feeds a second op."""
+    r = np.random.default_rng(2)
+    edges, n_rows = ((ad.EdgeLayout(ATT_SRC, ATT_DST, ATT_ROW), 4) if fixed
+                     else (random_edges(r, 9, 12, 10, 80), 10))
+    shapes = [(len(edges.by_src.present), 5), (len(edges.by_dst.present), 5), (n_rows, 5)]
+    values = [r.standard_normal(s) for s in shapes]
+    for v in values:
+        v[:, 0] = 0.0
+    kept = run_both(ad.edge_sum_leaky, edge_sum_leaky_oracle, values,
+                    lambda f, t: f(*t, edges), twice=1)
+    assert [a.dtype for a in kept] == [np.bool_]
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_matches_oracle_bitwise(p):
+    """The same rng draws; negative inputs keep the sign of their zeros."""
+    values = [np.random.default_rng(3).standard_normal((7, 5))]
+    kept = run_both(lambda a: ad.dropout(a, p, np.random.default_rng(4)),
+                    lambda a: dropout_oracle(a, p, np.random.default_rng(4)), values,
+                    lambda f, t: f(t[0]), twice=0)
+    assert [a.dtype for a in kept] == [np.bool_]

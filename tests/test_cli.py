@@ -291,6 +291,21 @@ def test_non_finite_scenario_value_is_data_error(workdir, tmp_path, command, whe
     assert name in r.stderr and "non-finite" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_fractional_validity_flag_is_data_error(workdir, tmp_path):
+    """A validity flag of 0.3 exits 3 and names the agent, where it used to
+    load as valid."""
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    d["agents"][0]["states"][2][4] = 0.3
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "scene_00000.json").write_text(json.dumps(d))
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "model.ckpt"),
+                "--data", str(data), "--out", str(tmp_path / "r.csv"))
+    assert r.returncode == 3, r.stderr
+    assert f"agent {d['agents'][0]['id']}: validity flag" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_nan_dt_is_data_error(workdir, tmp_path):
     """A scenario file whose dt is NaN exits 3 and names the file and dt,
     where it used to evaluate non-finite trajectories."""

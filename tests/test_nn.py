@@ -263,11 +263,12 @@ def test_grad_check_quadratic():
 
 def test_grad_check_excludes_kinks():
     ps = ParamStore(seed=3)
-    w = ps.create("w", (1, 4))
+    n = 4
+    w = ps.create("w", (1, n))
     w.value[:] = [[0.5, -0.5, 1e-9, 2.0]]  # third coordinate sits on the kink
 
     def f():
-        return ad.sum_all(ad.leaky_relu(ps["w"]))
+        return ad.sum_all(ad.affine_leaky(ps["w"], Tensor(np.eye(n)), Tensor(np.zeros(n))))
 
     rep = nn.grad_check(f, ps, h=1e-5, tol=1e-6)
     assert rep["excluded"] >= 1
@@ -276,14 +277,15 @@ def test_grad_check_excludes_kinks():
 
 def test_grad_check_restores_kink_monitor_when_f_raises():
     ps = ParamStore(seed=3)
-    ps.create("w", (1, 2))
+    n = 2
+    ps.create("w", (1, n))
     calls = []
 
     def f():
         calls.append(1)
         if len(calls) > 1:  # the first perturbed pass fails
             raise FloatingPointError("diverged")
-        return ad.sum_all(ad.leaky_relu(ps["w"]))
+        return ad.sum_all(ad.affine_leaky(ps["w"], Tensor(np.eye(n)), Tensor(np.zeros(n))))
 
     with pytest.raises(FloatingPointError):
         nn.grad_check(f, ps)

@@ -128,17 +128,20 @@ BAD_HEADERS = [("dt", "0.1", "dt must be"), ("t_history", "10", "t_history must 
                ("t_history", 10.7, "t_history must be"), ("dt", True, "dt must be"),
                ("dt", -0.1, "dt must be"), ("dt", 0, "dt must be"),
                ("dt", float("nan"), "dt must be"), ("t_future", True, "t_future must be"),
-               ("t_future", 0, "t_future must be"), ("flag", "no", "agent ")]
+               ("t_future", 0, "t_future must be"), ("flag", "no", "agent "),
+               ("flag", 0.3, "agent "), ("flag", float("nan"), "agent "), ("flag", 2, "agent "),
+               ("flag", "1", "agent ")]
 
 
 @pytest.mark.parametrize("key,value,msg", BAD_HEADERS,
                          ids=[f"{k}={v!r}" for k, v, _ in BAD_HEADERS])
 def test_load_scene_bad_header_or_flag_is_data_error(tmp_path, key, value, msg):
     """dt must be a finite number above 0, t_history and t_future integers
-    >= 1, none of them a bool or a string, and a state's validity flag a bool
-    or a number. Anything else in a generated file is a DataError naming the
-    file, not a scene that loads (a quoted "0.1" used to parse, "no" to count
-    as valid, and a NaN dt to predict non-finite trajectories)."""
+    >= 1, none of them a bool or a string, and a state's validity flag true,
+    false, 0 or 1. Anything else in a generated file is a DataError naming
+    the file, not a scene that loads (a quoted "0.1" used to parse, "no" to
+    count as valid, a NaN dt to predict non-finite trajectories, and a flag
+    of 0.3 or NaN to load as valid where AgentTrack.valid reads > 0.5)."""
     gen_dataset("A", 1, 0, str(tmp_path))
     p = tmp_path / "scene_00000.json"
     d = json.loads(p.read_text())
@@ -149,6 +152,20 @@ def test_load_scene_bad_header_or_flag_is_data_error(tmp_path, key, value, msg):
     p.write_text(json.dumps(d))
     with pytest.raises(DataError, match=f"^{re.escape(str(p))}: {msg}"):
         load_scene(str(p))
+
+
+def test_load_scene_integer_flags_load_as_bools(tmp_path):
+    """JSON 0 and 1 load as the bools false and true do."""
+    gen_dataset("A", 1, 0, str(tmp_path))
+    p = tmp_path / "scene_00000.json"
+    d = json.loads(p.read_text())
+    want = load_scene(str(p))
+    for a in d["agents"]:
+        a["states"] = [s[:4] + [int(s[4])] for s in a["states"]]
+    p.write_text(json.dumps(d))
+    got = load_scene(str(p))
+    for a, b in zip(want.agents, got.agents):
+        assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_scene_rejects_bad_connectivity():
