@@ -14,23 +14,24 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from . import synthgen
 from .errors import ConfigError, DataError, GoalGraphError
+from .files import read_json, write_csv, write_json, written
 from .model import ModelConfig
 from .scene import load_dataset, load_scene
 from .svg import render_scene_svg
-from .training import TrainConfig, load_model, train, write_json
+from .training import TrainConfig, load_model, train
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
 
 def _git_describe() -> str:
+    """The package's own commit, whatever the working directory."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() or "unknown"
     except Exception:
         return "unknown"
@@ -60,13 +61,7 @@ def _seed_override(seed: int) -> int:
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
-    except OSError as e:
-        raise DataError(f"cannot read config file {path}: {e.strerror}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ConfigError(f"{path} must hold a JSON object, not {type(d).__name__}")
     return d
@@ -133,24 +128,18 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     scene = load_scene(args.scene)
     preds = model.predict(scene)
-    records = []
-    for p in preds:
-        records.append({
-            "scene_id": scene.id, "agent_id": p.agent_id, "mode": p.mode,
-            "score": p.score,
-            "goal": None if p.goal_scene is None else p.goal_scene.tolist(),
-            "trajectory": p.traj_scene.tolist(),
-        })
+    lines = "".join(json.dumps({
+        "scene_id": scene.id, "agent_id": p.agent_id, "mode": p.mode, "score": p.score,
+        "goal": None if p.goal_scene is None else p.goal_scene.tolist(),
+        "trajectory": p.traj_scene.tolist()}, sort_keys=True) + "\n" for p in preds)
     out_jsonl = args.out or (os.path.splitext(args.svg)[0] + ".jsonl" if args.svg else None)
     outputs = []
     if out_jsonl:
-        with open(out_jsonl, "w", encoding="utf-8") as f:
-            for r in records:
-                f.write(json.dumps(r, sort_keys=True) + "\n")
+        with written(out_jsonl) as f:
+            f.write(lines)
         outputs.append(out_jsonl)
     else:
-        for r in records:
-            print(json.dumps(r, sort_keys=True))
+        sys.stdout.write(lines)
     if args.svg:
         render_scene_svg(scene, preds, args.svg)
         outputs.append(args.svg)
@@ -174,6 +163,8 @@ def cmd_compare(args) -> int:
                           f"remove the key 'variant'")
     tcfgs = [replace(TrainConfig.from_dict(tdict), seed=seed) for seed in args.seeds]
     os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "compare.csv")
+    cols = ("variant", "seed", "eval_set", *(f"{m}_6" for m in metrics_mod.METRICS), "ORR")
     rows = []
     for variant in ("goal", "baseline"):
         mcfg = _model_config({**mdict, "variant": variant}, data_a)
@@ -184,19 +175,17 @@ def cmd_compare(args) -> int:
                 model, _ = train(data_a, tcfg, mcfg, out_dir=run_dir,
                                  augment=not args.no_augment, log_every=args.log_every)
             except GoalGraphError as e:
-                _write_compare_csv(rows, os.path.join(args.out, "compare.csv"))
+                write_csv(csv_path, cols, rows)
                 raise type(e)(f"sub-run {variant}/seed{seed} failed "
                               f"(partial results written): {e}") from e
             cells = {}
             for name, data in (("A", data_a), ("B", data_b)):
                 r = metrics_mod.evaluate(model, data, ks=(1, 6))
-                cells[name] = {**{f"{m}_6": getattr(r, m)[6] for m in metrics_mod.METRICS},
-                               "ORR": r.ORR}
-                rows.append({"variant": variant, "seed": seed, "eval_set": name, **cells[name]})
-            rows.append({"variant": variant, "seed": seed, "eval_set": "degradation",
-                         **{c: _rel_change(cells["A"][c], cells["B"][c]) for c in cells["A"]}})
-    csv_path = os.path.join(args.out, "compare.csv")
-    _write_compare_csv(rows, csv_path)
+                cells[name] = [*(getattr(r, m)[6] for m in metrics_mod.METRICS), r.ORR]
+                rows.append([variant, seed, name, *cells[name]])
+            rows.append([variant, seed, "degradation",
+                         *map(_rel_change, cells["A"], cells["B"])])
+    write_csv(csv_path, cols, rows)
     write_manifest(args.out, "compare",
                    {"data_a": args.data_a, "data_b": args.data_b,
                     "seeds": list(args.seeds), "train": tdict, "model": mdict},
@@ -206,18 +195,6 @@ def cmd_compare(args) -> int:
 
 def _rel_change(a: float, b: float) -> float:
     return (b - a) / a if a else (0.0 if b == 0 else float("inf"))
-
-
-def _write_compare_csv(rows, path):
-    cols = ("variant", "seed", "eval_set", *(f"{m}_6" for m in metrics_mod.METRICS), "ORR")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + "\n")
-        for r in rows:
-            f.write(",".join(_cell(r[c]) for c in cols) + "\n")
-
-
-def _cell(v):
-    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +265,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DataError as e:
         print(f"error: data: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as e:  # an output that cannot be written or a directory not made
+        print(f"error: data: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_DATA
     except GoalGraphError as e:
         print(f"error: numeric: {e}", file=sys.stderr)

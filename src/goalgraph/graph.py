@@ -11,7 +11,7 @@ from .autodiff import EdgeLayout
 from .config import Config
 from .errors import ConfigError
 from .geometry import points_in_polygon, polyline_distances, to_local
-from .scene import AGENT_CLASSES, LANE_TYPES, POINT_DTYPE, SIDES, Scene, headings
+from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene, headings
 
 LANE_RELATIONS = ("none", "successor", "predecessor", "left-neighbor", "right-neighbor")
 
@@ -133,7 +133,6 @@ class HeteroGraph:
     point_side_id: np.ndarray = None
     point_type_id: np.ndarray = None
     point_lane_idx: np.ndarray = None
-    point_seg_index: np.ndarray = None
     lane_center_points: list = field(default_factory=list)  # per lane: center point ids by segment
 
     # agent-query nodes (one per predicted agent per mode, agent-major order)
@@ -269,8 +268,8 @@ def _build_nodes(g: HeteroGraph):
     g.lane_type_id = np.array([LANE_TYPES.index(l.lane_type) for l in scene.lanes], dtype=int)
 
     # point nodes: contiguous copies of the scene's segment table columns
-    (g.point_pose, g.point_seg_length, g.point_side_id, g.point_type_id, g.point_lane_idx,
-     g.point_seg_index) = (scene.points[f].copy() for f in POINT_DTYPE.names)
+    (g.point_pose, g.point_seg_length, g.point_side_id, g.point_type_id, g.point_lane_idx) = (
+        scene.points[f].copy() for f in ("pose", "length", "side", "type", "lane"))
     # the table is lane-major with each lane's center rows first, in segment order
     center = np.nonzero(g.point_side_id == SIDES.index("center"))[0]
     per_lane = np.bincount(g.point_lane_idx[center], minlength=len(scene.lanes))

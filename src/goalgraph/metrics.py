@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import write_csv, write_json
 from .geometry import points_in_polygon, points_near_polygon_boundary
 
 MISS_THRESHOLD = 2.0  # meters
@@ -128,11 +128,7 @@ def evaluate(model, dataset: list, ks=(1, 6)) -> MetricsReport:
 
 def write_report(rep: MetricsReport, csv_path: str, json_path: str,
                  dataset_name: str = "", variant: str = "") -> None:
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write(",".join(("dataset", "variant", "K", *METRICS, "ORR", "n_agents")) + "\n")
-        for k in sorted(rep.minADE):
-            cells = [f"{getattr(rep, m)[k]:.10g}" for m in METRICS] + [f"{rep.ORR:.10g}"]
-            f.write(",".join([dataset_name, variant, str(k), *cells, str(rep.n_agents)]) + "\n")
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(rep.to_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_csv(csv_path, ("dataset", "variant", "K", *METRICS, "ORR", "n_agents"),
+              ([dataset_name, variant, k, *(getattr(rep, m)[k] for m in METRICS),
+                rep.ORR, rep.n_agents] for k in sorted(rep.minADE)))
+    write_json(json_path, rep.to_dict(), indent=1)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
+from .files import written
 from .graph import EdgeSet
 
 CKPT_HEADER = "goalgraph-ckpt v1"
@@ -143,13 +143,11 @@ def save_checkpoint(ps: ParamStore, path: str) -> None:
         manifest["params"].append({"name": name, "shape": list(t.shape),
                                    "offset": offset, "decay": ps.decay[name]})
         offset += t.value.size * 8
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with written(path, "wb") as f:
         f.write((CKPT_HEADER + "\n").encode())
         f.write((json.dumps(manifest, sort_keys=True) + "\n").encode())
         for name in names:
             f.write(np.ascontiguousarray(ps.params[name].value, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> ParamStore:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -11,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .files import read_json, write_json
 from .geometry import (
     Pose2,
     normalize_angle,
@@ -262,21 +262,11 @@ def scene_from_dict(d: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path: str) -> None:
-    # one json.dumps call goes through the C encoder; json.dump never does
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
+    write_json(path, scene_to_dict(scene))
 
 
 def load_scene(path: str) -> Scene:
-    try:
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text (byte {e.start})") from e
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror}") from e
+    d = read_json(path)
     try:
         return scene_from_dict(d)
     except DataError as e:

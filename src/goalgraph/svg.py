@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from .files import written
 from .scene import Scene
 
 
@@ -85,6 +84,6 @@ def render_scene_svg(scene: Scene, preds: list | None = None, path: str | None =
     parts.append("</g></svg>")
     out = "\n".join(parts) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as f:
+        with written(path) as f:
             f.write(out)
     return out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -12,6 +11,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError
+from .files import write_json
 from .geometry import normalize_angle, point_at_arclength
 from .scene import AgentTrack, LaneDef, Scene, save_scene
 
@@ -228,7 +228,5 @@ def gen_dataset(style_name: str, n: int, seed: int, out_dir: str,
         ids.append(sid)
     manifest = {"style": style.__dict__, "n": n, "seed": seed, "scene_ids": ids,
                 "t_history": t_history, "t_future": t_future, "dt": dt}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)
     return ids

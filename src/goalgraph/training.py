@@ -4,7 +4,6 @@ and the training loop."""
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from . import nn
 from .autodiff import Tensor
 from .config import Config
 from .errors import ConfigError, DataError, NumericError
+from .files import read_json, write_csv, write_json
 from .geometry import polyline_distances, to_local
 from .graph import build_decide_point_edges
 from .model import ForwardResult, Model, ModelConfig
@@ -359,7 +359,9 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
             save_model(model, os.path.join(out_dir, "ckpt_latest.ckpt"))
     if out_dir:
         save_model(model, os.path.join(out_dir, "model.ckpt"))
-        write_loss_log(log_rows, os.path.join(out_dir, "loss_log.csv"))
+        cols = ("epoch", "loss", "l_lane", "l_point", "l_goal", "l_traj", "lr")
+        write_csv(os.path.join(out_dir, "loss_log.csv"), cols,
+                  ([r[c] for c in cols] for r in log_rows))
     return model, log_rows
 
 
@@ -376,22 +378,6 @@ def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, graph):
     return float(loss.value), terms, fr.graph
 
 
-def write_loss_log(rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,loss,l_lane,l_point,l_goal,l_traj,lr\n")
-        for r in rows:
-            f.write(f"{r['epoch']},{r['loss']:.10g},{r['l_lane']:.10g},{r['l_point']:.10g},"
-                    f"{r['l_goal']:.10g},{r['l_traj']:.10g},{r['lr']:.10g}\n")
-
-
-def write_json(path: str, obj, indent=None) -> None:
-    """obj as sorted-key JSON and a newline, written to path.tmp, then moved to path."""
-    with open(path + ".tmp", "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=indent)
-        f.write("\n")
-    os.replace(path + ".tmp", path)
-
-
 def save_model(model: Model, path: str) -> None:
     """Checkpoint at `path`, and the model config in the sidecar
     `path`.config.json; each is written whole, then moved in place."""
@@ -405,10 +391,7 @@ def load_model(path: str) -> Model:
     ps = nn.load_checkpoint(path)
     cfg_path = path + ".config.json"
     try:
-        with open(cfg_path, encoding="utf-8") as f:
-            cfg = ModelConfig.from_dict(json.load(f))
-    except OSError as e:
-        raise DataError(f"cannot read model config {cfg_path}: {e.strerror}") from e
-    except (ValueError, ConfigError) as e:
+        cfg = ModelConfig.from_dict(read_json(cfg_path))
+    except ConfigError as e:
         raise DataError(f"{cfg_path}: malformed model config: {e}") from e
     return Model(cfg, ps=ps)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,12 +13,12 @@ MCFG = {"d_h": 32, "heads": 4, "K": 3, "ffn_hidden": 64}
 TCFG = {"total_epochs": 2, "warmup_epochs": 1, "batch_size": 4, "seed": 3}
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, cwd=None):
     e = dict(os.environ)
     if env:
         e.update(env)
     return subprocess.run([sys.executable, "-m", "goalgraph.cli", *args],
-                          capture_output=True, text=True, env=e)
+                          capture_output=True, text=True, env=e, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,70 @@ def test_unknown_model_config_key(workdir, tmp_path, command, flag, cfg, bad):
     r = run_cli(command, *where, flag, str(path), "--out", str(tmp_path / "o"))
     assert r.returncode == 2, r.stderr
     assert bad in r.stderr and "Traceback" not in r.stderr
+
+
+# {data}, {ckpt}, {scene} and {tmp} stand for the fixture's data, checkpoint
+# and first scene file and the test's temporary directory
+BAD_PATH_PROBES = {
+    "train-model-config-not-utf8": (
+        ["train", "--data", "{data}", "--model-config", "{tmp}/latin1.json",
+         "--out", "{tmp}/o"], "latin1.json"),
+    "compare-train-config-not-utf8": (
+        ["compare", "--data-a", "{data}", "--data-b", "{data}",
+         "--train-config", "{tmp}/latin1.json", "--out", "{tmp}/o"], "latin1.json"),
+    "evaluate-out-missing-dir": (
+        ["evaluate", "--model", "{ckpt}", "--data", "{data}", "--out", "{tmp}/no/r.csv"],
+        "no/r.csv"),
+    "predict-out-missing-dir": (
+        ["predict", "--model", "{ckpt}", "--scene", "{scene}", "--out", "{tmp}/no/p.jsonl"],
+        "no/p.jsonl"),
+    "predict-svg-missing-dir": (
+        ["predict", "--model", "{ckpt}", "--scene", "{scene}", "--out", "{tmp}/p.jsonl",
+         "--svg", "{tmp}/no/s.svg"], "no/s.svg"),
+    "train-out-is-a-file": (
+        ["train", "--data", "{data}", "--out", "{tmp}/file"], "file"),
+    "generate-out-under-a-file": (
+        ["generate", "--style", "A", "--n", "1", "--out", "{tmp}/file/data"], "file/data"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_PATH_PROBES))
+def test_bad_path_exits_3_and_names_the_file(workdir, tmp_path, probe):
+    """A config that is not UTF-8, an output in a directory that does not
+    exist and an --out that is or lies under a file each exit 3 with one
+    stderr line that names the file; each ended in a traceback and exit 1."""
+    (tmp_path / "latin1.json").write_bytes(b'{"variant": "gr\xfcn"}')
+    (tmp_path / "file").write_text("")
+    args, name = BAD_PATH_PROBES[probe]
+    paths = {"data": workdir / "data", "ckpt": workdir / "run" / "model.ckpt",
+             "scene": workdir / "data" / "scene_00000.json", "tmp": tmp_path}
+    r = run_cli(*(a.format(**paths) for a in args))
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1, r.stderr
+    assert name in r.stderr
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_run_manifest_records_the_package_commit(tmp_path):
+    """git_describe names the commit of the package, not that of a git repo
+    the run is started in."""
+    import goalgraph
+    pkg = os.path.dirname(os.path.abspath(goalgraph.__file__))
+
+    def describe(cwd):
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=cwd,
+                              capture_output=True, text=True).stdout.strip() or "unknown"
+
+    other = tmp_path / "other"
+    other.mkdir()
+    for cmd in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit",
+                                 "-q", "--allow-empty", "-m", "other"]):
+        subprocess.run(["git", *cmd], cwd=other, check=True, capture_output=True)
+    r = run_cli("generate", "--style", "A", "--n", "1", "--out", "data", cwd=other,
+                env={"PYTHONPATH": os.path.dirname(pkg)})
+    assert r.returncode == 0, r.stderr
+    recorded = json.loads((other / "data" / "run_manifest.json").read_text())["git_describe"]
+    assert recorded == describe(pkg) and recorded != describe(other)
 
 
 def test_train_empty_data_dir(tmp_path):
