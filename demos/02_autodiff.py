@@ -1,12 +1,15 @@
 """Tour of the reverse-mode autodiff engine.
 
-Everything the model trains with runs on this tape: ops record their parents
-and a backward closure, `backward()` walks the graph in reverse topological
-order and releases each op once its closure has run (one backward per
-forward), and `no_grad()` flips every op onto a bookkeeping-free fast path for
-inference. At the end we cross-check an analytic gradient against central
-finite differences, which is the same machinery the test suite uses on every
-parameter coordinate of a full model.
+Everything the model trains with runs on this tape. Each op's output is a
+Tensor that holds its value and a link to a grad node; the grad node holds the
+parents' grad nodes and a backward closure that saves only the arrays it
+reads. So an intermediate that no backward reads dies with its Tensor.
+`backward()` walks the grad nodes in reverse topological order and releases
+each one once its closure has run (one backward per forward), and `no_grad()`
+flips every op onto a bookkeeping-free fast path for inference. At the end we
+cross-check an analytic gradient against central finite differences, which is
+the same machinery the test suite uses on every parameter coordinate of a full
+model.
 """
 
 import weakref
@@ -27,25 +30,29 @@ def main():
     loss.backward()
     print(f"d/dx (x^2 + 3x) at x=2: analytic {float(x.grad[0])}, expected {2 * 2 + 3}")
 
-    # 2. backward consumes the tape: the ops are freed while the loss lives on,
-    #    the leaf keeps its grad, and a second backward is an error
+    # 2. scalar_mul's backward reads no value, so y's value dies with y; its
+    #    grad node stays on the tape until backward has run it. backward
+    #    consumes the tape: the leaf keeps its grad, and a second backward is
+    #    an error
     y = ad.mul(x, x)
-    y_ref = weakref.ref(y)
+    value_ref, node_ref = weakref.ref(y.value), weakref.ref(y.node)
     loss = ad.sum_all(ad.scalar_mul(y, 3.0))
     del y
+    print(f"before backward: value freed={value_ref() is None}, "
+          f"grad node freed={node_ref() is None}")
     x.grad = None
     loss.backward()
-    print(f"after backward: intermediate freed={y_ref() is None}, loss={float(loss.value)}, "
+    print(f"after backward: grad node freed={node_ref() is None}, loss={float(loss.value)}, "
           f"x.grad={float(x.grad[0])}")
     try:
         loss.backward()
     except StructuralError as e:
         print(f"second backward: StructuralError: {e}")
 
-    # 3. the same ops under no_grad: no parents, no backward, just numpy
+    # 3. the same ops under no_grad: a grad node without parents or backward
     with ad.no_grad():
         q = ad.mul(x, x)
-    print(f"under no_grad: parents={q._parents}, backward={q._backward}")
+    print(f"under no_grad: parents={q.node._parents}, backward={q.node._backward}")
 
     # 4. a small MLP checked coordinate-by-coordinate against finite differences
     ps = nn.ParamStore(seed=0)

@@ -1,18 +1,22 @@
 """Reverse-mode autodiff over numpy arrays (float64), tape-based.
 
-Each Tensor records its parents and a backward closure; `backward()` runs a
-reverse topological sweep. `no_grad()` disables recording for cheap
-forward-only evaluation (finite differences, inference): every op computes
-the same value either way, and only links it into the tape with grad on.
-Work that only the backward needs is done inside the backward closure, and
-an op keeps only the arrays its backward reads: a parent's value is read
-from the parent, and a mask is kept as bools.
+A Tensor holds a value and a link to its GradNode; the tape is made of
+grad nodes, not values. A grad node holds an op's backward closure, its
+parents' grad nodes and a grad slot. The closure saves only the arrays and
+shapes its backward reads (a parent's value, a bool mask, the op's own
+output) and returns one gradient per parent, or None for none. So an op
+output that no backward reads dies when Python drops its Tensor, and a
+saved one when its reader's closure has run. `backward()` runs a reverse
+topological sweep over the grad nodes. `no_grad()` disables recording for
+cheap forward-only evaluation (finite differences, inference): every op
+computes the same value either way, and only links it into the tape with
+grad on.
 
 One backward per forward: `backward()` consumes the tape it sweeps. Once an
-op's closure has run, the op drops its grad and closure, and its parents
-become None, so the tape is freed as the sweep goes; leaves (parameters,
-constants) keep their grads. A later backward that reaches a consumed op
-raises StructuralError.
+op's closure has run, its grad node drops its grad, closure and parents, so
+the tape is freed as the sweep goes; leaves (parameters, constants) keep
+their grads. A later backward that reaches a consumed node raises
+StructuralError.
 """
 
 from __future__ import annotations
@@ -42,28 +46,52 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """A node in the computation tape."""
+class GradNode:
+    """A tape entry: the grad slot, the parents' grad nodes and the backward
+    closure, g -> one gradient (or None) per parent. A leaf has no parents
+    and no closure; a consumed op has parents None."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(self, parents=(), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A value and a link to its grad node."""
+
+    __slots__ = ("value", "node", "__weakref__")
 
     def __init__(self, value):
-        """A leaf: a parameter or a constant. Op outputs come from `_node`."""
+        """A leaf: a parameter or a constant. Op outputs come from `_op`."""
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self.node = GradNode()
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def _parents(self):
+        """The grad nodes of the op inputs, so a tape walk can start here."""
+        return self.node._parents
 
     def backward(self):
         if self.value.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -77,12 +105,14 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self.grad = np.ones_like(self.value)
+        self.node.grad = np.ones_like(self.value)
         while order:
             node = order.pop()
             if node._backward is not None:  # an op: run it once, then let it go
                 if node.grad is not None:
-                    node._backward(node.grad)
+                    for p, g in zip(node._parents, node._backward(node.grad)):
+                        if g is not None:
+                            _accum(p, g)
                 node.grad, node._backward, node._parents = None, None, None
 
 
@@ -156,25 +186,22 @@ def _scatter_sorted(x: np.ndarray, seg: Segments, n_rows: int) -> np.ndarray:
     return out
 
 
-def _node(value, parents, backward) -> Tensor:
-    """An op's output: linked into the tape, or a bare leaf under no_grad().
-    Skips Tensor.__init__, whose dtype conversion fresh float64 arrays do not need."""
+def _op(value, parents, backward) -> Tensor:
+    """An op's output: its grad node links the grad nodes of the parent
+    Tensors into the tape, or is a bare leaf under no_grad(). Skips
+    Tensor.__init__, whose dtype conversion fresh float64 arrays do not need."""
     t = Tensor.__new__(Tensor)
     t.value = value if type(value) is np.ndarray else np.asarray(value, dtype=np.float64)
-    t.grad = None
-    if _grad_enabled:
-        t._parents, t._backward = parents, backward
-    else:
-        t._parents, t._backward = (), None
+    t.node = GradNode(tuple([p.node for p in parents]), backward) if _grad_enabled else GradNode()
     return t
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(node: GradNode, g: np.ndarray):
     # Lazy: first contribution owns a copy, later ones add in place.
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+    if node.grad is None:
+        node.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def add(a, b) -> Tensor:
@@ -182,12 +209,7 @@ def add(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"add: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _node(av + bv, (a, b), bw)
+    return _op(av + bv, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
@@ -195,12 +217,7 @@ def sub(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"sub: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(av - bv, (a, b), bw)
+    return _op(av - bv, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
@@ -208,21 +225,12 @@ def mul(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"mul: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        _accum(a, g * bv)
-        _accum(b, g * av)
-
-    return _node(av * bv, (a, b), bw)
+    return _op(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scalar_mul(a, c: float) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * c)
-
-    return _node(a.value * c, (a,), bw)
+    return _op(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -230,22 +238,15 @@ def matmul(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
-
-    return _node(av @ bv, (a, b), bw)
+    return _op(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def affine(x, w, b) -> Tensor:
     """Fused x @ w + b with b broadcast over rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-
-    def bw(g):
-        _affine_backward(x, w, b, g)
-
-    return _node(_affine_value(x, w, b, "affine"), (x, w, b), bw)
+    xv, wv = x.value, w.value
+    return _op(_affine_value(x, w, b, "affine"), (x, w, b),
+               lambda g: _affine_grads(xv, wv, g))
 
 
 def _affine_value(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
@@ -257,10 +258,8 @@ def _affine_value(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
     return out
 
 
-def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray):
-    _accum(x, g @ w.value.T)
-    _accum(w, x.value.T @ g)
-    _accum(b, g.sum(axis=0))
+def _affine_grads(xv: np.ndarray, wv: np.ndarray, g: np.ndarray):
+    return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
 
 LEAKY_SLOPE = 0.01
@@ -286,47 +285,43 @@ def affine_leaky(x, w, b) -> Tensor:
     """LeakyReLU(x @ w + b) as one op, which keeps the bool sign mask in
     place of the pre-activation."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xv, wv = x.value, w.value
     out, pos = _leaky(_affine_value(x, w, b, "affine_leaky"))
-
-    def bw(g):
-        _affine_backward(x, w, b, _leaky_grad(g, pos))
-
-    return _node(out, (x, w, b), bw)
+    return _op(out, (x, w, b), lambda g: _affine_grads(xv, wv, _leaky_grad(g, pos)))
 
 
 def concat(tensors, axis=1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
+    widths = [t.value.shape[axis] for t in tensors]
 
     def bw(g):
-        lo = 0
-        for t in tensors:
-            hi = lo + t.value.shape[axis]
+        grads, lo = [], 0
+        for n in widths:
             sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-            lo = hi
+            sl[axis] = slice(lo, lo + n)
+            grads.append(g[tuple(sl)])
+            lo += n
+        return grads
 
-    return _node(np.concatenate([t.value for t in tensors], axis=axis), tuple(tensors), bw)
+    return _op(np.concatenate([t.value for t in tensors], axis=axis), tensors, bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g.reshape(a.value.shape))
-
-    return _node(a.value.reshape(shape), (a,), bw)
+    a_shape = a.value.shape
+    return _op(a.value.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def _slice(a, key) -> Tensor:
     a = _as_tensor(a)
+    a_shape = a.value.shape
 
     def bw(g):
-        ga = np.zeros_like(a.value)
+        ga = np.zeros(a_shape)
         ga[key] = g
-        _accum(a, ga)
+        return (ga,)
 
-    return _node(a.value[key], (a,), bw)
+    return _op(a.value[key], (a,), bw)
 
 
 def slice_cols(a, lo, hi) -> Tensor:
@@ -341,11 +336,8 @@ def gather_rows(a, idx) -> Tensor:
     """Rows a[idx] of an index array idx."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=int)
-
-    def bw(g):
-        _accum(a, _scatter_add(g, Segments(idx), a.value.shape[0]))
-
-    return _node(a.value[idx], (a,), bw)
+    n_rows = a.value.shape[0]
+    return _op(a.value[idx], (a,), lambda g: (_scatter_add(g, Segments(idx), n_rows),))
 
 
 # embedding lookup is a row gather from a learnable table
@@ -354,11 +346,8 @@ embedding_lookup = gather_rows
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, np.full_like(a.value, float(g)))
-
-    return _node(a.value.sum(), (a,), bw)
+    a_shape = a.value.shape
+    return _op(a.value.sum(), (a,), lambda g: (np.full(a_shape, float(g)),))
 
 
 def mean_all(a) -> Tensor:
@@ -368,40 +357,27 @@ def mean_all(a) -> Tensor:
 
 def cumsum_axis(a, axis) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis))
-
-    return _node(np.cumsum(a.value, axis=axis), (a,), bw)
+    return _op(np.cumsum(a.value, axis=axis), (a,),
+               lambda g: (np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis),))
 
 
 def abs_(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * np.sign(a.value))
-
-    return _node(np.abs(a.value), (a,), bw)
+    av = a.value
+    return _op(np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g / a.value)
-
-    return _node(np.log(a.value), (a,), bw)
+    av = a.value
+    return _op(np.log(av), (a,), lambda g: (g / av,))
 
 
 def pow_const(a, p: float) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        if p == 0.0:
-            return
-        _accum(a, g * p * np.power(a.value, p - 1.0))
-
-    return _node(np.power(a.value, p), (a,), bw)
+    av = a.value
+    return _op(np.power(av, p), (a,),
+               lambda g: (None if p == 0.0 else g * p * np.power(av, p - 1.0),))
 
 
 def div(a, b) -> Tensor:
@@ -409,21 +385,13 @@ def div(a, b) -> Tensor:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"div: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        _accum(a, g / bv)
-        _accum(b, -g * av / (bv * bv))
-
-    return _node(av / bv, (a, b), bw)
+    return _op(av / bv, (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
 
 
 def clamp_min(a, c: float) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * (a.value >= c).astype(float))
-
-    return _node(np.maximum(a.value, c), (a,), bw)
+    av = a.value
+    return _op(np.maximum(av, c), (a,), lambda g: (g * (av >= c).astype(float),))
 
 
 def huber_elts(a, delta: float) -> Tensor:
@@ -432,20 +400,14 @@ def huber_elts(a, delta: float) -> Tensor:
     av = a.value
     absa = np.abs(av)
     quad = absa <= delta
-
-    def bw(g):
-        _accum(a, g * np.where(quad, av, delta * np.sign(av)))
-
-    return _node(np.where(quad, 0.5 * av ** 2, delta * (absa - 0.5 * delta)), (a,), bw)
+    return _op(np.where(quad, 0.5 * av ** 2, delta * (absa - 0.5 * delta)), (a,),
+               lambda g: (g * np.where(quad, av, delta * np.sign(av)),))
 
 
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * (1.0 / (1.0 + np.exp(-a.value))))
-
-    return _node(np.logaddexp(0.0, a.value), (a,), bw)
+    av = a.value
+    return _op(np.logaddexp(0.0, av), (a,), lambda g: (g * (1.0 / (1.0 + np.exp(-av))),))
 
 
 LAYER_NORM_EPS = 1e-5
@@ -454,23 +416,22 @@ LAYER_NORM_EPS = 1e-5
 def layer_norm(a, gain, bias) -> Tensor:
     """Row-wise layer normalization over the last axis with learnable gain/bias."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    av = a.value
+    av, gv = a.value, gain.value
     d = av.shape[-1]
-    if gain.value.shape != (d,) or bias.value.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias {gain.value.shape}/{bias.value.shape} vs width {d}")
+    if gv.shape != (d,) or bias.value.shape != (d,):
+        raise ShapeError(f"layer_norm: gain/bias {gv.shape}/{bias.value.shape} vs width {d}")
     diff = av - av.sum(axis=-1, keepdims=True) / d
     var = (diff * diff).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = diff * inv
 
     def bw(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        gx = g * gain.value
-        _accum(a, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        gx = g * gv
+        ga = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return ga, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _node(xhat * gain.value + bias.value, (a, gain, bias), bw)
+    return _op(xhat * gv + bias.value, (a, gain, bias), bw)
 
 
 def dropout(a, p: float, rng: np.random.Generator | None = None) -> Tensor:
@@ -479,17 +440,14 @@ def dropout(a, p: float, rng: np.random.Generator | None = None) -> Tensor:
         return _as_tensor(a)
     a = _as_tensor(a)
     kept = rng.random(a.value.shape) >= p  # bools; scaled where they are used
-
-    def bw(g):
-        _accum(a, g * (kept / (1.0 - p)))
-
-    return _node(a.value * (kept / (1.0 - p)), (a,), bw)
+    return _op(a.value * (kept / (1.0 - p)), (a,), lambda g: (g * (kept / (1.0 - p)),))
 
 
 def softmax_grouped(logits, seg: Segments, num_groups: int) -> Tensor:
     """Softmax of the (E,) logits normalized independently within each group:
     seg is the Segments layout of the rows' group ids in range(num_groups).
     Each group's max is subtracted before exp, so no group underflows to 0/0.
+    The backward reads the op's own output.
     """
     logits = _as_tensor(logits)
     if len(seg.ids) != logits.value.shape[0]:
@@ -500,10 +458,9 @@ def softmax_grouped(logits, seg: Segments, num_groups: int) -> Tensor:
 
     def bw(g):
         g2 = g[:, None]
-        gx = p * (g2 - _reduce(np.add, p * g2, seg)[seg.rank])
-        _accum(logits, gx[:, 0])
+        return ((p * (g2 - _reduce(np.add, p * g2, seg)[seg.rank]))[:, 0],)
 
-    return _node(p[:, 0], (logits,), bw)
+    return _op(p[:, 0], (logits,), bw)
 
 
 def _softmax(x: np.ndarray, seg: Segments) -> np.ndarray:
@@ -527,31 +484,32 @@ def edge_attention(q, k, v, e, edges: EdgeLayout, heads: int) -> Tensor:
     Edge i attends from q[dst[i]] to key k[src[i]] + e[row[i]] and value
     v[src[i]] + e[row[i]], for the ids that the EdgeLayout edges was built
     from. Rows of q without in-edges get zeros. The op works in destination
-    order and keeps only the (E, heads) softmax weights: its backward
-    gathers the edge rows again from its parents' values.
+    order and keeps its parents' values and the (E, heads) softmax weights:
+    its backward gathers the edge rows again from those values.
     """
     q, k, v, e = _as_tensor(q), _as_tensor(k), _as_tensor(v), _as_tensor(e)
+    qv, kv, vv, ev = q.value, k.value, v.value, e.value
     dst = edges.dst_sorted
-    n_e, (n_dst, d) = len(dst.ids), q.value.shape
+    n_e, (n_dst, d) = len(dst.ids), qv.shape
     c = 1.0 / np.sqrt(d // heads)
-    qh, kh, vh = _edge_rows(q.value, k.value, v.value, e.value, edges, heads)
+    qh, kh, vh = _edge_rows(qv, kv, vv, ev, edges, heads)
     p = _softmax((qh * kh).sum(axis=-1) * c, dst)  # (E, heads)
 
     def bw(g):
-        qh, kh, vh = _edge_rows(q.value, k.value, v.value, e.value, edges, heads)
+        qh, kh, vh = _edge_rows(qv, kv, vv, ev, edges, heads)
         g3 = g[dst.ids].reshape(vh.shape)
         ga = (g3 * vh).sum(axis=-1)
         gl = p * (ga - _reduce(np.add, p * ga, dst)[dst.rank]) * c
         gq = (gl[..., None] * kh).reshape(n_e, d)
         gk = (gl[..., None] * qh).reshape(n_e, d)
         gv = (g3 * p[..., None]).reshape(n_e, d)
-        _accum(q, _scatter_sorted(gq, dst, n_dst))
-        _accum(k, _scatter_sorted(gk[edges.to_src], edges.by_src, k.value.shape[0]))
-        _accum(v, _scatter_sorted(gv[edges.to_src], edges.by_src, v.value.shape[0]))
-        _accum(e, _scatter_sorted((gk + gv)[edges.to_row], edges.by_row, e.value.shape[0]))
+        return (_scatter_sorted(gq, dst, n_dst),
+                _scatter_sorted(gk[edges.to_src], edges.by_src, kv.shape[0]),
+                _scatter_sorted(gv[edges.to_src], edges.by_src, vv.shape[0]),
+                _scatter_sorted((gk + gv)[edges.to_row], edges.by_row, ev.shape[0]))
 
     msg = _scatter_sorted((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
-    return _node(msg, (q, k, v, e), bw)
+    return _op(msg, (q, k, v, e), bw)
 
 
 def edge_sum_leaky(hi, hj, hij, edges: EdgeLayout) -> Tensor:
@@ -562,14 +520,14 @@ def edge_sum_leaky(hi, hj, hij, edges: EdgeLayout) -> Tensor:
     backward sums the edges' gradients into those rows through the src,
     dst and row layouts."""
     hi, hj, hij = _as_tensor(hi), _as_tensor(hj), _as_tensor(hij)
+    n_rows = hij.value.shape[0]
     pre = hi.value[edges.by_src.rank] + hj.value[edges.by_dst.rank]
     pre += hij.value[edges.by_row.ids]
     out, pos = _leaky(pre)
 
     def bw(g):
         gp = _leaky_grad(g, pos)
-        _accum(hi, _reduce(np.add, gp, edges.by_src))
-        _accum(hj, _reduce(np.add, gp, edges.by_dst))
-        _accum(hij, _scatter_add(gp, edges.by_row, hij.value.shape[0]))
+        return (_reduce(np.add, gp, edges.by_src), _reduce(np.add, gp, edges.by_dst),
+                _scatter_add(gp, edges.by_row, n_rows))
 
-    return _node(out, (hi, hj, hij), bw)
+    return _op(out, (hi, hj, hij), bw)

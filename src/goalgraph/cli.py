@@ -67,6 +67,15 @@ def _load_json(path: str) -> dict:
     return d
 
 
+def _check_out_dirs(*paths) -> None:
+    """Each given output path's directory exists, checked before any work so
+    that a bad path fails fast and leaves no file behind."""
+    for path in filter(None, paths):
+        where = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(where):
+            raise DataError(f"cannot write {path}: {where} is not a directory")
+
+
 def _model_config(mdict: dict, dataset: list) -> ModelConfig:
     """The --model-config settings; the future horizon defaults to the dataset's."""
     return ModelConfig.from_dict({"T_f": dataset[0].t_future, **mdict})
@@ -107,6 +116,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     t0 = time.time()
+    _check_out_dirs(args.out)
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     rep = metrics_mod.evaluate(model, dataset, ks=tuple(args.k))
@@ -125,6 +135,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     t0 = time.time()
+    _check_out_dirs(args.out, args.svg)
     model = load_model(args.model)
     scene = load_scene(args.scene)
     preds = model.predict(scene)

@@ -40,10 +40,11 @@ class ModelConfig(Config):
     graph: GraphConfig = field(default_factory=GraphConfig)
 
     def check(self):
+        for name in ("d_h", "heads", "K", "T_f", "ffn_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_h % self.heads:
             raise ConfigError(f"d_h={self.d_h} not divisible by heads={self.heads}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.variant not in ("goal", "baseline"):

@@ -368,14 +368,18 @@ def train(dataset: list, tcfg: TrainConfig, mcfg: ModelConfig, out_dir: str | No
 def _scene_backward(model: Model, scene: Scene, tcfg: TrainConfig, rng, graph):
     """Forward (on `graph` when given), loss and backward of one scene,
     accumulating into the parameter grads. Returns (loss value, terms, graph),
-    with (None, {}) first without a supervised agent. The scene's tape is
-    released on return, so a batch holds one tape at a time."""
+    with (None, {}) first without a supervised agent. The forward's outputs
+    are dropped before the backward, so it holds only what the backward
+    closures saved, and the scene's tape is released on return, so a batch
+    holds one tape at a time."""
     fr = model.forward(scene, rng=rng, graph=graph)
+    graph = fr.graph
     loss, terms, _ = compute_scene_loss(model, fr, scene, tcfg)
+    del fr
     if loss is None:
-        return None, {}, fr.graph
+        return None, {}, graph
     loss.backward()
-    return float(loss.value), terms, fr.graph
+    return float(loss.value), terms, graph
 
 
 def save_model(model: Model, path: str) -> None:

@@ -93,24 +93,22 @@ def stage_targets_loop(g, scene, q, ends) -> dict:
 def segment_sum(a, seg_ids, num_segments):
     """Sum rows of a into num_segments buckets by per-row bucket id."""
     seg = ad.Segments(seg_ids)
-    return ad._node(ad._scatter_add(a.value, seg, num_segments), (a,),
-                    lambda g: ad._accum(a, g[seg.ids]))
+    return ad._op(ad._scatter_add(a.value, seg, num_segments), (a,),
+                  lambda g: (g[seg.ids],))
 
 
 def scale_last(a, w):
     """a (..., d) times per-row weights w (...,): a * w[..., None]."""
     av, wv = a.value, w.value
 
-    def bw(g):
-        ad._accum(a, g * wv[..., None])
-        ad._accum(w, (g * av).sum(axis=-1))
-
-    return ad._node(av * wv[..., None], (a, w), bw)
+    return ad._op(av * wv[..., None], (a, w),
+                  lambda g: (g * wv[..., None], (g * av).sum(axis=-1)))
 
 
 def sum_axis(a, axis):
-    return ad._node(a.value.sum(axis=axis), (a,),
-                    lambda g: ad._accum(a, np.expand_dims(g, axis) * np.ones_like(a.value)))
+    av = a.value
+    return ad._op(av.sum(axis=axis), (a,),
+                  lambda g: (np.expand_dims(g, axis) * np.ones_like(av),))
 
 
 def unfused_edge_attention(q, k, v, e, edges, heads):
@@ -153,13 +151,13 @@ def edge_attention_oracle(q, k, v, e, edges, heads):
         gq = (gl[..., None] * kh).reshape(n_e, d)
         gk = (gl[..., None] * qh).reshape(n_e, d)
         gv = (g3 * p[..., None]).reshape(n_e, d)
-        ad._accum(q, ad._scatter_add(gq, dst, n_dst))
-        ad._accum(k, ad._scatter_add(gk, src, k.value.shape[0]))
-        ad._accum(v, ad._scatter_add(gv, src, v.value.shape[0]))
-        ad._accum(e, ad._scatter_add(gk + gv, ad.Segments(row), e.value.shape[0]))
+        return (ad._scatter_add(gq, dst, n_dst), ad._scatter_add(gk, src, n_k),
+                ad._scatter_add(gv, src, n_v),
+                ad._scatter_add(gk + gv, ad.Segments(row), n_e_rows))
 
+    n_k, n_v, n_e_rows = k.value.shape[0], v.value.shape[0], e.value.shape[0]
     msg = ad._scatter_add((vh * p[..., None]).reshape(n_e, d), dst, n_dst)
-    return ad._node(msg, (q, k, v, e), bw)
+    return ad._op(msg, (q, k, v, e), bw)
 
 
 def leaky_relu(a):
@@ -173,9 +171,9 @@ def leaky_relu(a):
     def bw(g):
         mask = (av >= 0.0).astype(np.float64)
         np.maximum(mask, ad.LEAKY_SLOPE, out=mask)
-        ad._accum(a, g * mask)
+        return (g * mask,)
 
-    return ad._node(out, (a,), bw)
+    return ad._op(out, (a,), bw)
 
 
 def affine_leaky_oracle(x, w, b):
@@ -192,7 +190,7 @@ def edge_sum_leaky_oracle(hi, hj, hij, edges):
 def dropout_oracle(a, p, rng):
     """ad.dropout with a float mask of 0 and 1 / (1 - p) kept for backward."""
     keep = (rng.random(a.value.shape) >= p) / (1.0 - p)
-    return ad._node(a.value * keep, (a,), lambda g: ad._accum(a, g * keep))
+    return ad._op(a.value * keep, (a,), lambda g: (g * keep,))
 
 
 # The per-step scene generator and the json.dump scenario writer: the oracles

@@ -276,11 +276,11 @@ def test_edge_attention_grad(heads, row):
 
 
 def test_backward_releases_tape():
-    """backward frees each op once its closure has run, while the loss is
-    still alive; leaves keep their grads."""
+    """backward frees each op's grad node once its closure has run, while
+    the loss is still alive; leaves keep their grads."""
     x = tensor((3, 2), seed=1)
     h = ad.mul(x, x)
-    ref = weakref.ref(h)
+    ref = weakref.ref(h.node)
     loss = ad.sum_all(h)
     del h
     assert ref() is not None
@@ -305,6 +305,39 @@ def test_second_backward_raises():
     assert np.array_equal(x.grad, g)
 
 
+def test_unread_op_output_dies_with_its_tensor():
+    """An affine output that only feeds an add is read by no backward: its
+    value dies once the caller drops its Tensor. The matmul's parents'
+    values stay alive for its backward, whose gradients equal the hand
+    computation bit for bit; a second backward raises."""
+    r = np.random.default_rng(6)
+    x, w, b = (Tensor(r.standard_normal(s)) for s in ((4, 3), (3, 5), (5,)))
+    m = Tensor(r.standard_normal((5, 2)))
+    h = ad.affine(x, w, b)
+    dead = weakref.ref(h.value)
+    s = ad.add(h, Tensor(r.standard_normal((4, 5))))
+    del h
+    assert dead() is None
+    alive = weakref.ref(s.value)
+    out = ad.matmul(s, m)
+    sv = s.value
+    del s
+    assert alive() is not None
+    gw = r.standard_normal((4, 2))
+    loss = ad.sum_all(ad.mul(out, Tensor(gw)))
+    del out
+    loss.backward()
+    assert same_bits(m.grad, sv.T @ gw)
+    gs = gw @ m.value.T
+    assert same_bits(x.grad, gs @ w.value.T)
+    assert same_bits(w.grad, x.value.T @ gs)
+    assert same_bits(b.grad, gs.sum(axis=0))
+    del sv
+    assert alive() is None  # the matmul's closure has run and let go
+    with pytest.raises(StructuralError, match="consumed"):
+        loss.backward()
+
+
 # Bitwise oracle tests: each op that keeps only what its backward needs
 # against the op it replaced (conftest), value and every input gradient.
 # Every case feeds one input twice, and no input's gradient may alias
@@ -314,17 +347,22 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def kept_arrays(t) -> list:
-    """The numpy arrays that t's backward closure holds."""
-    cells = [c.cell_contents for c in t._backward.__closure__]
-    return [a for a in cells if isinstance(a, np.ndarray)]
+def kept_arrays(t, inputs) -> tuple:
+    """The numpy arrays that t's backward closure holds: the positions of
+    the inputs whose values it saves, and its other arrays. It holds no
+    Tensor, so it reaches no value that it did not save."""
+    cells = [c.cell_contents for c in t.node._backward.__closure__]
+    assert not any(isinstance(c, Tensor) for c in cells)
+    arrays = [a for a in cells if isinstance(a, np.ndarray)]
+    saved = sorted({i for i, x in enumerate(inputs) for a in arrays if a is x.value})
+    return saved, [a for a in arrays if not any(a is x.value for x in inputs)]
 
 
 def run_both(op, oracle, values, call, twice) -> list:
     """Asserts that op and its oracle, each on fresh leaves of `values`, give
     the same bits: the no_grad value, the taped value, every leaf's gradient
     of sum(out * w) + sum(x * x) for the leaf x = leaves[twice], and the
-    kink masks reported. Returns the arrays op's backward holds."""
+    kink masks reported. Returns what op's backward holds (kept_arrays)."""
     results, kept = [], None
     for f in (op, oracle):
         leaves = [Tensor(v.copy()) for v in values]
@@ -335,7 +373,7 @@ def run_both(op, oracle, values, call, twice) -> list:
             out = call(f, leaves)
         finally:
             ad.kink_monitor = None
-        kept = kept_arrays(out) if kept is None else kept
+        kept = kept_arrays(out, leaves) if kept is None else kept
         w = np.random.default_rng(5).standard_normal(out.shape)
         x = leaves[twice]
         ad.add(ad.sum_all(ad.mul(out, Tensor(w))), ad.sum_all(ad.mul(x, x))).backward()
@@ -373,7 +411,9 @@ def test_edge_attention_matches_oracle_bitwise(d_head, fixed):
     values = [r.standard_normal(s) * 2.0 for s in ((n_dst, d), (n_src, d), (n_rows, d))]
     kept = run_both(ad.edge_attention, edge_attention_oracle, values,
                     lambda f, t: f(t[0], t[1], t[1], t[2], edges, heads), twice=0)
-    floats = [a for a in kept if a.dtype == np.float64]
+    saved, own = kept
+    assert saved == [0, 1, 2]  # q, k and v (one tensor), e
+    floats = [a for a in own if a.dtype == np.float64]
     assert [a.shape for a in floats] == [(len(edges.by_dst.ids), heads)]  # the softmax weights only
 
 
@@ -383,8 +423,9 @@ def test_affine_leaky_matches_oracle_bitwise():
     w, b = r.standard_normal((3, 4)), r.standard_normal(4)
     w[:, 1], b[1] = 0.0, 0.0
     values = [r.standard_normal((6, 3)), w, b]
-    kept = run_both(ad.affine_leaky, affine_leaky_oracle, values, lambda f, t: f(*t), twice=0)
-    assert [a.dtype for a in kept] == [np.bool_]
+    saved, own = run_both(ad.affine_leaky, affine_leaky_oracle, values, lambda f, t: f(*t),
+                          twice=0)
+    assert saved == [0, 1] and [a.dtype for a in own] == [np.bool_]  # x, w and the sign mask
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "random"])
@@ -398,16 +439,16 @@ def test_edge_sum_leaky_matches_oracle_bitwise(fixed):
     values = [r.standard_normal(s) for s in shapes]
     for v in values:
         v[:, 0] = 0.0
-    kept = run_both(ad.edge_sum_leaky, edge_sum_leaky_oracle, values,
-                    lambda f, t: f(*t, edges), twice=1)
-    assert [a.dtype for a in kept] == [np.bool_]
+    saved, own = run_both(ad.edge_sum_leaky, edge_sum_leaky_oracle, values,
+                          lambda f, t: f(*t, edges), twice=1)
+    assert saved == [] and [a.dtype for a in own] == [np.bool_]
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5])
 def test_dropout_matches_oracle_bitwise(p):
     """The same rng draws; negative inputs keep the sign of their zeros."""
     values = [np.random.default_rng(3).standard_normal((7, 5))]
-    kept = run_both(lambda a: ad.dropout(a, p, np.random.default_rng(4)),
-                    lambda a: dropout_oracle(a, p, np.random.default_rng(4)), values,
-                    lambda f, t: f(t[0]), twice=0)
-    assert [a.dtype for a in kept] == [np.bool_]
+    saved, own = run_both(lambda a: ad.dropout(a, p, np.random.default_rng(4)),
+                          lambda a: dropout_oracle(a, p, np.random.default_rng(4)), values,
+                          lambda f, t: f(t[0]), twice=0)
+    assert saved == [] and [a.dtype for a in own] == [np.bool_]

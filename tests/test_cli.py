@@ -166,6 +166,36 @@ def test_bad_path_exits_3_and_names_the_file(workdir, tmp_path, probe):
     assert name in r.stderr
 
 
+def test_predict_bad_svg_path_writes_no_file(workdir, tmp_path):
+    """predict checks the directory of every output before it loads the
+    model: a bad --svg path leaves no --out file and no manifest behind."""
+    r = run_cli("predict", "--model", str(workdir / "run" / "model.ckpt"),
+                "--scene", str(workdir / "data" / "scene_00000.json"),
+                "--out", str(tmp_path / "p.jsonl"), "--svg", str(tmp_path / "no" / "s.svg"))
+    assert r.returncode == 3, r.stderr
+    assert "no/s.svg" in r.stderr and "Traceback" not in r.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cfg,bad", [
+    ({"heads": 0}, "heads must be >= 1, got 0"),
+    ({"d_h": 0, "heads": 4}, "d_h must be >= 1, got 0"),
+    ({"heads": -4, "d_h": 16}, "heads must be >= 1, got -4"),
+    ({"ffn_hidden": 0}, "ffn_hidden must be >= 1, got 0"),
+], ids=["heads-zero", "d_h-zero", "heads-negative", "ffn_hidden-zero"])
+def test_train_model_size_below_one(workdir, tmp_path, cfg, bad):
+    """A model size below 1 exits 2 with one stderr line: the first three
+    ended in a ZeroDivisionError or numpy ValueError traceback, and the
+    last trained."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("train", "--data", str(workdir / "data"), "--model-config", str(path),
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1 and bad in r.stderr, r.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_run_manifest_records_the_package_commit(tmp_path):
     """git_describe names the commit of the package, not that of a git repo

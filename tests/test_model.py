@@ -345,9 +345,12 @@ def test_tape_peak_memory_dense_scene():
 
     Measured: 135.8 MB when the attention op kept its per-edge q, k and v
     rows, the decide-edge hidden layer its gathers and sums, dropout a float
-    mask and each MLP its pre-activation; 78.6 MB with each op keeping only
-    what its backward needs; 99.3 MB with the attention op's edge rows put
-    back on the tape. The bound lies between the last two."""
+    mask and each MLP its pre-activation; 99.3 MB with the attention op's
+    edge rows put back on the tape; 78.6 MB with each op keeping only what
+    its backward needs, while the tape still held every op output until the
+    backward reached it; 54.8 MB with a tape of grad nodes, where an op
+    output that no backward reads goes with its Tensor. The bound lies
+    between the last two."""
     scene = dense_overlay(STYLE_A, 1)
     cfg = ModelConfig(d_h=32)
     m = Model(cfg, seed=0)
@@ -363,4 +366,29 @@ def test_tape_peak_memory_dense_scene():
         peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         tracemalloc.stop()
-    assert peak_mb < 90.0, f"taped step peaked at {peak_mb:.1f} MB"
+    assert peak_mb < 65.0, f"taped step peaked at {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("variant", ["goal", "baseline"])
+def test_tape_closures_hold_no_tensor(synth_scene, variant):
+    """Every backward closure on a scene loss's tape saves arrays, never a
+    Tensor, so an op output lives on the tape only where a backward saved
+    its value; the tape's grad nodes hold no value either."""
+    m = Model(ModelConfig(d_h=16, heads=4, K=2, ffn_hidden=16, variant=variant), seed=0)
+    fr = m.forward(synth_scene, rng=np.random.default_rng(0))
+    loss = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))[0]
+    del fr
+    seen, stack, ops = {id(loss.node)}, [loss.node], 0
+    while stack:
+        node = stack.pop()
+        assert not hasattr(node, "value")
+        if node._backward is not None:
+            ops += 1
+            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+            assert not any(isinstance(c, Tensor) for c in cells), node._backward
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert ops > 100
+    loss.backward()

@@ -490,7 +490,8 @@ def test_parameters_stay_tape_leaves(synth_scene, small_mcfg):
         fr = m.forward(synth_scene, rng=np.random.default_rng(0))
         loss, _, _ = compute_scene_loss(m, fr, synth_scene, TrainConfig(seed=0))
         loss.backward()
-        assert all(t._parents == () and t._backward is None for t in m.ps.params.values())
+        assert all(t.node._parents == () and t.node._backward is None
+                   for t in m.ps.params.values())
         assert sum(t.grad is not None for t in m.ps.params.values()) > 0
 
 
