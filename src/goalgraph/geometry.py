@@ -104,34 +104,51 @@ def polyline_distances(points, polylines: list) -> np.ndarray:
     return np.sqrt(np.minimum.reduceat(np.einsum("pij,pij->pi", d, d), starts, axis=1))
 
 
-def points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd (ray casting) point-in-polygon test, vectorized over points.
-
-    xy: (M, 2) query points; poly: (N, 2) closed implicitly.
-    """
-    xy = np.atleast_2d(np.asarray(xy, dtype=float))
-    poly = np.asarray(poly, dtype=float)
-    x, y = xy[:, 0][:, None], xy[:, 1][:, None]
-    x1, y1 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x2, y2 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
-    crosses = (y1 > y) != (y2 > y)
-    dy = np.where(y2 - y1 == 0.0, 1.0, y2 - y1)
-    xint = x1 + (y - y1) * (x2 - x1) / dy
-    hits = crosses & (x < xint)
-    return (hits.sum(axis=1) % 2).astype(bool)
+def polygon_edges(polys: list):
+    """The edges of closed polygons, each (N_i, 2): start points a and end
+    points b, (E, 2) each, and the index of each edge's polygon."""
+    polys = [np.asarray(p, dtype=float) for p in polys]
+    a = np.concatenate([np.zeros((0, 2))] + polys)
+    b = np.concatenate([np.zeros((0, 2))] + [q for p in polys for q in (p[1:], p[:1])])
+    return a, b, np.repeat(np.arange(len(polys)), [len(p) for p in polys])
 
 
-def points_near_polygon_boundary(xy: np.ndarray, poly: np.ndarray, eps: float) -> np.ndarray:
-    """True where a point is within eps of any polygon edge."""
-    xy = np.atleast_2d(np.asarray(xy, dtype=float))
-    poly = np.asarray(poly, dtype=float)
-    a = poly
-    b = np.roll(poly, -1, axis=0)
+def ray_crossings(xy: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(point, edge) index pairs where the ray from a point of xy (M, 2)
+    toward +x crosses the edge a -> b: one end of the edge lies above the
+    point and the other does not, and the point lies left of where the edge
+    meets its y. A point is inside a closed polygon when an odd number of its
+    edges cross its ray (the even-odd rule). Only the edges that span a
+    point's y are intersected with its ray."""
+    y = xy[:, 1:2]
+    i, j = np.nonzero((a[:, 1] > y) != (b[:, 1] > y))
+    (x, y), (x1, y1), (x2, y2) = xy[i].T, a[j].T, b[j].T
+    hit = x < x1 + (y - y1) * (x2 - x1) / (y2 - y1)  # y2 != y1 on an edge that spans y
+    return i[hit], j[hit]
+
+
+def points_in_polygons(xy: np.ndarray, polys: list) -> np.ndarray:
+    """(M, len(polys)) even-odd test of each of the (M, 2) points in each
+    closed polygon, in one pass over all their edges."""
+    a, b, owner = polygon_edges(polys)
+    i, j = ray_crossings(xy, a, b)
+    n = len(polys)
+    return (np.bincount(i * n + owner[j], minlength=len(xy) * n) % 2 == 1).reshape(len(xy), n)
+
+
+def near_segments(xy: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """True where a point of xy (M, 2) lies within eps of a segment a -> b.
+    Only the (point, segment) pairs in the segment's box padded by 2 eps are
+    measured: a point outside it is more than eps from the segment."""
+    lo, hi = np.minimum(a, b) - 2 * eps, np.maximum(a, b) + 2 * eps
+    x, y = xy[:, :1], xy[:, 1:]
+    i, j = np.nonzero((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1]))
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     denom = np.where(denom < 1e-18, 1.0, denom)
-    diff = xy[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("mnj,nj->mn", diff, ab) / denom[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[..., None] * ab[None, :, :]
-    d = np.hypot(*(np.transpose(xy[:, None, :] - proj, (2, 0, 1))))
-    return (d <= eps).any(axis=1)
+    a, ab, p = a[j], ab[j], xy[i]
+    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom[j], 0.0, 1.0)
+    d = p - (a + t[:, None] * ab)
+    near = np.zeros(len(xy), dtype=bool)
+    near[i[np.hypot(d[:, 0], d[:, 1]) <= eps]] = True
+    return near

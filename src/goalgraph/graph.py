@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import EdgeLayout
 from .config import Config
 from .errors import ConfigError
-from .geometry import points_in_polygon, polyline_distances, to_local
+from .geometry import points_in_polygons, polyline_distances, to_local
 from .scene import AGENT_CLASSES, LANE_TYPES, SIDES, Scene, headings
 
 LANE_RELATIONS = ("none", "successor", "predecessor", "left-neighbor", "right-neighbor")
@@ -175,9 +175,7 @@ def reachable_lanes(scene: Scene, agent_idx: int, cfg: GraphConfig = GraphConfig
 def _seed_lanes(scene: Scene, xy: np.ndarray, cfg: GraphConfig) -> list:
     """Seed lanes of each (n, 2) position: the lanes whose polygon holds it,
     else the one with the nearest centerline within the seed radius, else none."""
-    inside = np.zeros((len(xy), len(scene.lanes)), dtype=bool)
-    for j, lane in enumerate(scene.lanes):
-        inside[:, j] = points_in_polygon(xy, lane.polygon())
+    inside = points_in_polygons(xy, [lane.polygon() for lane in scene.lanes])
     seeds = [np.nonzero(row)[0].tolist() for row in inside]
     lost = [k for k, s in enumerate(seeds) if not s]
     if lost and scene.lanes:

@@ -38,6 +38,59 @@ def point_to_polyline_distance(xy, pts) -> float:
     return best
 
 
+# The per-lane lane tests that geometry's edge-pair kernels replaced, kept
+# unchanged as the oracle: every (point, edge) pair of one polygon at a time.
+
+def points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd (ray casting) point-in-polygon test, vectorized over points.
+
+    xy: (M, 2) query points; poly: (N, 2) closed implicitly.
+    """
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    poly = np.asarray(poly, dtype=float)
+    x, y = xy[:, 0][:, None], xy[:, 1][:, None]
+    x1, y1 = poly[:, 0][None, :], poly[:, 1][None, :]
+    x2, y2 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
+    crosses = (y1 > y) != (y2 > y)
+    dy = np.where(y2 - y1 == 0.0, 1.0, y2 - y1)
+    xint = x1 + (y - y1) * (x2 - x1) / dy
+    hits = crosses & (x < xint)
+    return (hits.sum(axis=1) % 2).astype(bool)
+
+
+def points_near_polygon_boundary(xy: np.ndarray, poly: np.ndarray, eps: float) -> np.ndarray:
+    """True where a point is within eps of any polygon edge."""
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    poly = np.asarray(poly, dtype=float)
+    a = poly
+    b = np.roll(poly, -1, axis=0)
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom = np.where(denom < 1e-18, 1.0, denom)
+    diff = xy[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("mnj,nj->mn", diff, ab) / denom[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[..., None] * ab[None, :, :]
+    d = np.hypot(*(np.transpose(xy[:, None, :] - proj, (2, 0, 1))))
+    return (d <= eps).any(axis=1)
+
+
+def seed_lanes_per_lane(scene, xy, cfg):
+    """graph._seed_lanes with one points_in_polygon call per lane: the lanes
+    whose polygon holds each position, else the nearest centerline within
+    the seed radius (the first lane on a tie), else none."""
+    inside = np.zeros((len(xy), len(scene.lanes)), dtype=bool)
+    for j, lane in enumerate(scene.lanes):
+        inside[:, j] = points_in_polygon(xy, lane.polygon())
+    seeds = [np.nonzero(row)[0].tolist() for row in inside]
+    lost = [k for k, s in enumerate(seeds) if not s]
+    if lost and scene.lanes:
+        d = polyline_distances(xy[lost], [lane.centerline for lane in scene.lanes])
+        for k, row in zip(lost, d):
+            nearest = int(np.argmin(row))
+            seeds[k] = [nearest] if row[nearest] <= cfg.seed_lane_radius else []
+    return seeds
+
+
 # The loss's stage targets picked one winner at a time: the oracle for
 # training.nearest_decide_edges, which picks them all with
 # Model.argmax_per_group.

@@ -420,7 +420,9 @@ def test_a4_oracle_equivalence():
             o_miss = all(any(math.hypot(*(p.traj_scene[t] - gt[t])) > 2.0
                              for t in range(T_f)) for p in top)
             o_mr = o_fde > 2.0
-            ade, fde, bfde, miss = agent_metrics(preds, gt, K)
+            ade, fde, bfde, miss = (v.item() for v in agent_metrics(
+                np.stack([p.traj_scene for p in preds])[None],
+                np.array([[p.score for p in preds]]), gt[None], K))
             worst = max(worst, abs(ade - o_ade), abs(fde - o_fde), abs(bfde - o_bfde))
             count_mismatch += miss != o_miss
             count_mismatch += (fde > 2.0) != o_mr
@@ -440,7 +442,7 @@ def test_a4_oracle_equivalence():
 
 def _oracle_reachable(scene, agent_idx, cfg):
     """Dijkstra over (successor: +lane length, lateral neighbor: +0)."""
-    from goalgraph.geometry import points_in_polygon
+    from conftest import points_in_polygon
     p2d = conftest.point_to_polyline_distance
     xy = scene.agents[agent_idx].states[scene.t_history - 1, 0:2]
     seeds = [i for i, l in enumerate(scene.lanes)

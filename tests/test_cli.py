@@ -401,6 +401,25 @@ def test_fractional_validity_flag_is_data_error(workdir, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_evaluate_no_scorable_agent_is_data_error(workdir, tmp_path):
+    """A set in which no agent has a fully valid future exits 3 and says so,
+    where it used to write bare NaN into the report and the stdout line,
+    which a strict JSON parser rejects."""
+    d = json.loads((workdir / "data" / "scene_00000.json").read_text())
+    for agent in d["agents"]:
+        agent["states"][-1][4] = 0
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "scene_00000.json").write_text(json.dumps(d))
+    out = tmp_path / "r.csv"
+    r = run_cli("evaluate", "--model", str(workdir / "run" / "model.ckpt"),
+                "--data", str(data), "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert "no agent could be scored" in r.stderr and "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
+    assert not out.exists() and not (tmp_path / "r.json").exists()
+
+
 def test_nan_dt_is_data_error(workdir, tmp_path):
     """A scenario file whose dt is NaN exits 3 and names the file and dt,
     where it used to evaluate non-finite trajectories."""

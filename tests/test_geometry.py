@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import point_at_arclength_scalar
+from conftest import point_at_arclength_scalar, points_in_polygon, points_near_polygon_boundary
 
 from goalgraph.errors import InvalidInputError
 from goalgraph.geometry import (
     Pose2,
     normalize_angle,
+    near_segments,
     point_at_arclength,
-    points_in_polygon,
-    points_near_polygon_boundary,
+    points_in_polygons,
+    polygon_edges,
     polyline_arclength,
     polyline_distances,
     to_local,
@@ -123,6 +124,7 @@ def test_points_in_polygon_square():
     poly = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
     xy = np.array([[5.0, 5.0], [50.0, 5.0], [-1.0, -1.0]])
     assert points_in_polygon(xy, poly).tolist() == [True, False, False]
+    assert points_in_polygons(xy, [poly]).tolist() == [[True], [False], [False]]
 
 
 def test_points_near_polygon_boundary():
@@ -130,6 +132,46 @@ def test_points_near_polygon_boundary():
     xy = np.array([[5.0, -0.05], [5.0, -0.5]])
     near = points_near_polygon_boundary(xy, poly, eps=0.1)
     assert near.tolist() == [True, False]
+    a, b, _ = polygon_edges([poly])
+    assert near_segments(xy, a, b, eps=0.1).tolist() == [True, False]
+
+
+def test_edge_pair_kernels_match_per_polygon_oracle():
+    """points_in_polygons and near_segments equal the per-polygon tests that
+    visit every (point, edge) pair, under ==, on random star polygons with
+    repeated vertices and horizontal edges, points on a coarse grid (so that
+    many share an x or a y with a vertex) and points near the edges."""
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        polys = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(3, 12))
+            ang = np.sort(rng.uniform(0, 2 * math.pi, n))
+            r = rng.uniform(1.0, 5.0, n)
+            poly = np.round(rng.uniform(-5, 5, 2) + np.stack([r * np.cos(ang), r * np.sin(ang)],
+                                                              axis=1) * 2) / 2
+            poly[1, 1] = poly[0, 1]                            # a horizontal edge
+            polys.append(np.insert(poly, 2, poly[2], axis=0))  # a repeated vertex
+        grid = np.round(rng.uniform(-12, 12, (300, 2)) * 2) / 2
+        a, b, _ = polygon_edges(polys)
+        t = rng.uniform(0, 1, (len(a), 1))
+        normal = rng.normal(0, 1, (len(a), 2))
+        normal /= np.maximum(np.hypot(normal[:, :1], normal[:, 1:]), 1e-9)
+        close = a + t * (b - a) + normal * rng.choice([0.0, 0.05, 0.1, 0.15, 0.3], (len(a), 1))
+        xy = np.concatenate([grid, np.concatenate(polys), close])
+        inside = points_in_polygons(xy, polys)
+        assert inside.shape == (len(xy), len(polys))
+        for j, poly in enumerate(polys):
+            assert inside[:, j].tolist() == points_in_polygon(xy, poly).tolist()
+        for eps in (0.0, 0.1, 0.25):
+            oracle = np.zeros(len(xy), dtype=bool)
+            for poly in polys:
+                oracle |= points_near_polygon_boundary(xy, poly, eps)
+            assert near_segments(xy, a, b, eps).tolist() == oracle.tolist()
+    # no polygon, and no point
+    assert points_in_polygons(xy, []).shape == (len(xy), 0)
+    assert points_in_polygons(np.zeros((0, 2)), polys).shape == (0, len(polys))
+    assert near_segments(np.zeros((0, 2)), a, b, 0.1).shape == (0,)
 
 
 def _to_local_by_hand(xy, pose):

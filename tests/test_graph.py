@@ -194,7 +194,7 @@ def _bfs_oracle(scene, agent_idx, cfg):
     """Independent reimplementation: Dijkstra-flavored BFS over successor and
     lateral-neighbor links with accumulated centerline length."""
     import heapq
-    from goalgraph.geometry import points_in_polygon
+    from conftest import points_in_polygon
     pos = scene.agents[agent_idx].states[scene.t_history - 1, :2]
     seeds = [i for i, l in enumerate(scene.lanes)
              if points_in_polygon(pos[None, :], l.polygon())[0]]
@@ -627,3 +627,45 @@ def test_edge_sets_match_loop_oracle(kind, K):
                zip(g.edges["l2l"].src, g.edges["l2l"].dst, g.edges["l2l"].rel)}
         assert rel == {(0, 1): "successor", (1, 0): "predecessor", (0, 2): "right-neighbor",
                        (2, 0): "left-neighbor", (1, 2): "none", (2, 1): "none"}
+
+
+def _bench_inputs():
+    """bench/inputs.py, the benchmark's workload inputs, as a module."""
+    import importlib.util
+    import os
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_pinned_benchmark_graphs_match_per_lane_seed_oracle(monkeypatch):
+    """rb, reach and every edge set of the benchmark's pinned scenes (both
+    workloads' training and evaluation sets) are bitwise those built when
+    _seed_lanes tests one lane polygon at a time."""
+    import goalgraph.graph as graph_mod
+
+    from conftest import seed_lanes_per_lane
+    inputs = _bench_inputs()
+    pin = inputs.PINNED_SEED
+    scenes = (inputs.synth_scenes("A", 8, pin, "pin-train")
+              + inputs.synth_scenes("B", 8, pin, "pin-heldout")
+              + inputs.dense_scenes("A", 2, pin, "pin-dense-a")
+              + inputs.dense_scenes("B", 2, pin, "pin-dense-b"))
+    got = [build_graph(s, 6) for s in scenes]
+    monkeypatch.setattr(graph_mod, "_seed_lanes", seed_lanes_per_lane)
+    want = [build_graph(s, 6) for s in scenes]
+    for s, g, w in zip(scenes, got, want):
+        assert g.rb.tobytes() == w.rb.tobytes() and g.reach.tobytes() == w.reach.tobytes(), s.id
+        assert g.reach.shape == w.reach.shape and g.edges.keys() == w.edges.keys(), s.id
+        for name, e in g.edges.items():
+            f = w.edges[name]
+            for field in ("src", "dst", "feat", "rel", "row"):
+                a, b = getattr(e, field), getattr(f, field)
+                assert (a is None) == (b is None), (s.id, name, field)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape, (s.id, name, field)
+                    assert a.tobytes() == b.tobytes(), (s.id, name, field)
+    assert sum(int(g.rb.sum()) for g in got) > 50

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from goalgraph.errors import ConfigError, DataError
-from goalgraph.geometry import points_in_polygon, points_near_polygon_boundary
 from goalgraph.metrics import (
     LANE_EPS,
     MISS_THRESHOLD,
@@ -13,10 +12,13 @@ from goalgraph.metrics import (
     trajectory_offroad,
     write_report,
 )
+from goalgraph.graph import GraphConfig, _seed_lanes
 from goalgraph.model import Model, ModelConfig, ModePrediction
+from goalgraph.scene import LaneDef, Scene
 from goalgraph.synthgen import STYLE_A, STYLE_B, gen_scene
 
-from conftest import dense_overlay, make_line_scene, straight_lane
+from conftest import (dense_overlay, make_line_scene, points_in_polygon,
+                      points_near_polygon_boundary, seed_lanes_per_lane, straight_lane)
 
 
 def mk(mode, traj, score):
@@ -24,6 +26,13 @@ def mk(mode, traj, score):
     return ModePrediction(agent_id="a", agent_idx=0, mode=mode, score=score,
                           traj_mu_local=traj, traj_b=np.ones_like(traj),
                           traj_scene=traj)
+
+
+def agent_row(preds, gt, K):
+    """agent_metrics of one agent's list of modes, as Python scalars."""
+    trajs = np.stack([p.traj_scene for p in preds])[None]
+    scores = np.array([[p.score for p in preds]])
+    return tuple(v.item() for v in agent_metrics(trajs, scores, np.asarray(gt)[None], K))
 
 
 def random_case(rng, T=8):
@@ -66,13 +75,13 @@ def _oracle_brier(preds, gt, K):
 def test_perfect_prediction_zero():
     gt = np.random.default_rng(0).normal(0, 5, (10, 2))
     preds = [mk(0, gt, 1.0)]
-    assert agent_metrics(preds, gt, 1) == (0.0, 0.0, 0.0, False)  # s=1 -> no penalty
+    assert agent_row(preds, gt, 1) == (0.0, 0.0, 0.0, False)  # s=1 -> no penalty
 
 
 def test_three_four_five():
     gt = np.zeros((6, 2))
     preds = [mk(0, np.tile([3.0, 4.0], (6, 1)), 1.0)]
-    ade, fde, _, _ = agent_metrics(preds, gt, 1)
+    ade, fde, _, _ = agent_row(preds, gt, 1)
     assert ade == pytest.approx(5.0, abs=1e-12)
     assert fde == pytest.approx(5.0, abs=1e-12)
 
@@ -80,15 +89,15 @@ def test_three_four_five():
 def test_brier_half_score():
     gt = np.zeros((4, 2))
     preds = [mk(0, np.tile([1.0, 0.0], (4, 1)), 0.5)]
-    assert agent_metrics(preds, gt, 1)[2] == pytest.approx(1.25, abs=1e-12)
+    assert agent_row(preds, gt, 1)[2] == pytest.approx(1.25, abs=1e-12)
 
 
 def test_miss_threshold_exact():
     gt = np.zeros((4, 2))
     hit = [mk(0, np.tile([1.9, 0.0], (4, 1)), 1.0)]
     miss = [mk(0, np.tile([2.1, 0.0], (4, 1)), 1.0)]
-    assert not agent_metrics(hit, gt, 1)[3]
-    assert agent_metrics(miss, gt, 1)[3]
+    assert not agent_row(hit, gt, 1)[3]
+    assert agent_row(miss, gt, 1)[3]
     assert MISS_THRESHOLD == 2.0
 
 
@@ -96,17 +105,53 @@ def test_topk_uses_highest_scores():
     gt = np.zeros((4, 2))
     good = mk(0, gt, 0.1)                          # perfect but low score
     bad = mk(1, np.tile([9.0, 0.0], (4, 1)), 0.9)  # poor but high score
-    assert agent_metrics([good, bad], gt, 1)[1] == pytest.approx(9.0)
-    assert agent_metrics([good, bad], gt, 2)[1] == 0.0
+    assert agent_row([good, bad], gt, 1)[1] == pytest.approx(9.0)
+    assert agent_row([good, bad], gt, 2)[1] == 0.0
 
 
 def test_shape_mismatch_raises():
     gt = np.zeros((5, 2))
     with pytest.raises(DataError):
-        agent_metrics([mk(0, np.zeros((4, 2)), 1.0)], gt, 1)
-    # a mode outside the top K is checked too, before the modes are stacked
-    with pytest.raises(DataError):
-        agent_metrics([mk(0, gt, 1.0), mk(1, np.zeros((4, 2)), 0.5)], gt, 1)
+        agent_row([mk(0, np.zeros((4, 2)), 1.0)], gt, 1)
+    # evaluate checks every mode, one outside the top K too, before it stacks them
+    sc = make_line_scene(n_vehicles=2)
+    fut = sc.agents[0].states[sc.t_history:, 0:2]
+    for short in (fut[:-1], fut[:, :1]):
+        preds = [mk(0, fut, 1.0), mk(1, short, 0.5)]
+        with pytest.raises(DataError, match="modes of shape"):
+            evaluate(_Replay({sc.id: preds}), [sc], ks=(1,))
+    # and that every agent has as many modes as the first
+    other = ModePrediction(sc.agents[1].id, 1, 0, 1.0, fut, np.ones_like(fut), fut)
+    with pytest.raises(DataError, match="every agent needs 2 modes"):
+        evaluate(_Replay({sc.id: [mk(0, fut, 1.0), mk(1, fut, 0.5), other]}), [sc], ks=(1,))
+
+
+def test_agent_metrics_on_stacked_agents():
+    """Scoring A agents from one (A, M, T, 2) array gives each agent's own
+    row, bit for bit, with tied scores and FDE ties among them."""
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        A, M, T = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        trajs = np.round(rng.normal(0, 3, (A, M, T, 2)) * 2) / 2
+        scores = rng.choice([0.1, 0.25, 0.4, 1.0], (A, M))
+        gt = np.round(rng.normal(0, 3, (A, T, 2)) * 2) / 2
+        for K in range(1, M + 2):
+            rows = list(zip(*(v.tolist() for v in agent_metrics(trajs, scores, gt, K))))
+            for i in range(A):
+                preds = [mk(k, trajs[i, k], float(scores[i, k])) for k in range(M)]
+                assert rows[i] == agent_row(preds, gt[i], K)
+                assert rows[i][:3] == pytest.approx(
+                    (_oracle_ade(preds, gt[i], K), _oracle_fde(preds, gt[i], K),
+                     _oracle_brier(preds, gt[i], K)), abs=1e-12)
+                assert rows[i][3] == _oracle_miss_top2(preds, gt[i], K)
+    # the Brier penalty squares as the per-mode report did, in Python floats:
+    # numpy's square rounds about one score in a thousand the other way. Mode
+    # 0 ends on the ground truth, so that brier-minFDE is its penalty alone.
+    trajs = rng.normal(0, 3, (4000, 3, 2, 2))
+    gt, scores = trajs[:, 0].copy(), rng.random((4000, 3))
+    bfde = agent_metrics(trajs, scores, gt, 3)[2].tolist()
+    assert bfde == [_pm_brier([mk(k, t[k], float(s[k])) for k in range(3)], g, 3)
+                    for t, s, g in zip(trajs, scores, gt)]
 
 
 def test_metrics_match_oracles_1000():
@@ -114,7 +159,7 @@ def test_metrics_match_oracles_1000():
     for _ in range(1000):
         preds, gt, K = random_case(rng)
         k_eval = int(rng.integers(1, K + 1))
-        ade, fde, bfde, miss = agent_metrics(preds, gt, k_eval)
+        ade, fde, bfde, miss = agent_row(preds, gt, k_eval)
         assert ade == pytest.approx(_oracle_ade(preds, gt, k_eval), abs=1e-12)
         assert fde == pytest.approx(_oracle_fde(preds, gt, k_eval), abs=1e-12)
         assert miss == _oracle_miss_top2(preds, gt, k_eval)
@@ -125,7 +170,7 @@ def test_metrics_monotone_in_k():
     rng = np.random.default_rng(7)
     for _ in range(100):
         preds, gt, K = random_case(rng)
-        ades, fdes, _, _ = zip(*(agent_metrics(preds, gt, k) for k in range(1, K + 1)))
+        ades, fdes, _, _ = zip(*(agent_row(preds, gt, k) for k in range(1, K + 1)))
         assert all(a >= b - 1e-12 for a, b in zip(ades, ades[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(fdes, fdes[1:]))
 
@@ -134,7 +179,7 @@ def test_brier_lower_bounded_by_fde():
     rng = np.random.default_rng(8)
     for _ in range(200):
         preds, gt, K = random_case(rng)
-        _, fde, bfde, _ = agent_metrics(preds, gt, K)
+        _, fde, bfde, _ = agent_row(preds, gt, K)
         assert bfde >= fde - 1e-12
 
 
@@ -190,6 +235,24 @@ def test_evaluate_empty_dataset():
         evaluate(m, [], ks=(1,))
 
 
+def test_evaluate_no_scorable_agent(tmp_path, small_mcfg):
+    """A set in which no agent has a fully valid future is a DataError, as an
+    empty one is: its means would be NaN, which strict JSON cannot hold.
+    One scorable agent anywhere in the set makes a finite report."""
+    m = Model(small_mcfg, seed=0)
+    sc = gen_scene(STYLE_A, (12, 0), "s0")
+    for a in sc.agents:
+        a.states[-1, 4] = 0.0
+    with pytest.raises(DataError, match="no agent could be scored"):
+        evaluate(m, [sc], ks=(1,))
+    rep = evaluate(m, [sc, gen_scene(STYLE_A, (12, 1), "s1")], ks=(1,))
+    write_report(rep, str(tmp_path / "r.csv"), str(tmp_path / "r.json"))
+    import json as _json
+    d = _json.loads((tmp_path / "r.json").read_text(),
+                    parse_constant=lambda c: pytest.fail(f"non-standard JSON constant {c}"))
+    assert rep.n_agents > 0 and all(math.isfinite(v) for v in d["minFDE"].values())
+
+
 def test_evaluate_k_below_one(small_mcfg):
     m = Model(small_mcfg, seed=0)
     scenes = [gen_scene(STYLE_A, (12, 0), "s0")]
@@ -215,7 +278,7 @@ def test_evaluate_aggregation_oracle(small_mcfg):
             fut = sc.agents[idx].states[sc.t_history:, :]
             if not (fut[:, 4] > 0.5).all():
                 continue
-            vals.append(agent_metrics(pk, fut[:, :2], 3)[1])
+            vals.append(agent_row(pk, fut[:, :2], 3)[1])
     assert rep.minFDE[3] == pytest.approx(float(np.mean(vals)), abs=1e-12)
     assert rep.n_agents == len(vals)
 
@@ -405,12 +468,16 @@ def _all_lanes_offroad(trajs, lane_polys, eps=LANE_EPS):
 
 
 def _adversarial_points(polys, eps=LANE_EPS, tiny=1e-12):
-    """Points where a box pre-test padded too little would change a verdict:
-    polygon vertices; points eps and 2 eps +- tiny outside each side of each
-    lane's box, level with its extreme vertices and spread along the side;
+    """Points where a box pre-test padded too little, a bisection of the
+    wrong inclusivity or a pair test that skips a deciding edge would change
+    a verdict: polygon vertices; points eps and 2 eps +- tiny outside each
+    side of each lane's box, level with its extreme vertices and spread along
+    the side; columns of points that share an x, on the padded box's x-bounds
+    exactly as the lane test computes them, at a vertex and across the box;
     points eps (1 +- tiny) from each edge midpoint along the edge normal, on
-    both sides; points left of each box within its y-range, whose ray
-    crosses the whole polygon."""
+    both sides; points 2 eps and 2 eps +- tiny outside each edge's own box;
+    points level with each vertex's y, left of, across and right of the box
+    (the points left of it cross the whole polygon)."""
     out = []
     for poly in polys:
         poly = np.asarray(poly, dtype=float)
@@ -426,6 +493,10 @@ def _adversarial_points(polys, eps=LANE_EPS, tiny=1e-12):
                     p = np.empty((len(along), 2))
                     p[:, ax], p[:, other] = edge + sign * o, along
                     out.append(p)
+        plo, phi = lo - 2 * eps, hi + 2 * eps
+        ys = np.concatenate([np.linspace(plo[1], phi[1], 7), poly[:3, 1]])
+        for x in (plo[0], phi[0], poly[0, 0], 0.5 * (lo[0] + hi[0])):
+            out.append(np.stack([np.full(len(ys), x), ys], axis=1))
         a, b = poly, np.roll(poly, -1, axis=0)
         ab = b - a
         length = np.hypot(ab[:, 0], ab[:, 1])
@@ -434,26 +505,37 @@ def _adversarial_points(polys, eps=LANE_EPS, tiny=1e-12):
         mid = 0.5 * (a[keep] + b[keep])
         for f in (1.0 - tiny, 1.0 + tiny):
             out += [mid + f * eps * normal, mid - f * eps * normal]
-        ys = np.concatenate([np.linspace(lo[1], hi[1], 9), poly[:, 1]])
-        out.append(np.stack([np.full(len(ys), lo[0] - 7.0), ys], axis=1))
+        elo, ehi, emid = np.minimum(a, b), np.maximum(a, b), 0.5 * (a + b)
+        for o in (2 * eps - tiny, 2 * eps, 2 * eps + tiny):
+            for ax, bound, sign in ((0, elo, -1.0), (0, ehi, 1.0), (1, elo, -1.0), (1, ehi, 1.0)):
+                p = emid.copy()
+                p[:, ax] = bound[:, ax] + sign * o
+                out.append(p)
+        for x in np.concatenate([[lo[0] - 7.0], np.linspace(lo[0] - 1.0, hi[0] + 1.0, 7)]):
+            ys = np.concatenate([np.linspace(lo[1], hi[1], 9), poly[:, 1]])
+            out.append(np.stack([np.full(len(ys), x), ys], axis=1))
     return np.concatenate(out)
 
 
 def _offroad_cases():
-    """(name, lane polygons, points) per case: synthgen A and B scenes, a
-    dense overlay, a zero-width lane next to a normal one."""
+    """(name, lanes, points) per case: synthgen A and B scenes, a dense
+    overlay, a zero-width lane next to a normal one, and a lane that tapers
+    to a point, whose polygon repeats a vertex at the tip and, by hand, one
+    more on its left boundary. Axis-aligned lanes have horizontal edges."""
     scenes = ([gen_scene(STYLE_A, (18, i), f"a{i}") for i in range(3)]
               + [gen_scene(STYLE_B, (19, i), f"b{i}") for i in range(3)]
               + [dense_overlay(STYLE_B, 20, tiles=6)])
-    cases = []
-    for s in scenes:
-        polys = [l.polygon() for l in s.lanes]
-        cases.append((s.id, polys, _adversarial_points(polys)))
+    lane_sets = [(s.id, s.lanes) for s in scenes]
     flat = straight_lane("flat", 0.0, 0.0, 20.0, width=0.0)
     wide = straight_lane("wide", 0.0, 10.0, 20.0, heading=0.3)
-    polys = [flat.polygon(), wide.polygon()]
-    cases.append(("zero-width", polys, _adversarial_points(polys)))
-    return cases
+    lane_sets.append(("zero-width", [flat, wide]))
+    center = np.stack([np.linspace(0.0, 20.0, 11), np.full(11, -20.0)], axis=1)
+    half = np.stack([np.zeros(11), np.linspace(1.5, 0.0, 11)], axis=1)
+    left = np.insert(center + half, 4, (center + half)[4], axis=0)
+    taper = LaneDef("taper", "lane", center, left, center - half)
+    lane_sets.append(("repeated-vertex", [taper, straight_lane("beside", 0.0, -16.0, 20.0)]))
+    return [(name, lanes, _adversarial_points([l.polygon() for l in lanes]))
+            for name, lanes in lane_sets]
 
 
 def test_trajectory_offroad_matches_per_lane_oracle():
@@ -462,7 +544,8 @@ def test_trajectory_offroad_matches_per_lane_oracle():
     chosen at the edge of each lane's padded box and of its eps band."""
     rng = np.random.default_rng(21)
     on = off = traj_on = traj_off = 0
-    for name, polys, pts in _offroad_cases():
+    for name, lanes, pts in _offroad_cases():
+        polys = [l.polygon() for l in lanes]
         oracle = _all_lanes_offroad(pts[:, None, :], polys)
         assert trajectory_offroad(pts[:, None, :], polys).tolist() == oracle.tolist(), name
         on += int((~oracle).sum())
@@ -482,3 +565,23 @@ def test_trajectory_offroad_matches_per_lane_oracle():
     # with no lane every trajectory is off, and a single (T, 2) input gives a bool
     assert trajectory_offroad(trajs, []).tolist() == [True] * len(trajs)
     assert trajectory_offroad(trajs[0], []) is True
+
+
+def test_seed_lanes_match_per_lane_oracle():
+    """graph._seed_lanes, one even-odd pass over every lane's edges, gives the
+    seeds of the per-lane points_in_polygon loop, on the vertices, edge
+    midpoints and box corners of every lane of every lane test case."""
+    cfg = GraphConfig()
+    inside = 0
+    for name, lanes, _ in _offroad_cases():
+        scene = Scene(name, 0.1, 10, 30, [], lanes)
+        xy = []
+        for poly in (l.polygon() for l in lanes):
+            (x0, y0), (x1, y1) = poly.min(axis=0), poly.max(axis=0)
+            xy += [poly, 0.5 * (poly + np.roll(poly, -1, axis=0)),
+                   [[x0, y0], [x0, y1], [x1, y0], [x1, y1]]]
+        xy = np.concatenate(xy)
+        want = seed_lanes_per_lane(scene, xy, cfg)
+        assert _seed_lanes(scene, xy, cfg) == want, name
+        inside += sum(int(points_in_polygon(xy, l.polygon()).sum()) for l in lanes)
+    assert inside > 1000, inside
