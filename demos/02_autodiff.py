@@ -54,10 +54,17 @@ def main():
         q = ad.mul(x, x)
     print(f"under no_grad: parents={q.node._parents}, backward={q.node._backward}")
 
-    # 4. a small MLP checked coordinate-by-coordinate against finite differences
+    # 4. an MLP is one op: its closure saves the input and the weights, not
+    #    the (5, 8) hidden layer, which its backward rebuilds from the input
     ps = nn.ParamStore(seed=0)
     nn.create_mlp(ps, "demo", 4, 8, 1)
     x_in = np.random.default_rng(1).normal(size=(5, 4))
+    out = nn.mlp(ps, "demo", ad.Tensor(x_in))
+    saved = [c.cell_contents for c in out.node._backward.__closure__]
+    print(f"the MLP op saves arrays of shapes "
+          f"{[a.shape for a in saved if isinstance(a, np.ndarray)]}")
+
+    # 5. that MLP checked coordinate-by-coordinate against finite differences
 
     def f():
         out = nn.mlp(ps, "demo", ad.Tensor(x_in))

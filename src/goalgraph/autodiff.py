@@ -6,7 +6,10 @@ parents' grad nodes and a grad slot. The closure saves only the arrays and
 shapes its backward reads (a parent's value, a bool mask, the op's own
 output) and returns one gradient per parent, or None for none. So an op
 output that no backward reads dies when Python drops its Tensor, and a
-saved one when its reader's closure has run. `backward()` runs a reverse
+saved one when its reader's closure has run. Some ops rebuild in their
+backward what they would otherwise save: `mlp_leaky` keeps its input and
+recomputes its hidden layer from it, with the forward's expressions, so
+the gradients have the same bits. `backward()` runs a reverse
 topological sweep over the grad nodes. `no_grad()` disables recording for
 cheap forward-only evaluation (finite differences, inference): every op
 computes the same value either way, and only links it into the tape with
@@ -29,7 +32,7 @@ from .errors import ShapeError, StructuralError
 
 _grad_enabled = True
 
-# When not None, each LeakyReLU op appends the sign mask of its
+# When not None, each LeakyReLU op's forward appends the sign mask of its
 # pre-activation here (used by grad_check to detect kink crossings between
 # perturbed runs).
 kink_monitor = None
@@ -245,12 +248,11 @@ def affine(x, w, b) -> Tensor:
     """Fused x @ w + b with b broadcast over rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv = x.value, w.value
-    return _op(_affine_value(x, w, b, "affine"), (x, w, b),
+    return _op(_affine_value(xv, wv, b.value, "affine"), (x, w, b),
                lambda g: _affine_grads(xv, wv, g))
 
 
-def _affine_value(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
-    xv, wv, bv = x.value, w.value, b.value
+def _affine_value(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, op: str) -> np.ndarray:
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
         raise ShapeError(f"{op}: incompatible shapes {xv.shape}, {wv.shape}, {bv.shape}")
     out = xv @ wv
@@ -267,13 +269,17 @@ LEAKY_SLOPE = 0.01
 
 def _leaky(pre: np.ndarray):
     """max(pre, LEAKY_SLOPE * pre), written over pre, and the bool mask of
-    pre >= 0 that the backward needs; the mask also goes to kink_monitor."""
+    pre >= 0 that the backward needs."""
     pos = pre >= 0.0
-    if kink_monitor is not None:
-        kink_monitor.append(pos)
     # max() into one buffer avoids a branchy per-element select
     np.maximum(pre, pre * LEAKY_SLOPE, out=pre)
     return pre, pos
+
+
+def _report_kinks(pos: np.ndarray):
+    """Hand a forward's LeakyReLU sign mask to kink_monitor, if one is set."""
+    if kink_monitor is not None:
+        kink_monitor.append(pos)
 
 
 def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -281,13 +287,39 @@ def _leaky_grad(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return np.where(pos, g, g * LEAKY_SLOPE)
 
 
-def affine_leaky(x, w, b) -> Tensor:
-    """LeakyReLU(x @ w + b) as one op, which keeps the bool sign mask in
-    place of the pre-activation."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xv, wv = x.value, w.value
-    out, pos = _leaky(_affine_value(x, w, b, "affine_leaky"))
-    return _op(out, (x, w, b), lambda g: _affine_grads(xv, wv, _leaky_grad(g, pos)))
+def mlp_leaky(x, w0, b0, w1, b1, p: float, rng: np.random.Generator | None) -> Tensor:
+    """affine -> LeakyReLU -> dropout -> affine as one op; the dropout runs
+    only with rng and p > 0 and draws its mask as `dropout` does.
+
+    The op keeps x, the weights and the dropout's bool mask, and no hidden
+    layer: its backward rebuilds the pre-activation, the sign mask and the
+    dropped hidden layer from x with the forward's expressions, so the
+    gradients have the bits of the three ops composed. Only the forward
+    reports its sign mask to kink_monitor.
+    """
+    x, w0, b0, w1, b1 = (_as_tensor(t) for t in (x, w0, b0, w1, b1))
+    xv, w0v, b0v, w1v = x.value, w0.value, b0.value, w1.value
+    h, pos = _leaky(_affine_value(xv, w0v, b0v, "mlp_leaky"))
+    _report_kinks(pos)
+    kept = None
+    if rng is not None and p > 0.0:
+        kept = rng.random(h.shape) >= p  # bools; scaled where they are used
+        h = h * (kept / (1.0 - p))
+    out = _affine_value(h, w1v, b1.value, "mlp_leaky")
+
+    def bw(g):
+        h, pos = _leaky(_affine_value(xv, w0v, b0v, "mlp_leaky"))
+        gh = g @ w1v.T
+        if kept is not None:  # in place: the same bits as the forward's h * scale
+            scale = kept / (1.0 - p)
+            h *= scale
+            gh *= scale
+        gw1 = h.T @ g
+        del h  # freed before _leaky_grad's two temporaries of its size
+        gx, gw0, gb0 = _affine_grads(xv, w0v, _leaky_grad(gh, pos))
+        return gx, gw0, gb0, gw1, g.sum(axis=0)
+
+    return _op(out, (x, w0, b0, w1, b1), bw)
 
 
 def concat(tensors, axis=1) -> Tensor:
@@ -524,6 +556,7 @@ def edge_sum_leaky(hi, hj, hij, edges: EdgeLayout) -> Tensor:
     pre = hi.value[edges.by_src.rank] + hj.value[edges.by_dst.rank]
     pre += hij.value[edges.by_row.ids]
     out, pos = _leaky(pre)
+    _report_kinks(pos)
 
     def bw(g):
         gp = _leaky_grad(g, pos)

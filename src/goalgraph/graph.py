@@ -35,6 +35,15 @@ class GraphConfig(Config):
     reach_distance_cap: float = 150.0
     seed_lane_radius: float = 50.0
 
+    def check(self):
+        for name in ("lane_to_lane_radius", "social_radius", "lane_to_agent_radius",
+                     "query_social_radius", "query_lane_radius", "reach_distance_cap",
+                     "seed_lane_radius"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_successor_gap < 1:
+            raise ConfigError(f"max_successor_gap must be >= 1, got {self.max_successor_gap}")
+
 
 def _rel_feat_arrays(pm: np.ndarray, pn: np.ndarray, dt: np.ndarray | None) -> np.ndarray:
     """Edge features (sin a, cos a, sin phi, cos phi, d, dt) of each pose of

@@ -65,18 +65,18 @@ def affine(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return ad.affine(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
 
 
-def affine_leaky(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    return ad.affine_leaky(x, ps[f"{prefix}.W"], ps[f"{prefix}.b"])
-
-
 def create_mlp(ps: ParamStore, prefix: str, d_in: int, d_hidden: int, d_out: int):
     create_affine(ps, f"{prefix}.l0", d_in, d_hidden)
     create_affine(ps, f"{prefix}.l1", d_hidden, d_out)
 
 
+def _mlp_weights(ps: ParamStore, prefix: str) -> tuple:
+    return tuple(ps[f"{prefix}.{layer}.{w}"] for layer in ("l0", "l1") for w in ("W", "b"))
+
+
 def mlp(ps: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    """Affine -> LeakyReLU (one ad.affine_leaky op) -> affine."""
-    return affine(ps, f"{prefix}.l1", affine_leaky(ps, f"{prefix}.l0", x))
+    """Affine -> LeakyReLU -> affine, as one ad.mlp_leaky op."""
+    return ad.mlp_leaky(x, *_mlp_weights(ps, prefix), 0.0, None)
 
 
 def create_layer_norm(ps: ParamStore, prefix: str, d: int):
@@ -108,7 +108,8 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
     skip + FFN path unchanged by attention. edge_emb holds one row per
     distinct edge feature row, edges.row[i] being edge i's; each row is
     projected once and `ad.edge_attention` gathers it per edge.
-    Dropout with rate p_drop runs when rng is not None.
+    Dropout with rate p_drop runs when rng is not None, on the attention
+    output and on the FFN's hidden layer inside its one ad.mlp_leaky op.
     """
     d_h = dst_feats.shape[1]
     if d_h % heads:
@@ -125,9 +126,8 @@ def graph_attention_layer(ps: ParamStore, prefix: str, src_feats: Tensor,
         attn = ad.add(attn, msg)
     x1 = ad.add(dst_feats, ad.dropout(attn, p_drop, rng))
 
-    h = layer_norm(ps, f"{prefix}.ln_ffn", x1)
-    h = affine_leaky(ps, f"{prefix}.ffn.l0", h)
-    h = affine(ps, f"{prefix}.ffn.l1", ad.dropout(h, p_drop, rng))
+    h = ad.mlp_leaky(layer_norm(ps, f"{prefix}.ln_ffn", x1), *_mlp_weights(ps, f"{prefix}.ffn"),
+                     p_drop, rng)
     return ad.add(x1, h)
 
 

@@ -45,11 +45,22 @@ class TrainConfig(Config):
         if self.warmup_epochs >= self.total_epochs:
             raise ConfigError("warmup_epochs must be < total_epochs")
         for f_ in ("lr_peak", "batch_size", "total_epochs", "traj_loss_weight",
-                   "focal_alpha", "huber_delta"):
-            if getattr(self, f_) <= 0:
-                raise ConfigError(f"{f_} must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+                   "focal_alpha", "huber_delta", "adam_eps", "aug_scale_min"):
+            if not getattr(self, f_) > 0:
+                raise ConfigError(f"{f_} must be positive, got {getattr(self, f_)}")
+        for f_ in ("seed", "warmup_epochs"):
+            if getattr(self, f_) < 0:
+                raise ConfigError(f"{f_} must be >= 0, got {getattr(self, f_)}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for f_ in ("beta1", "beta2"):
+            if not 0 <= getattr(self, f_) < 1:
+                raise ConfigError(f"{f_} must be in [0, 1), got {getattr(self, f_)}")
+        if not self.aug_scale_min <= self.aug_scale_max:
+            raise ConfigError(f"aug_scale_min must be <= aug_scale_max, got "
+                              f"{self.aug_scale_min} > {self.aug_scale_max}")
+        if not 0 <= self.aug_drop_frac <= 1:
+            raise ConfigError(f"aug_drop_frac must be in [0, 1], got {self.aug_drop_frac}")
 
 
 @dataclass

@@ -229,9 +229,24 @@ def leaky_relu(a):
     return ad._op(out, (a,), bw)
 
 
+def affine_leaky(x, w, b):
+    """LeakyReLU(x @ w + b) as one op that keeps x, w and the bool sign mask:
+    the first half of mlp_leaky_oracle."""
+    xv, wv = x.value, w.value
+    out, pos = ad._leaky(ad._affine_value(xv, wv, b.value, "affine_leaky"))
+    ad._report_kinks(pos)
+    return ad._op(out, (x, w, b), lambda g: ad._affine_grads(xv, wv, ad._leaky_grad(g, pos)))
+
+
 def affine_leaky_oracle(x, w, b):
-    """ad.affine_leaky as an affine op, then a LeakyReLU op."""
+    """affine_leaky as an affine op, then a LeakyReLU op."""
     return leaky_relu(ad.affine(x, w, b))
+
+
+def mlp_leaky_oracle(x, w0, b0, w1, b1, p, rng):
+    """ad.mlp_leaky as three ops that each keep their input: affine_leaky,
+    ad.dropout and ad.affine."""
+    return ad.affine(ad.dropout(affine_leaky(x, w0, b0), p, rng), w1, b1)
 
 
 def edge_sum_leaky_oracle(hi, hj, hij, edges):

@@ -270,14 +270,14 @@ def test_a2_gradient_correctness():
 
 
 def test_a2_reaches_the_fused_ops(monkeypatch):
-    """A2's loss runs through every fused op (edge attention, affine +
-    LeakyReLU, the decide-edge hidden node), and each LeakyReLU node reports
-    its sign mask to the kink monitor that grad_check reads."""
+    """A2's loss runs through every fused op (edge attention, the MLP op,
+    the decide-edge hidden node), and each LeakyReLU node reports its sign
+    mask to the kink monitor that grad_check reads."""
     scene = make_line_scene(t_history=4, t_future=10, n_lanes=1, lane_len=40.0,
                             n_vehicles=3)
     mcfg = ModelConfig(d_h=16, heads=4, K=2, T_f=10, ffn_hidden=8, dropout=0.0)
     m = Model(mcfg, seed=0)
-    names = ("edge_attention", "affine_leaky", "edge_sum_leaky")
+    names = ("edge_attention", "mlp_leaky", "edge_sum_leaky")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, op):
@@ -292,7 +292,7 @@ def test_a2_reaches_the_fused_ops(monkeypatch):
     with ad.no_grad():
         compute_scene_loss(m, m.forward(scene), scene, TrainConfig(seed=0))
     assert min(calls.values()) > 0, calls
-    assert len(ad.kink_monitor) == calls["affine_leaky"] + calls["edge_sum_leaky"]
+    assert len(ad.kink_monitor) == calls["mlp_leaky"] + calls["edge_sum_leaky"]
 
 
 # ---------------------------------------------------------------------------

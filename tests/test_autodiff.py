@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goalgraph.autodiff as ad
-from conftest import (affine_leaky_oracle, dropout_oracle, edge_attention_oracle,
-                      edge_sum_leaky_oracle, scale_last, segment_sum, sum_axis)
+from conftest import (affine_leaky, affine_leaky_oracle, dropout_oracle, edge_attention_oracle,
+                      edge_sum_leaky_oracle, mlp_leaky_oracle, scale_last, segment_sum,
+                      sum_axis)
 from goalgraph.autodiff import Tensor
 from goalgraph.errors import ShapeError, StructuralError
 
@@ -108,7 +109,8 @@ def test_cumsum():
 
 def test_leaky_relu_values_and_grad():
     t = Tensor(np.array([[-1.0, 2.0]]))
-    out = ad.affine_leaky(t, Tensor(np.eye(2)), Tensor(np.zeros(2)))
+    eye, zeros = Tensor(np.eye(2)), Tensor(np.zeros(2))
+    out = ad.mlp_leaky(t, eye, zeros, eye, zeros, 0.0, None)
     assert np.allclose(out.value, [[-0.01, 2.0]])
     ad.sum_all(out).backward()
     assert np.allclose(t.grad, [[0.01, 1.0]])
@@ -208,7 +210,8 @@ def test_backward_linearity():
         return ad.sum_all(ad.mul(x, x))
 
     def l2():
-        return ad.sum_all(ad.affine_leaky(x, Tensor(np.eye(3)), Tensor(np.zeros(3))))
+        eye, zeros = Tensor(np.eye(3)), Tensor(np.zeros(3))
+        return ad.sum_all(ad.mlp_leaky(x, eye, zeros, eye, zeros, 0.0, None))
 
     ad.add(l1(), l2()).backward()
     g_joint = x.grad.copy()
@@ -418,14 +421,46 @@ def test_edge_attention_matches_oracle_bitwise(d_head, fixed):
 
 
 def test_affine_leaky_matches_oracle_bitwise():
-    """Column 1 sits on the kink (zero weights and bias); x feeds a second op."""
+    """conftest's fused affine + LeakyReLU op, the first half of
+    mlp_leaky's oracle, against an affine op and a LeakyReLU op. Column 1
+    sits on the kink (zero weights and bias); x feeds a second op."""
     r = np.random.default_rng(1)
     w, b = r.standard_normal((3, 4)), r.standard_normal(4)
     w[:, 1], b[1] = 0.0, 0.0
     values = [r.standard_normal((6, 3)), w, b]
-    saved, own = run_both(ad.affine_leaky, affine_leaky_oracle, values, lambda f, t: f(*t),
+    saved, own = run_both(affine_leaky, affine_leaky_oracle, values, lambda f, t: f(*t),
                           twice=0)
     assert saved == [0, 1] and [a.dtype for a in own] == [np.bool_]  # x, w and the sign mask
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_mlp_leaky_matches_oracle_bitwise(p):
+    """affine -> LeakyReLU -> dropout -> affine as one op against the three
+    ops composed, with the same rng draws. Hidden column 1 sits on the kink
+    (zero weights and bias); x feeds a second op. The op keeps x and the
+    weights, and a bool dropout mask when p > 0, but no float array as wide
+    as the hidden layer; it reports one kink mask, from its forward."""
+    r = np.random.default_rng(1)
+    w0, b0 = r.standard_normal((3, 8)), r.standard_normal(8)
+    w0[:, 1], b0[1] = 0.0, 0.0
+    values = [r.standard_normal((6, 3)), w0, b0, r.standard_normal((8, 2)), r.standard_normal(2)]
+
+    def call(f, t):
+        return f(*t, p, np.random.default_rng(4))
+
+    saved, own = run_both(ad.mlp_leaky, mlp_leaky_oracle, values, call, twice=0)
+    assert saved == [0, 1, 2, 3]  # x, w0, b0 and w1
+    assert [a.dtype for a in own] == ([np.bool_] if p else [])
+    assert not any(a.dtype == np.float64 and a.shape[-1] == 8 for a in own)
+
+    ad.kink_monitor = masks = []
+    try:
+        out = call(ad.mlp_leaky, [Tensor(v) for v in values])
+        assert len(masks) == 1 and masks[0][:, 1].all()  # the kink column reads pre >= 0
+        ad.sum_all(out).backward()
+    finally:
+        ad.kink_monitor = None
+    assert len(masks) == 1  # none from the backward
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "random"])

@@ -196,6 +196,42 @@ def test_train_model_size_below_one(workdir, tmp_path, cfg, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,cfg,bad", [
+    ("--train-config", {"aug_drop_frac": -0.5}, "aug_drop_frac must be in [0, 1], got -0.5"),
+    ("--train-config", {"aug_scale_min": 1.5, "aug_scale_max": 0.5},
+     "aug_scale_min must be <= aug_scale_max, got 1.5 > 0.5"),
+    ("--train-config", {"aug_scale_min": 0, "aug_scale_max": 0},
+     "aug_scale_min must be positive, got 0"),
+    ("--train-config", {"beta2": 1.0}, "beta2 must be in [0, 1), got 1.0"),
+    ("--train-config", {"beta1": -0.1}, "beta1 must be in [0, 1), got -0.1"),
+    ("--train-config", {"adam_eps": -1}, "adam_eps must be positive, got -1"),
+    ("--train-config", {"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001"),
+    ("--train-config", {"warmup_epochs": -1}, "warmup_epochs must be >= 0, got -1"),
+    ("--model-config", {"graph": {"social_radius": -1.0}},
+     "social_radius must be >= 0, got -1.0"),
+    ("--model-config", {"graph": {"reach_distance_cap": -5}},
+     "reach_distance_cap must be >= 0, got -5"),
+    ("--model-config", {"graph": {"max_successor_gap": 0}},
+     "max_successor_gap must be >= 1, got 0"),
+], ids=["aug_drop_frac-negative", "aug_scale-reversed", "aug_scale-zero", "beta2-one",
+        "beta1-negative", "adam_eps-negative", "weight_decay-negative",
+        "warmup_epochs-negative", "graph-radius-negative", "graph-cap-negative", "graph-successor-gap-zero"])
+def test_train_config_out_of_range(workdir, tmp_path, flag, cfg, bad):
+    """A config value out of its range exits 2 with one stderr line that
+    names the key, and trains nothing. The first two ended in a numpy
+    ValueError traceback, aug_scale 0 exited 3 blaming a lane, beta2 1 exited
+    4 on a NaN loss, and a negative adam_eps or warmup_epochs (which starts
+    the lr schedule mid-decay) or a graph radius, cap or successor gap out
+    of range trained without complaint."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("train", "--data", str(workdir / "data"), flag, str(path),
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1 and bad in r.stderr, r.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_run_manifest_records_the_package_commit(tmp_path):
     """git_describe names the commit of the package, not that of a git repo

@@ -268,7 +268,8 @@ def test_grad_check_excludes_kinks():
     w.value[:] = [[0.5, -0.5, 1e-9, 2.0]]  # third coordinate sits on the kink
 
     def f():
-        return ad.sum_all(ad.affine_leaky(ps["w"], Tensor(np.eye(n)), Tensor(np.zeros(n))))
+        eye, zeros = Tensor(np.eye(n)), Tensor(np.zeros(n))
+        return ad.sum_all(ad.mlp_leaky(ps["w"], eye, zeros, eye, zeros, 0.0, None))
 
     rep = nn.grad_check(f, ps, h=1e-5, tol=1e-6)
     assert rep["excluded"] >= 1
@@ -285,7 +286,8 @@ def test_grad_check_restores_kink_monitor_when_f_raises():
         calls.append(1)
         if len(calls) > 1:  # the first perturbed pass fails
             raise FloatingPointError("diverged")
-        return ad.sum_all(ad.affine_leaky(ps["w"], Tensor(np.eye(n)), Tensor(np.zeros(n))))
+        eye, zeros = Tensor(np.eye(n)), Tensor(np.zeros(n))
+        return ad.sum_all(ad.mlp_leaky(ps["w"], eye, zeros, eye, zeros, 0.0, None))
 
     with pytest.raises(FloatingPointError):
         nn.grad_check(f, ps)
